@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import signal
 import sys
 from typing import Optional
 
 from .engine import Result, Solution, solve
 from .formulas import Formula, Neg, Program
-from .machines import MachineError, Machine, parse_machine
+from .machines import parse_machine
 from .negate import NotNegatable
-from .parser import ParseError, Parser, parse_formula, parse_program
+from .parser import ParseError, parse_formula, parse_program, parse_term
 from .printer import pp_formula, pp_term
 from .terms import Term
 from .typecheck import check_program
@@ -30,13 +29,6 @@ from .verifier import (
 )
 
 OK, REFUTED, UNKNOWN, USAGE = 0, 1, 2, 3
-
-_EPILOG = """\
-environment:
-  SETSOLVE_SEED   accepted for reproducibility scripting; the solver uses
-                  no randomized tie-breaking, so it has no effect on output
-"""
-
 
 class _Argv(argparse.ArgumentParser):
     """argparse exits with 2 on bad usage; the contract here says 3."""
@@ -204,7 +196,7 @@ def cmd_verify(ns) -> int:
         m = parse_machine(fh.read())
     results = verify_machine(
         m, budget=ns.budget, max_hyp=ns.max_hyp, auto=ns.auto_hyp,
-        strict_wd=ns.strict_wd, jobs=ns.jobs, typed=not ns.untyped)
+        strict_wd=ns.strict_wd, typed=not ns.untyped)
     if ns.po:
         results = [r for r in results if r.po.po_id == ns.po]
         if not results:
@@ -222,14 +214,6 @@ def cmd_verify(ns) -> int:
     return OK
 
 
-def _parse_term_text(text: str, what: str) -> Term:
-    p = Parser(text)
-    t = p.term()
-    if p.peek().kind != "eof":
-        raise ParseError(f"trailing input in {what}", p.peek().line, p.peek().col)
-    return t
-
-
 def _load_carriers(path: str) -> dict[str, Term]:
     out: dict[str, Term] = {}
     with open(path) as fh:
@@ -240,7 +224,7 @@ def _load_carriers(path: str) -> dict[str, Term]:
             if "=" not in line:
                 raise ParseError("expected 'name = set'", ln, 1)
             name, val = line.split("=", 1)
-            out[name.strip()] = _parse_term_text(val.strip(), f"{path}:{ln}")
+            out[name.strip()] = parse_term(val.strip())
     return out
 
 
@@ -251,7 +235,7 @@ def _parse_trace_line(line: str) -> tuple[str, dict[str, Term]]:
         if "=" not in chunk:
             raise ParseError(f"expected param=value, found {chunk!r}", 0, 0)
         k, v = chunk.split("=", 1)
-        args[k] = _parse_term_text(v, "trace")
+        args[k] = parse_term(v)
     return head, args
 
 
@@ -303,8 +287,7 @@ def _goal_source(p: argparse.ArgumentParser) -> None:
 
 
 def build_argv() -> argparse.ArgumentParser:
-    root = _Argv(prog="setsolve", epilog=_EPILOG,
-                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    root = _Argv(prog="setsolve")
     sub = root.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("solve", help="run queries and print answers")
@@ -332,8 +315,6 @@ def build_argv() -> argparse.ArgumentParser:
                    default=True, help="pull in extra invariants on failure")
     p.add_argument("--strict-wd", action="store_true",
                    help="demand functional applications, not just local ones")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="discharge obligations in N processes")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="write the machine report as JSON")
     p.add_argument("--untyped", action="store_true",
@@ -356,17 +337,10 @@ def build_argv() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    seed = os.environ.get("SETSOLVE_SEED")
-    if seed is not None:
-        try:
-            int(seed)
-        except ValueError:
-            print("SETSOLVE_SEED must be an integer", file=sys.stderr)
-            return USAGE
     ns = build_argv().parse_args(argv)
     try:
         return ns.run(ns)
-    except (ParseError, MachineError) as e:
+    except ParseError as e:
         print(str(e), file=sys.stderr)
         return USAGE
     except VerifyError as e:

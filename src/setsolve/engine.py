@@ -449,7 +449,7 @@ def ground_complete(sol: Solution, hints: Optional[dict[str, list[Term]]] = None
                     set_sorted.add(s.name)
                 stack.append(s)
         elif isinstance(t, Interval):
-            for s in (t.left, t.right):
+            for s in (t.lo, t.hi):
                 if isinstance(s, Var):
                     int_sorted.add(s.name)
 

@@ -28,6 +28,17 @@ Identifier case carries no meaning here; names are resolved by scope.  A name
 denotes a state variable, event parameter, quantifier binder or carrier set
 when one is in scope, and an atom otherwise.  Comments start with ``#``.
 
+The constraint language is read by the grammar of ``parser.Parser``: its
+lexer, types, terms, integer expressions, infix constraints and formula
+connectives.  ``_MParser`` subclasses it with ``#`` comments, ``:=`` and
+``:`` punctuation and a single word class, and overrides ``word`` (scope
+resolution and application lifting), ``sub_term`` (nested applications and
+parenthesised terms), ``mark``/``reset`` (which also undo lifted
+applications), ``call`` (constraints only, with term arguments, and no
+``dec``, ``foplus``, ``delay`` or predicate calls) and ``quantifier``
+(declared binders; lifted applications become locals).  Block structure,
+scoping, folding, well-definedness sites and actions are its own.
+
 Guards and invariants use the constraint language, extended with function
 application ``f(x)``.  Applications are not terms of the core language, so
 they are compiled away: ``f(x)`` becomes a fresh variable ``m`` constrained
@@ -47,15 +58,14 @@ from typing import Optional
 
 from .arith import ABin, ANeg
 from .formulas import (
-    ARITY, C, Constraint, FalseF, Formula, Implies, KINDS, Neg, Or, QPayload,
-    TrueF, conj, disj,
+    ARITY, C, Constraint, Formula, Implies, KINDS, Neg, Or, QPayload, TrueF,
+    conj, disj,
 )
-from .parser import ParseError, Tok
+from .parser import ParseError, Parser, Tok
 from .terms import (
-    CP, Atom, EMPTY, ExtSet, Int, Interval, Pair, Str, Term, Var, mkset,
-    term_vars,
+    CP, Atom, ExtSet, Interval, Pair, Term, Var, mkset, term_vars,
 )
-from .typecheck import TBasic, TEnum, TInt, TProd, TSet, TStr
+from .typecheck import TBasic, TEnum, TSet
 
 _KEYWORDS = frozenset((
     "machine", "context", "variables", "invariants", "init",
@@ -160,94 +170,23 @@ class MachineError(ParseError):
     pass
 
 
-# --- tokenizer ---------------------------------------------------------------
-
-_PUNCT2 = (":=", "=<", ">=")
-_PUNCT1 = "()[]{},/=<>&:+-*"
-
-
-def _tokenize(text: str) -> list[Tok]:
-    toks: list[Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
-                               .get(text[j + 1], text[j + 1]))
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise MachineError("unterminated string", line, col)
-            toks.append(Tok("str", "".join(out), line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if text[i:i + 2] in _PUNCT2:
-            toks.append(Tok("punct", text[i:i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Tok("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Tok("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT1:
-            toks.append(Tok("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise MachineError(f"unexpected character {ch!r}", line, col)
-    toks.append(Tok("eof", "", line, col))
-    return toks
-
-
-_INFIX = {
-    "=": ("eq", False), "neq": ("neq", False),
-    "in": ("in", False), "nin": ("nin", False),
-    "is": ("is", False),
-    "=<": ("le", False), "<": ("lt", False),
-    ">=": ("le", True), ">": ("lt", True),
-}
-
-
 # --- parser ------------------------------------------------------------------
 
-class _MParser:
+class _MParser(Parser):
+    """The machine grammar: the shared core of :class:`Parser` with names
+    resolved by scope and function applications lifted to ``applyTo``."""
+
+    Error = MachineError
+    COMMENT = "#"
+    PUNCT2 = (":=", "=<", ">=")
+    PUNCT1 = "()[]{},/=<>&:+-*"
+
+    @staticmethod
+    def word_kind(word: str) -> str:
+        return "atom"
+
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
-        self.i = 0
+        super().__init__(text)
         self.mvars: dict[str, Optional[object]] = {}
         self.carriers: dict[str, Optional[tuple[str, ...]]] = {}
         self.scopes: list[set[str]] = []          # event params, binders
@@ -259,33 +198,9 @@ class _MParser:
         self.m_counter = 0
         self.in_init = False
 
-    # token helpers
-
-    def peek(self, ahead: int = 0) -> Tok:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
-
-    def next(self) -> Tok:
-        t = self.toks[self.i]
-        if t.kind != "eof":
-            self.i += 1
-        return t
-
-    def expect(self, val: str) -> Tok:
-        t = self.next()
-        if t.val != val:
-            raise MachineError(f"expected {val!r}, found {t.val!r}", t.line, t.col)
-        return t
-
-    def at(self, val: str) -> bool:
-        return self.peek().val == val
-
-    def err(self, msg: str) -> MachineError:
-        t = self.peek()
-        return MachineError(msg, t.line, t.col)
-
     def name_tok(self, what: str) -> Tok:
         t = self.next()
-        if t.kind != "name":
+        if t.kind != "atom":
             raise MachineError(f"expected {what}, found {t.val!r}", t.line, t.col)
         return t
 
@@ -499,47 +414,6 @@ class _MParser:
         self.expect(":")
         return t.val
 
-    # --- types ----------------------------------------------------------------
-
-    def type_expr(self):
-        t = self.peek()
-        if self.at("["):
-            self.next()
-            parts = [self.type_expr()]
-            while self.at(","):
-                self.next()
-                parts.append(self.type_expr())
-            self.expect("]")
-            if len(parts) < 2:
-                raise MachineError("product type needs at least two components",
-                                   t.line, t.col)
-            return TProd(tuple(parts))
-        if t.kind != "name":
-            raise self.err(f"expected a type, found {t.val!r}")
-        self.next()
-        if t.val == "int":
-            return TInt()
-        if t.val == "str":
-            return TStr()
-        if t.val == "stype":
-            self.expect("(")
-            inner = self.type_expr()
-            self.expect(")")
-            return TSet(inner)
-        if t.val == "etype":
-            self.expect("(")
-            self.expect("[")
-            members = [self.name_tok("an atom").val]
-            while self.at(","):
-                self.next()
-                members.append(self.name_tok("an atom").val)
-            self.expect("]")
-            self.expect(")")
-            if len(members) < 2:
-                raise MachineError("etype needs at least two members", t.line, t.col)
-            return TEnum(tuple(members))
-        return TBasic(t.val)
-
     # --- guard and invariant bodies --------------------------------------------
 
     def body(self, site: str) -> tuple[Formula, tuple[WDOcc, ...]]:
@@ -568,18 +442,18 @@ class _MParser:
                 self.next()
                 continue
             break
-        if self.at("or") or self.at("implies"):
+        if self.at("or", "atom") or self.at("implies", "atom"):
             # The body is not a plain conjunction after all.  Applications
             # stay hoisted in front; the structure is rebuilt from the parts.
             left: Formula = conj(parts)
-            while self.at("or"):
+            while self.at("or", "atom"):
                 self.next()
                 g = self.and_formula()
                 for (c, chain) in self.drain():
                     self.occs.append(WDOcc(c, chain, TrueF(), site))
                     lifted.append(c)
                 left = disj([left, g])
-            if self.at("implies"):
+            if self.at("implies", "atom"):
                 self.next()
                 rhs = self.formula()
                 for (c, chain) in self.drain():
@@ -646,79 +520,31 @@ class _MParser:
                     break
         return conj(items)
 
-    # --- formulas ---------------------------------------------------------------
+    # --- hooks of the shared grammar --------------------------------------------
 
-    def formula(self) -> Formula:
-        left = self.or_formula()
-        if self.at("implies"):
-            self.next()
-            return Implies(left, self.formula())
-        return left
+    def mark(self):
+        # Backtracking must also discard any applications lifted while
+        # trying the formula reading.
+        return (self.i, len(self.frames[-1]), len(self.occs), self.m_counter,
+                set(self.lift_vars))
 
-    def or_formula(self) -> Formula:
-        parts = [self.and_formula()]
-        while self.at("or"):
-            self.next()
-            parts.append(self.and_formula())
-        return disj(parts)
+    def reset(self, mark) -> None:
+        self.i, frame, occs, self.m_counter, self.lift_vars = mark
+        del self.frames[-1][frame:]
+        del self.occs[occs:]
 
-    def and_formula(self) -> Formula:
-        parts = [self.prim_formula()]
-        while self.at("&"):
-            self.next()
-            parts.append(self.prim_formula())
-        return conj(parts)
-
-    def prim_formula(self) -> Formula:
-        t = self.peek()
-        if t.val == "true" and self.peek(1).val != "(":
-            self.next()
-            return TrueF()
-        if t.val == "false" and self.peek(1).val != "(":
-            self.next()
-            return FalseF()
-        if t.val == "neg" and self.peek(1).val == "(":
-            self.next()
-            self.expect("(")
-            f = self.formula()
-            self.expect(")")
-            return Neg(f)
-        if t.val in ("foreach", "exists") and self.peek(1).val == "(":
-            return self.quantifier()
-        if self.at("("):
-            # A parenthesis can open a formula or an integer expression.
-            # Backtracking must also discard any applications lifted while
-            # trying the formula reading.
-            save = self.i
-            save_frame = len(self.frames[-1])
-            save_occs = len(self.occs)
-            save_m = self.m_counter
-            save_lv = set(self.lift_vars)
-            try:
-                self.next()
-                f = self.formula()
-                self.expect(")")
-                if self.peek().val in _INFIX:
-                    raise MachineError("backtrack", t.line, t.col)
-                return f
-            except ParseError:
-                self.i = save
-                del self.frames[-1][save_frame:]
-                del self.occs[save_occs:]
-                self.m_counter = save_m
-                self.lift_vars = save_lv
-                return self.infix_constraint()
-        if t.kind == "name" and t.val in KINDS and not self.in_scope(t.val) \
+    def call(self, t: Tok) -> Formula:
+        if t.kind == "atom" and t.val in KINDS and not self.in_scope(t.val) \
                 and self.peek(1).val == "(":
             if t.val in ("dec", "foplus"):
                 raise MachineError(f"{t.val} cannot be used in a machine formula",
                                    t.line, t.col)
             self.next()
             self.expect("(")
-            args = [self.expr()]
+            args = [self.aexpr()]
             while self.at(","):
                 self.next()
-                args.append(self.expr())
+                args.append(self.aexpr())
             self.expect(")")
             if ARITY.get(t.val) != len(args):
                 raise MachineError(f"{t.val} takes {ARITY.get(t.val)} arguments",
@@ -729,28 +555,6 @@ class _MParser:
                                        "expressions", t.line, t.col)
             return Constraint(t.val, tuple(args))
         return self.infix_constraint()
-
-    def infix_constraint(self) -> Formula:
-        t = self.peek()
-        a = self.expr()
-        op = self.peek()
-        if op.val not in _INFIX:
-            raise MachineError(f"expected a constraint operator, found {op.val!r}",
-                               op.line, op.col)
-        self.next()
-        b = self.expr()
-        kind, swap = _INFIX[op.val]
-        if swap:
-            a, b = b, a
-        if kind in ("eq", "neq", "in", "nin"):
-            for x in (a, b):
-                if not isinstance(x, Term):
-                    raise MachineError(f"{kind} relates terms, not integer "
-                                       "expressions", t.line, t.col)
-        if kind == "is" and not isinstance(a, Term):
-            raise MachineError("the left side of is must be a variable or number",
-                               t.line, t.col)
-        return Constraint(kind, (a, b))
 
     def quantifier(self) -> Formula:
         kw = self.next().val
@@ -778,7 +582,7 @@ class _MParser:
             names.append(nm)
             binder = Var(nm)
         self.expect("in")
-        dom = self.expr()
+        dom = self.aexpr()
         if not isinstance(dom, Term):
             raise self.err("a quantifier domain must be a set-valued term")
         self.expect(",")
@@ -804,82 +608,7 @@ class _MParser:
         return Constraint(kw, (), q=QPayload(binder, dom, tuple(locals_),
                                              body, funcs))
 
-    # --- terms and expressions ---------------------------------------------------
-
-    def expr(self):
-        """An integer expression or a term; applications lift on the fly."""
-        e = self.addsub()
-        return e
-
-    def addsub(self):
-        e = self.muldiv()
-        while self.at("+") or self.at("-"):
-            op = self.next().val
-            e = ABin(op, e, self.muldiv())
-        return e
-
-    def muldiv(self):
-        e = self.unary()
-        while self.at("*") or self.at("div") or self.at("mod"):
-            op = self.next().val
-            e = ABin(op, e, self.unary())
-        return e
-
-    def unary(self):
-        if self.at("-"):
-            nxt = self.peek(1)
-            if nxt.kind == "int":
-                self.next()
-                self.next()
-                return Int(-int(nxt.val))
-            self.next()
-            return ANeg(self.unary())
-        if self.at("("):
-            self.next()
-            e = self.expr()
-            self.expect(")")
-            return e
-        return self.term()
-
-    def term(self) -> Term:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return Int(int(t.val))
-        if t.kind == "str":
-            self.next()
-            return Str(t.val)
-        if self.at("["):
-            self.next()
-            a = self.term_full()
-            self.expect(",")
-            b = self.term_full()
-            self.expect("]")
-            return Pair(a, b)
-        if self.at("{"):
-            return self.set_term()
-        if t.kind != "name":
-            raise self.err(f"expected a term, found {t.val!r}")
-        if t.val == "cp" and self.peek(1).val == "(" and not self.in_scope(t.val):
-            self.next()
-            self.expect("(")
-            a = self.term_full()
-            self.expect(",")
-            b = self.term_full()
-            self.expect(")")
-            return CP(a, b)
-        if t.val == "int" and self.peek(1).val == "(" and not self.in_scope(t.val):
-            self.next()
-            self.expect("(")
-            a = self.term_full()
-            self.expect(",")
-            b = self.term_full()
-            self.expect(")")
-            if not isinstance(a, (Int, Var)) or not isinstance(b, (Int, Var)):
-                raise MachineError("interval bounds must be integers or variables",
-                                   t.line, t.col)
-            return Interval(a, b)
-        self.next()
+    def word(self, t: Tok) -> Term:
         ref = self.resolve(t)
         if self.at("(") and isinstance(ref, Var):
             return self.application(ref, t)
@@ -888,12 +617,19 @@ class _MParser:
                                t.line, t.col)
         return ref
 
+    def sub_term(self) -> Term:
+        """A term that may itself hold applications, in parentheses or not."""
+        e = self.aexpr()
+        if not isinstance(e, Term):
+            raise self.err("expected a term, found an integer expression")
+        return e
+
     def application(self, fvar: Var, t: Tok) -> Var:
         if self.in_init:
             raise MachineError("the initialisation cannot read state through "
                                "function application", t.line, t.col)
         self.expect("(")
-        arg = self.term_full()
+        arg = self.sub_term()
         if self.at(","):
             raise MachineError("function application takes one argument; "
                                "apply to a pair instead", t.line, t.col)
@@ -902,30 +638,6 @@ class _MParser:
         c = C("applyTo", fvar, arg, m)
         self.frames[-1].append((c, tuple(self.binders)))
         return m
-
-    def term_full(self) -> Term:
-        e = self.expr()
-        if not isinstance(e, Term):
-            raise self.err("expected a term, found an integer expression")
-        return e
-
-    def set_term(self) -> Term:
-        self.expect("{")
-        if self.at("}"):
-            self.next()
-            return EMPTY
-        elems = [self.term_full()]
-        while self.at(","):
-            self.next()
-            elems.append(self.term_full())
-        tail: Term = EMPTY
-        if self.at("/"):
-            self.next()
-            tail = self.term_full()
-            if not isinstance(tail, (Var, ExtSet)) and tail != EMPTY:
-                raise self.err("set tail must be a variable or a set")
-        self.expect("}")
-        return mkset(elems, tail)
 
     # --- actions --------------------------------------------------------------
 
@@ -950,17 +662,17 @@ class _MParser:
             if not primed:
                 raise self.err("the initialisation cannot use functional override")
             self.next()
-            key_e = self.expr()
+            key_e = self.aexpr()
             self.expect(")")
             self.expect(":=")
-            val_e = self.expr()
+            val_e = self.aexpr()
             drain_all()
             key = self.lowered(key_e, lifted)
             val = self.lowered(val_e, lifted)
             core: Formula = C("foplus", Var(target), key, val, nxt)
         else:
             self.expect(":=")
-            e = self.expr()
+            e = self.aexpr()
             drain_all()
             if isinstance(e, Term):
                 core = C("eq", nxt, e)
@@ -990,12 +702,12 @@ def _count_var(f: Formula, name: str) -> int:
             return ct(t.first) + ct(t.second)
         if isinstance(t, ExtSet):
             return ct(t.head) + ct(t.tail)
-        if isinstance(t, (CP, Interval)):
+        if isinstance(t, (CP, ABin)):
             return ct(t.left) + ct(t.right)
-        if isinstance(t, ABin):
-            return ct(t.left) + ct(t.right)
+        if isinstance(t, Interval):
+            return ct(t.lo) + ct(t.hi)
         if isinstance(t, ANeg):
-            return ct(t.arg)
+            return ct(t.body)
         return 0
 
     if isinstance(f, Constraint):

@@ -1,18 +1,32 @@
-"""Parser for formula/clause files (.slog).
+"""Parser for formula/clause files (.slog), and the grammar core it shares.
 
 Prolog-flavoured surface syntax: identifiers starting with an uppercase
 letter or underscore are variables, everything else is an atom.  Clauses end
 with a period, ``:-`` introduces directives and clause bodies, ``?-``
 introduces queries, and ``%`` starts a line comment.
+
+Machine files (``machines.py``) are written in the same constraint language,
+so ``machines._MParser`` subclasses :class:`Parser`.  The lexer (``tokenize``),
+the token helpers, types, terms, integer expressions, infix constraints and
+the ``formula``/``or_formula``/``and_formula``/``prim_formula`` chain are
+shared.  A subclass changes the lexical class attributes (comment character,
+punctuation, word classifier, error class) and overrides these hooks:
+
+* ``word`` turns a word token into a term (here: by case);
+* ``sub_term`` reads a term nested in a pair, set, ``cp`` or ``int``;
+* ``mark``/``reset`` save and restore the state a backtrack must undo;
+* ``call`` reads a formula that starts with a word (constraint or predicate
+  call), or failing that an infix constraint;
+* ``quantifier`` reads ``foreach``/``exists``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .arith import ABin, ANeg
 from .formulas import (
-    C, Clause, Constraint, FalseF, Formula, Implies, KINDS, Neg, Or, PredCall,
+    ARITY, Clause, Constraint, FalseF, Formula, Implies, KINDS, Neg, PredCall,
     Program, QPayload, TrueF, conj, disj,
 )
 from .terms import (
@@ -39,7 +53,13 @@ _PUNCT2 = (":-", "?-", "=<", ">=")
 _PUNCT1 = "()[]{},/=<>&.+-*?"
 
 
-def tokenize(text: str) -> list[Tok]:
+def _case_kind(word: str) -> str:
+    return "var" if (word[0] == "_" or word[0].isupper()) else "atom"
+
+
+def tokenize(text: str, comment: str = "%", punct2: tuple[str, ...] = _PUNCT2,
+             punct1: str = _PUNCT1, word_kind: Callable[[str], str] = _case_kind,
+             error: type[ParseError] = ParseError) -> list[Tok]:
     toks: list[Tok] = []
     i, line, col = 0, 1, 1
     n = len(text)
@@ -54,7 +74,7 @@ def tokenize(text: str) -> list[Tok]:
             i += 1
             col += 1
             continue
-        if ch == "%":
+        if ch == comment:
             while i < n and text[i] != "\n":
                 i += 1
             continue
@@ -70,13 +90,13 @@ def tokenize(text: str) -> list[Tok]:
                     out.append(text[j])
                     j += 1
             if j >= n:
-                raise ParseError("unterminated string", line, col)
+                raise error("unterminated string", line, col)
             toks.append(Tok("str", "".join(out), line, col))
             col += j + 1 - i
             i = j + 1
             continue
         two = text[i:i + 2]
-        if two in _PUNCT2:
+        if two in punct2:
             toks.append(Tok("punct", two, line, col))
             i += 2
             col += 2
@@ -94,17 +114,16 @@ def tokenize(text: str) -> list[Tok]:
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
-            kind = "var" if (ch == "_" or ch.isupper()) else "atom"
-            toks.append(Tok(kind, word, line, col))
+            toks.append(Tok(word_kind(word), word, line, col))
             col += j - i
             i = j
             continue
-        if ch in _PUNCT1:
+        if ch in punct1:
             toks.append(Tok("punct", ch, line, col))
             i += 1
             col += 1
             continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+        raise error(f"unexpected character {ch!r}", line, col)
     toks.append(Tok("eof", "", line, col))
     return toks
 
@@ -119,12 +138,24 @@ _INFIX = {
 
 
 class Parser:
+    Error: type[ParseError] = ParseError
+    COMMENT = "%"
+    PUNCT2 = _PUNCT2
+    PUNCT1 = _PUNCT1
+    word_kind = staticmethod(_case_kind)
+
     def __init__(self, text: str):
-        self.toks = tokenize(text)
+        self.toks = tokenize(text, self.COMMENT, self.PUNCT2, self.PUNCT1,
+                             self.word_kind, self.Error)
         self.i = 0
 
     def peek(self, ahead: int = 0) -> Tok:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        # ``next`` never moves past the final eof token, so only a lookahead
+        # can run off the end.
+        try:
+            return self.toks[self.i + ahead]
+        except IndexError:
+            return self.toks[-1]
 
     def next(self) -> Tok:
         t = self.toks[self.i]
@@ -135,16 +166,31 @@ class Parser:
     def expect(self, val: str) -> Tok:
         t = self.next()
         if t.val != val or t.kind not in ("punct", "atom"):
-            raise ParseError(f"expected {val!r}, found {t.val!r}", t.line, t.col)
+            raise self.Error(f"expected {val!r}, found {t.val!r}", t.line, t.col)
         return t
 
     def at(self, val: str, kind: Optional[str] = None) -> bool:
-        t = self.peek()
+        t = self.toks[self.i]
         return t.val == val and (kind is None or t.kind == kind)
 
     def err(self, msg: str) -> ParseError:
         t = self.peek()
-        return ParseError(msg, t.line, t.col)
+        return self.Error(msg, t.line, t.col)
+
+    # --- hooks ----------------------------------------------------------------
+
+    def word(self, t: Tok) -> Term:
+        """The term a consumed word token denotes."""
+        return Var(t.val) if t.kind == "var" else Atom(t.val)
+
+    def sub_term(self) -> Term:
+        return self.term()
+
+    def mark(self):
+        return self.i
+
+    def reset(self, mark) -> None:
+        self.i = mark
 
     # --- terms and integer expressions -------------------------------------
 
@@ -152,52 +198,51 @@ class Parser:
         t = self.peek()
         if t.kind == "var":
             self.next()
-            return Var(t.val)
+            return self.word(t)
         if t.kind == "int":
             self.next()
             return Int(int(t.val))
         if t.kind == "str":
             self.next()
             return Str(t.val)
-        if self.at("-"):
+        if t.val == "-":
             self.next()
             u = self.next()
             if u.kind != "int":
-                raise ParseError("expected a number after -", u.line, u.col)
+                raise self.Error("expected a number after -", u.line, u.col)
             return Int(-int(u.val))
-        if self.at("["):
+        if t.val == "[":
             return self.pair()
-        if self.at("{"):
+        if t.val == "{":
             return self.set_term()
         if t.kind == "atom":
             if t.val == "cp" and self.peek(1).val == "(":
-                self.next()
-                self.expect("(")
-                a = self.term()
-                self.expect(",")
-                b = self.term()
-                self.expect(")")
+                a, b = self._two_args()
                 return CP(a, b)
             if t.val == "int" and self.peek(1).val == "(":
-                self.next()
-                self.expect("(")
-                a = self.term()
-                self.expect(",")
-                b = self.term()
-                self.expect(")")
+                a, b = self._two_args()
                 if not isinstance(a, (Int, Var)) or not isinstance(b, (Int, Var)):
-                    raise ParseError("interval bounds must be integers or variables",
+                    raise self.Error("interval bounds must be integers or variables",
                                      t.line, t.col)
                 return Interval(a, b)
             self.next()
-            return Atom(t.val)
+            return self.word(t)
         raise self.err(f"expected a term, found {t.val!r}")
+
+    def _two_args(self) -> tuple[Term, Term]:
+        self.next()
+        self.expect("(")
+        a = self.sub_term()
+        self.expect(",")
+        b = self.sub_term()
+        self.expect(")")
+        return a, b
 
     def pair(self) -> Pair:
         self.expect("[")
-        a = self.term()
+        a = self.sub_term()
         self.expect(",")
-        b = self.term()
+        b = self.sub_term()
         self.expect("]")
         return Pair(a, b)
 
@@ -206,14 +251,14 @@ class Parser:
         if self.at("}"):
             self.next()
             return EMPTY
-        elems = [self.term()]
+        elems = [self.sub_term()]
         while self.at(","):
             self.next()
-            elems.append(self.term())
+            elems.append(self.sub_term())
         tail: Term = EMPTY
         if self.at("/"):
             self.next()
-            tail = self.term()
+            tail = self.sub_term()
             if not isinstance(tail, (Var, ExtSet)) and tail != EMPTY:
                 raise self.err("set tail must be a variable or a set")
         self.expect("}")
@@ -264,14 +309,14 @@ class Parser:
                 parts.append(self.type_expr())
             self.expect("]")
             if len(parts) < 2:
-                raise ParseError("product type needs at least two components",
+                raise self.Error("product type needs at least two components",
                                  t.line, t.col)
             return TProd(tuple(parts))
         if t.kind != "atom":
             raise self.err(f"expected a type, found {t.val!r}")
         self.next()
         if self.at("?"):
-            raise ParseError("ur-element types are not supported", t.line, t.col)
+            raise self.Error("ur-element types are not supported", t.line, t.col)
         if t.val == "int":
             return TInt()
         if t.val == "str":
@@ -286,7 +331,7 @@ class Parser:
             self.expect("]")
             self.expect(")")
             if len(members) < 2:
-                raise ParseError("etype needs at least two members", t.line, t.col)
+                raise self.Error("etype needs at least two members", t.line, t.col)
             return TEnum(tuple(members))
         if t.val == "stype":
             self.expect("(")
@@ -298,7 +343,7 @@ class Parser:
     def _atom_name(self) -> str:
         t = self.next()
         if t.kind != "atom":
-            raise ParseError(f"expected an atom, found {t.val!r}", t.line, t.col)
+            raise self.Error(f"expected an atom, found {t.val!r}", t.line, t.col)
         return t.val
 
     # --- formulas -------------------------------------------------------------
@@ -326,43 +371,57 @@ class Parser:
 
     def prim_formula(self) -> Formula:
         t = self.peek()
-        if t.kind == "atom" and t.val == "true" and self.peek(1).val != "(":
-            self.next()
-            return TrueF()
-        if t.kind == "atom" and t.val == "false" and self.peek(1).val != "(":
-            self.next()
-            return FalseF()
-        if t.kind == "atom" and t.val == "neg" and self.peek(1).val == "(":
-            self.next()
-            self.expect("(")
-            f = self.formula()
-            self.expect(")")
-            return Neg(f)
-        if t.kind == "atom" and t.val == "delay" and self.peek(1).val == "(":
-            self.next()
-            self.expect("(")
-            f = self.prim_formula()
-            self.expect(")")
-            if not isinstance(f, Constraint) or f.q is not None:
-                raise ParseError("delay applies to a single constraint", t.line, t.col)
-            return Constraint(f.kind, f.args, delayed=True)
-        if t.kind == "atom" and t.val in ("foreach", "exists") and self.peek(1).val == "(":
-            return self.quantifier()
+        if t.kind == "atom":
+            opens = self.peek(1).val == "("
+            if t.val == "true" and not opens:
+                self.next()
+                return TrueF()
+            if t.val == "false" and not opens:
+                self.next()
+                return FalseF()
+            if t.val == "neg" and opens:
+                self.next()
+                self.expect("(")
+                f = self.formula()
+                self.expect(")")
+                return Neg(f)
+            if t.val in ("foreach", "exists") and opens:
+                return self.quantifier()
         if self.at("("):
             # A parenthesis can open a formula or an integer expression;
             # backtrack if the formula reading fails.
-            save = self.i
+            save = self.mark()
             try:
                 self.next()
                 f = self.formula()
                 self.expect(")")
                 if self._at_infix():
-                    raise ParseError("backtrack", t.line, t.col)
+                    raise self.Error("backtrack", t.line, t.col)
                 return f
             except ParseError:
-                self.i = save
+                self.reset(save)
                 return self.infix_constraint()
-        if t.kind == "atom" and t.val == "dec" and self.peek(1).val == "(":
+        return self.call(t)
+
+    def call(self, t: Tok) -> Formula:
+        """``delay``, ``dec``, a constraint or a predicate call; failing
+        those, an infix constraint."""
+        if t.kind != "atom":
+            return self.infix_constraint()
+        if self.peek(1).val != "(":
+            if self._tok_infix(self.peek(1)):
+                return self.infix_constraint()
+            self.next()
+            return PredCall(t.val, ())
+        if t.val == "delay":
+            self.next()
+            self.expect("(")
+            f = self.prim_formula()
+            self.expect(")")
+            if not isinstance(f, Constraint) or f.q is not None:
+                raise self.Error("delay applies to a single constraint", t.line, t.col)
+            return Constraint(f.kind, f.args, delayed=True)
+        if t.val == "dec":
             self.next()
             self.expect("(")
             v = self.term()
@@ -370,35 +429,29 @@ class Parser:
             ty = self.type_expr()
             self.expect(")")
             if not isinstance(v, Var):
-                raise ParseError("dec needs a variable", t.line, t.col)
+                raise self.Error("dec needs a variable", t.line, t.col)
             return Constraint("dec", (v, ty))
-        if t.kind == "atom" and t.val not in ("cp", "int") and self.peek(1).val == "(":
-            save = self.i
-            name = self.next().val
-            self.expect("(")
-            args = [self.aexpr()]
-            while self.at(","):
-                self.next()
-                args.append(self.aexpr())
-            self.expect(")")
-            if self._at_infix():
-                # It was a term after all (no term functors exist, so the
-                # only legal reading is an error further up).
-                self.i = save
-                return self.infix_constraint()
-            if name in KINDS:
-                from .formulas import ARITY
-
-                if ARITY.get(name) != len(args):
-                    raise ParseError(f"{name} takes {ARITY.get(name)} arguments",
-                                     t.line, t.col)
-                return Constraint(name, tuple(args))
-            return PredCall(name, tuple(args))
-        if t.kind == "atom" and self.peek(1).val not in ("(",) and \
-                not self._tok_infix(self.peek(1)):
+        if t.val in ("cp", "int"):
+            return self.infix_constraint()
+        save = self.i
+        name = self.next().val
+        self.expect("(")
+        args = [self.aexpr()]
+        while self.at(","):
             self.next()
-            return PredCall(t.val, ())
-        return self.infix_constraint()
+            args.append(self.aexpr())
+        self.expect(")")
+        if self._at_infix():
+            # It was a term after all (no term functors exist, so the
+            # only legal reading is an error further up).
+            self.i = save
+            return self.infix_constraint()
+        if name in KINDS:
+            if ARITY.get(name) != len(args):
+                raise self.Error(f"{name} takes {ARITY.get(name)} arguments",
+                                 t.line, t.col)
+            return Constraint(name, tuple(args))
+        return PredCall(name, tuple(args))
 
     def _tok_infix(self, t: Tok) -> bool:
         return t.val in _INFIX and t.kind in ("punct", "atom")
@@ -411,7 +464,7 @@ class Parser:
         a = self.aexpr()
         op = self.peek()
         if not self._at_infix():
-            raise ParseError(f"expected a constraint operator, found {op.val!r}",
+            raise self.Error(f"expected a constraint operator, found {op.val!r}",
                              op.line, op.col)
         self.next()
         b = self.aexpr()
@@ -421,10 +474,10 @@ class Parser:
         if kind in ("eq", "neq", "in", "nin"):
             for x in (a, b):
                 if not isinstance(x, Term):
-                    raise ParseError(f"{kind} relates terms, not integer expressions",
+                    raise self.Error(f"{kind} relates terms, not integer expressions",
                                      t.line, t.col)
         if kind == "is" and not isinstance(a, Term):
-            raise ParseError("the left side of is must be a variable or number",
+            raise self.Error("the left side of is must be a variable or number",
                              t.line, t.col)
         return Constraint(kind, (a, b))
 
@@ -439,7 +492,7 @@ class Parser:
         else:
             t = self.next()
             if t.kind != "var":
-                raise ParseError("quantifier needs a variable", t.line, t.col)
+                raise self.Error("quantifier needs a variable", t.line, t.col)
             binder = Var(t.val)
         self.expect("in")
         dom = self.term()
@@ -452,13 +505,13 @@ class Parser:
             if not self.at("]"):
                 tok = self.next()
                 if tok.kind != "var":
-                    raise ParseError("locals must be variables", tok.line, tok.col)
+                    raise self.Error("locals must be variables", tok.line, tok.col)
                 names.append(tok.val)
                 while self.at(","):
                     self.next()
                     tok = self.next()
                     if tok.kind != "var":
-                        raise ParseError("locals must be variables", tok.line, tok.col)
+                        raise self.Error("locals must be variables", tok.line, tok.col)
                     names.append(tok.val)
             self.expect("]")
             self.expect(",")
@@ -496,7 +549,7 @@ class Parser:
             cl = self.clause()
             key = (cl.name, len(cl.params))
             if key in clauses:
-                raise ParseError(f"duplicate clause for {cl.name}/{len(cl.params)}",
+                raise self.Error(f"duplicate clause for {cl.name}/{len(cl.params)}",
                                  t.line, t.col)
             clauses[key] = cl
             self.expect(".")
@@ -524,12 +577,12 @@ class Parser:
             self.expect(")")
             type_defs[name] = ty
             return
-        raise ParseError(f"unknown directive {t.val!r}", t.line, t.col)
+        raise self.Error(f"unknown directive {t.val!r}", t.line, t.col)
 
     def clause(self) -> Clause:
         t = self.next()
         if t.kind != "atom":
-            raise ParseError(f"expected a clause head, found {t.val!r}", t.line, t.col)
+            raise self.Error(f"expected a clause head, found {t.val!r}", t.line, t.col)
         name = t.val
         params: list[str] = []
         if self.at("("):
@@ -537,10 +590,10 @@ class Parser:
             while True:
                 p = self.next()
                 if p.kind != "var":
-                    raise ParseError("clause parameters must be distinct variables",
+                    raise self.Error("clause parameters must be distinct variables",
                                      p.line, p.col)
                 if p.val in params:
-                    raise ParseError(f"duplicate parameter {p.val}", p.line, p.col)
+                    raise self.Error(f"duplicate parameter {p.val}", p.line, p.col)
                 params.append(p.val)
                 if self.at(","):
                     self.next()

@@ -340,26 +340,15 @@ def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
         return POResult(po, "Unknown", tuple(used), iterations, ms(), note=note)
 
 
-def _discharge_job(args) -> POResult:
-    po, budget, max_hyp, auto, hints = args
-    return discharge(po, budget=budget, max_hyp=max_hyp, auto=auto, hints=hints)
-
-
 def verify_machine(m: Machine, *, budget: int = 200_000, max_hyp: int = 5,
                    auto: bool = True, strict_wd: bool = False,
-                   jobs: int = 1, typed: bool = True) -> list[POResult]:
+                   typed: bool = True) -> list[POResult]:
     if typed:
         errors = typecheck_machine(m)
         if errors:
             raise VerifyError("type errors:\n" + "\n".join(errors))
     pos = generate_pos(m, strict_wd=strict_wd)
     hints = _hints(m)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(_discharge_job,
-                               [(po, budget, max_hyp, auto, hints) for po in pos]))
     return [discharge(po, budget=budget, max_hyp=max_hyp, auto=auto, hints=hints)
             for po in pos]
 

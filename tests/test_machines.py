@@ -1,10 +1,10 @@
 """Machine front end (.smch): scoping, application lifting, folding, errors."""
 import pytest
-from setsolve.arith import ABin
+from setsolve.arith import ABin, ANeg
 from setsolve.formulas import And, C, Constraint, TrueF
 from setsolve.machines import MachineError, WDOcc, parse_machine
 from setsolve.parser import ParseError
-from setsolve.terms import Atom, Int, Var
+from setsolve.terms import Atom, Int, Interval, Var
 
 _HEAD = """\
 machine m
@@ -121,3 +121,19 @@ def test_machine_error_is_a_parse_error_with_a_line():
     assert isinstance(ei.value, MachineError)
     assert ei.value.line == 10 and ei.value.col > 0
 
+
+
+@pytest.mark.parametrize("invariant, first", [
+    ("n in int(0, 3)", C("in", Var("n"), Interval(Int(0), Int(3)))),
+    ("n is -(n)", C("is", Var("n"), ANeg(Var("n")))),
+])
+def test_fold_counts_through_intervals_and_negations(invariant, first):
+    m = machine(f"  inv1: {invariant} & f(a) = n")
+    assert m.invariant("inv1").formula == And((
+        first, C("applyTo", Var("f"), Atom("a"), Var("n"))))
+
+
+@pytest.mark.parametrize("invariant", ['n "=" 0', '"true"', 'n = 0 "or" n = 1'])
+def test_string_literal_is_not_a_keyword(invariant):
+    with pytest.raises(MachineError):
+        machine(f"  inv1: {invariant}")

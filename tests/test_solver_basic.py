@@ -4,7 +4,7 @@ from conftest import certify
 from setsolve.engine import ground_complete, solve
 from setsolve.formulas import C
 from setsolve.parser import parse_formula
-from setsolve.terms import EMPTY, Atom, Int, Pair, Var, mkset
+from setsolve.terms import EMPTY, Atom, Int, Interval, Pair, Var, mkset
 
 
 def sat(run, text, **kw):
@@ -215,3 +215,12 @@ def test_budget_exhaustion_is_reported():
 def test_multiple_solutions_stop_at_limit(run):
     res = run("X in {1,2,3}", max_solutions=2)
     assert len(res.solutions) == 2
+
+
+def test_ground_complete_reads_interval_bounds(run):
+    # An interval with a variable bound in the answer: the bound is an
+    # integer, and grounding picks one that satisfies the residue.
+    res = sat(run, "X = int(1, N) & N > 0")
+    g = ground_complete(res.solutions[0])
+    assert g["N"].value > 0
+    assert g["X"] == Interval(Int(1), g["N"])
