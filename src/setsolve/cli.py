@@ -214,6 +214,14 @@ def cmd_verify(ns) -> int:
     return OK
 
 
+def _value_term(text: str, path: str, ln: int) -> Term:
+    """One value of a carriers or trace file; an error names the file line."""
+    try:
+        return parse_term(text)
+    except ParseError as e:
+        raise ParseError(f"{path}:{ln}: in {text!r}: {e.msg}") from None
+
+
 def _load_carriers(path: str) -> dict[str, Term]:
     out: dict[str, Term] = {}
     with open(path) as fh:
@@ -222,20 +230,20 @@ def _load_carriers(path: str) -> dict[str, Term]:
             if not line:
                 continue
             if "=" not in line:
-                raise ParseError("expected 'name = set'", ln, 1)
+                raise ParseError(f"{path}:{ln}: expected 'name = set'")
             name, val = line.split("=", 1)
-            out[name.strip()] = parse_term(val.strip())
+            out[name.strip()] = _value_term(val.strip(), path, ln)
     return out
 
 
-def _parse_trace_line(line: str) -> tuple[str, dict[str, Term]]:
+def _parse_trace_line(line: str, path: str, ln: int) -> tuple[str, dict[str, Term]]:
     head, _, rest = line.partition(" ")
     args: dict[str, Term] = {}
     for chunk in rest.split():
         if "=" not in chunk:
-            raise ParseError(f"expected param=value, found {chunk!r}", 0, 0)
+            raise ParseError(f"{path}:{ln}: expected param=value, found {chunk!r}")
         k, v = chunk.split("=", 1)
-        args[k] = parse_term(v)
+        args[k] = _value_term(v, path, ln)
     return head, args
 
 
@@ -254,10 +262,10 @@ def cmd_animate(ns) -> int:
     with open(ns.trace) as fh:
         lines = [ln.split("#", 1)[0].strip() for ln in fh]
     n = 0
-    for line in lines:
+    for ln, line in enumerate(lines, start=1):
         if not line:
             continue
-        event, args = _parse_trace_line(line)
+        event, args = _parse_trace_line(line, ns.trace, ln)
         try:
             succs = step(m, state, event, args, budget=ns.budget)
         except GuardNotSatisfied as e:

@@ -8,6 +8,16 @@ store.  Binding a variable wakes any parked constraint that mentions it.
 A quiescent store is an answer: the substitution plus the parked residue.
 Unsatisfiability is only reported when every branch failed within budget;
 running out of budget degrades the verdict, never flips it.
+
+The substitution is kept idempotent, and two kinds of item are normal under
+it (substituting them changes nothing), so the loop does not substitute them
+again.  Parked constraints are normal: a bind that touches one wakes it.
+Queued items carry a stamp, the store's bind count when the rule that
+emitted them ran; an item whose stamp equals the current bind count was
+built from an already substituted constraint and fresh variables, and no
+bind has happened since.  Woken, root and disjunct items and whole formula
+emissions are queued stale, and quantifier items are substituted at every
+pop, because that renames their bound names away from the incoming terms.
 """
 from __future__ import annotations
 
@@ -40,6 +50,7 @@ class OrNode:
 
 
 QItem = object  # Constraint | OrNode
+STALE = -1  # the stamp of a queued item that may not be normal
 
 PRIO = {
     "eq": 0,
@@ -94,12 +105,13 @@ def items_of(f: Formula) -> Optional[list[QItem]]:
 
 
 class Store:
-    __slots__ = ("subst", "queues", "parked", "arith", "gen", "_sorts_dirty",
+    __slots__ = ("subst", "binds", "queues", "parked", "arith", "gen", "_sorts_dirty",
                  "_set_sorted", "_int_sorted")
 
     def __init__(self, gen: VarGen):
         self.subst: dict[str, Term] = {}
-        self.queues: list[deque] = [deque() for _ in range(N_PRIO)]
+        self.binds = 0  # number of apply_bind calls, the stamp of new items
+        self.queues: list[deque] = [deque() for _ in range(N_PRIO)]  # (stamp, item)
         self.parked: list[tuple[frozenset, Constraint]] = []
         self.arith = ArithStore()
         self.gen = gen
@@ -110,6 +122,7 @@ class Store:
     def clone(self) -> "Store":
         s = Store.__new__(Store)
         s.subst = dict(self.subst)
+        s.binds = self.binds
         s.queues = [deque(q) for q in self.queues]
         s.parked = list(self.parked)
         s.arith = self.arith.copy()
@@ -119,11 +132,11 @@ class Store:
         s._int_sorted = frozenset()
         return s
 
-    def enqueue(self, item: QItem) -> None:
-        self.queues[_prio(item)].append(item)
+    def enqueue(self, item: QItem, stamp: int = STALE) -> None:
+        self.queues[_prio(item)].append((stamp, item))
         self._sorts_dirty = True
 
-    def pop(self) -> Optional[QItem]:
+    def pop(self) -> Optional[tuple[int, QItem]]:
         for q in self.queues:
             if q:
                 self._sorts_dirty = True
@@ -136,6 +149,7 @@ class Store:
 
     def apply_bind(self, delta: dict[str, Term]) -> bool:
         self.subst = compose(self.subst, delta)
+        self.binds += 1
         keys = set(delta)
         kept = []
         for vs, c in self.parked:
@@ -144,7 +158,7 @@ class Store:
                 # becomes reducible exactly when a binding touches it, and
                 # letting it run before older generative items fails doomed
                 # branches early.
-                self.queues[_prio(c)].appendleft(c)
+                self.queues[_prio(c)].appendleft((STALE, c))
             else:
                 kept.append((vs, c))
         self.parked = kept
@@ -161,18 +175,24 @@ class Store:
         self._sorts_dirty = True
         return True
 
+    def items(self) -> Iterator[tuple[QItem, bool]]:
+        """Parked and queued items, each with whether it is normal under the
+        substitution already."""
+        for _, c in self.parked:
+            yield c, True
+        binds = self.binds
+        for q in self.queues:
+            for stamp, it in q:
+                yield it, stamp == binds
+
     def _scan_sorts(self) -> None:
         sset: set[str] = set()
         sint: set[str] = set(self.arith.vars())
-        items: list[QItem] = [c for _, c in self.parked]
-        for q in self.queues:
-            items.extend(q)
-        for it in items:
-            if isinstance(it, OrNode):
+        for c, normal in self.items():
+            if isinstance(c, OrNode):
                 continue
-            c = it
             if c.q is not None:
-                d = subst_term(self.subst, c.q.domain)
+                d = c.q.domain if normal else subst_term(self.subst, c.q.domain)
                 if isinstance(d, Var):
                     sset.add(d.name)
                 continue
@@ -181,7 +201,8 @@ class Store:
                     for v in _aexpr_vars(a):
                         sint.add(v)
                     continue
-                a = subst_term(self.subst, a)
+                if not normal:
+                    a = subst_term(self.subst, a)
                 if isinstance(a, Interval):
                     for b in (a.lo, a.hi):
                         if isinstance(b, Var):
@@ -315,12 +336,13 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
             if steps >= budget:
                 exhausted = True
                 break
-            item = store.pop()
-            if item is None:
+            popped = store.pop()
+            if popped is None:
                 sol = _extract(store, query_vars)
                 if sol is not None:
                     sols.append(sol)
                 break
+            stamp, item = popped
             steps += 1
             if isinstance(item, OrNode):
                 branches = []
@@ -342,7 +364,10 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
                 for it in branches[0]:
                     store.enqueue(it)
                 continue
-            c = _subst_item(store, item)
+            if stamp == store.binds and item.q is None:
+                c = item
+            else:
+                c = _subst_item(store, item)
             out = rewrite(c, store)
             if trace:
                 trace(c.kind, constraint=c,
@@ -353,12 +378,14 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
             if not out:
                 dead = True
                 break
-            rest = out[1:]
-            for branch in reversed(rest):
+            # Emissions are normal until the next bind, even one in their
+            # own branch: unify can defer an equation on the variable it binds.
+            stamp = store.binds
+            for branch in reversed(out[1:]):
                 s2 = store.clone()
-                if _apply_branch(s2, branch):
+                if _apply_branch(s2, branch, stamp):
                     stack.append(s2)
-            if not _apply_branch(store, out[0]):
+            if not _apply_branch(store, out[0], stamp):
                 dead = True
                 break
         if exhausted:
@@ -370,13 +397,13 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
     return Result(sols, complete, exhausted, steps)
 
 
-def _apply_branch(store: Store, branch: list) -> bool:
+def _apply_branch(store: Store, branch: list, stamp: int) -> bool:
     for em in branch:
         if isinstance(em, Bind):
             if not store.apply_bind(dict(em.delta)):
                 return False
         elif isinstance(em, Constraint):
-            store.enqueue(em)
+            store.enqueue(em, stamp)
         elif isinstance(em, (And, Or, TrueF, FalseF)):
             sub = items_of(em)
             if sub is None:

@@ -1,10 +1,12 @@
 """Constraint and formula AST shared by the solver, parsers and verifier."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence, Union
 
-from .terms import Term, Var, VarGen, subst_term, term_vars
+from . import arith
+from .terms import Pair, Term, Var, VarGen, subst_term, term_vars
 
 # The primitive constraint kinds.  Every ``nX`` is the exact complement of
 # ``X``.  ``npair`` is internal: it is emitted by negative rewrite rules and
@@ -172,8 +174,6 @@ def C(kind: str, *args, q: Optional[QPayload] = None, delayed: bool = False) -> 
 
 
 def binder_names(binder: Term) -> tuple[str, ...]:
-    from .terms import Pair
-
     if isinstance(binder, Var):
         return (binder.name,)
     if isinstance(binder, Pair) and isinstance(binder.first, Var) and isinstance(binder.second, Var):
@@ -214,8 +214,6 @@ def formula_vars(f: Formula) -> set[str]:
 
 
 def _arg_vars(a) -> set[str]:
-    from . import arith
-
     if isinstance(a, Term):
         return term_vars(a)
     if isinstance(a, arith.ABin):
@@ -226,35 +224,46 @@ def _arg_vars(a) -> set[str]:
 
 
 def subst_formula(s: dict[str, Term], f: Formula, gen: VarGen) -> Formula:
-    """Capture-avoiding substitution into a formula."""
+    """Capture-avoiding substitution into a formula.  A formula the
+    substitution does not change is returned as the same object."""
     if not s:
         return f
-    if isinstance(f, Constraint):
+    cls = type(f)
+    if cls is Constraint:
         if f.q is not None:
             return _subst_quant(s, f, gen)
-        return Constraint(f.kind, tuple(_subst_arg(s, a) for a in f.args), delayed=f.delayed)
-    if isinstance(f, And):
-        return And(tuple(subst_formula(s, p, gen) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(subst_formula(s, p, gen) for p in f.parts))
-    if isinstance(f, Neg):
-        return Neg(subst_formula(s, f.body, gen))
-    if isinstance(f, Implies):
-        return Implies(subst_formula(s, f.left, gen), subst_formula(s, f.right, gen))
-    if isinstance(f, PredCall):
-        return PredCall(f.name, tuple(subst_term(s, a) for a in f.args))
+        args = tuple([_subst_arg(s, a) for a in f.args])
+        if all(map(operator.is_, args, f.args)):
+            return f
+        return Constraint(f.kind, args, delayed=f.delayed)
+    if cls is And or cls is Or:
+        parts = tuple([subst_formula(s, p, gen) for p in f.parts])
+        return f if all(map(operator.is_, parts, f.parts)) else cls(parts)
+    if cls is Neg:
+        body = subst_formula(s, f.body, gen)
+        return f if body is f.body else Neg(body)
+    if cls is Implies:
+        left = subst_formula(s, f.left, gen)
+        right = subst_formula(s, f.right, gen)
+        return f if left is f.left and right is f.right else Implies(left, right)
+    if cls is PredCall:
+        args = tuple([subst_term(s, a) for a in f.args])
+        return f if all(map(operator.is_, args, f.args)) else PredCall(f.name, args)
     return f
 
 
 def _subst_arg(s: dict[str, Term], a):
-    from . import arith
-
     if isinstance(a, Term):
         return subst_term(s, a)
     if isinstance(a, arith.ABin):
-        return arith.ABin(a.op, _subst_arg(s, a.left), _subst_arg(s, a.right))
+        left = _subst_arg(s, a.left)
+        right = _subst_arg(s, a.right)
+        if left is a.left and right is a.right:
+            return a
+        return arith.ABin(a.op, left, right)
     if isinstance(a, arith.ANeg):
-        return arith.ANeg(_subst_arg(s, a.body))
+        body = _subst_arg(s, a.body)
+        return a if body is a.body else arith.ANeg(body)
     return a
 
 
@@ -265,6 +274,8 @@ def _subst_quant(s: dict[str, Term], f: Constraint, gen: VarGen) -> Constraint:
     inner = {k: v for k, v in s.items() if k not in bound}
     domain = subst_term(s, q.domain)
     if not inner:
+        if domain is q.domain:
+            return f
         return Constraint(f.kind, (), q=QPayload(q.binder, domain, q.locals, q.body, q.funcs),
                           delayed=f.delayed)
     # Rename bound names that would capture variables of the incoming terms.
@@ -286,6 +297,8 @@ def _subst_quant(s: dict[str, Term], f: Constraint, gen: VarGen) -> Constraint:
     body = subst_formula(inner, body, gen)
     if funcs is not None:
         funcs = subst_formula(inner, funcs, gen)
+    if not renames and domain is q.domain and body is q.body and funcs is q.funcs:
+        return f
     return Constraint(f.kind, (), q=QPayload(binder, domain, locals_, body, funcs),
                       delayed=f.delayed)
 

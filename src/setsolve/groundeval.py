@@ -10,10 +10,13 @@ from __future__ import annotations
 from typing import Optional
 
 from . import arith
-from .formulas import And, Constraint, FalseF, Formula, Implies, Neg, Or, PredCall, TrueF, binder_names
+from .formulas import (
+    And, Constraint, FalseF, Formula, Implies, Neg, Or, PredCall, TrueF, binder_names,
+    subst_formula,
+)
 from .terms import (
     CP, Atom, EmptySet, ExtSet, Int, Interval, Pair, Str, Term, Var, VarGen,
-    is_ground, subst_term,
+    is_ground, mkset, subst_term, term_key,
 )
 
 
@@ -198,8 +201,6 @@ def _eval_quant(c: Constraint) -> bool:
             # part to determine them; evaluate by trying to solve locally.
             ok = _eval_with_locals(inner, s, q.locals)
         else:
-            from .formulas import subst_formula
-
             ok = eval_formula(subst_formula(s, inner, gen))
         if c.kind == "foreach" and not ok:
             return False
@@ -220,8 +221,6 @@ def _eval_with_locals(inner: Formula, s: dict[str, Term], locals_: tuple[str, ..
     """Evaluate a quantifier body whose locals are defined by functional
     predicates: extract their values from applyTo/is/eq conjuncts, then
     evaluate the rest."""
-    from .formulas import subst_formula
-
     gen = VarGen()
     f = subst_formula(s, inner, gen)
     pending = set(locals_)
@@ -293,8 +292,6 @@ def eval_formula(f: Formula) -> bool:
 
 def value_to_term(v) -> Term:
     """Inverse of term_value, producing a canonical ground term."""
-    from .terms import mkset, term_key
-
     if isinstance(v, bool):
         raise TypeError("no boolean values")
     if isinstance(v, int):

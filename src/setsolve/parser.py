@@ -38,7 +38,7 @@ from .typecheck import TBasic, TEnum, TInt, TNameVar, TProd, TSet, TStr
 class ParseError(Exception):
     def __init__(self, msg: str, line: int = 0, col: int = 0):
         super().__init__(f"{line}:{col}: {msg}" if line else msg)
-        self.line, self.col = line, col
+        self.msg, self.line, self.col = msg, line, col
 
 
 @dataclass

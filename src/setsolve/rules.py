@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import arith, groundeval
-from .formulas import C, Constraint, Formula
+from .formulas import C, Constraint, Formula, QPayload, binder_names, conj, subst_formula
 from .terms import (
     CP, Atom, EMPTY, EmptySet, ExtSet, Int, Interval, Pair, Str, Term, Var,
     is_ground, mkset, set_parts, subst_term, term_vars,
@@ -80,22 +80,7 @@ def rewrite(c: Constraint, store):
     if all(_arg_ground(a) for a in args):
         return [[]] if groundeval.eval_constraint(C(k, *args)) else []
 
-    a = args
-    fns = {
-        "neq": _rule_neq, "in": _rule_in, "nin": _rule_nin,
-        "un": _rule_un, "nun": _rule_nun,
-        "disj": _rule_disj, "ndisj": _rule_ndisj,
-        "subset": _rule_subset, "nsubset": _rule_nsubset,
-        "pfun": _rule_pfun, "npfun": _rule_npfun,
-        "dom": _rule_dom, "ndom": _rule_ndom,
-        "ran": _rule_ran, "nran": _rule_nran,
-        "inv": _rule_inv, "ninv": _rule_ninv,
-        "id": _rule_id, "nid": _rule_nid,
-        "comp": _rule_comp, "ncomp": _rule_ncomp,
-        "applyTo": _rule_apply, "foplus": _rule_foplus,
-        "npair": _rule_npair,
-    }
-    return fns[k](store, *a)
+    return _RULES[k](store, *args)
 
 
 # --- equality / disequality ---------------------------------------------
@@ -388,12 +373,9 @@ def _rule_npfun(store, f):
 def _store_asserts_pfun(store, f: Var) -> bool:
     """Whether pfun(f) is already asserted somewhere in the store."""
     name = f.name
-    pools = [c for _, c in store.parked]
-    for q in store.queues:
-        pools.extend(q)
-    for it in pools:
+    for it, normal in store.items():
         if isinstance(it, Constraint) and it.kind == "pfun":
-            a = subst_term(store.subst, it.args[0])
+            a = it.args[0] if normal else subst_term(store.subst, it.args[0])
             if isinstance(a, Var) and a.name == name:
                 return True
     return False
@@ -732,8 +714,6 @@ def _rule_arith(c: Constraint, store):
 # --- quantifiers -------------------------------------------------------------
 
 def _rule_quant(c: Constraint, store):
-    from .formulas import QPayload, binder_names, subst_formula
-
     q = c.q
     d = q.domain
     g = concretize(d)
@@ -788,6 +768,20 @@ def _rule_quant(c: Constraint, store):
 
 
 def _conj2(a: Formula, b: Formula) -> Formula:
-    from .formulas import conj
-
     return conj([a, b])
+
+
+_RULES = {
+    "neq": _rule_neq, "in": _rule_in, "nin": _rule_nin,
+    "un": _rule_un, "nun": _rule_nun,
+    "disj": _rule_disj, "ndisj": _rule_ndisj,
+    "subset": _rule_subset, "nsubset": _rule_nsubset,
+    "pfun": _rule_pfun, "npfun": _rule_npfun,
+    "dom": _rule_dom, "ndom": _rule_ndom,
+    "ran": _rule_ran, "nran": _rule_nran,
+    "inv": _rule_inv, "ninv": _rule_ninv,
+    "id": _rule_id, "nid": _rule_nid,
+    "comp": _rule_comp, "ncomp": _rule_ncomp,
+    "applyTo": _rule_apply, "foplus": _rule_foplus,
+    "npair": _rule_npair,
+}

@@ -149,24 +149,41 @@ def is_ground(t: Term) -> bool:
 
 
 def subst_term(s: Subst, t: Term) -> Term:
-    """Apply a substitution.  Binding a set tail splices the sets together."""
+    """Apply a substitution.  Binding a set tail splices the sets together.
+
+    Subterms the substitution does not touch are returned as they are, so a
+    term with no bound variable comes back as the very same object.
+    """
     if not s:
         return t
-    if isinstance(t, Var):
+    cls = type(t)
+    if cls is Var:
         return s.get(t.name, t)
-    if isinstance(t, Pair):
-        return Pair(subst_term(s, t.first), subst_term(s, t.second))
-    if isinstance(t, ExtSet):
+    if cls is Pair:
+        first = subst_term(s, t.first)
+        second = subst_term(s, t.second)
+        if first is t.first and second is t.second:
+            return t
+        return Pair(first, second)
+    if cls is ExtSet:
         head = subst_term(s, t.head)
         tail = subst_term(s, t.tail)
+        if tail is t.tail:
+            return t if head is t.head else ExtSet(head, tail)
         if not isinstance(tail, (EmptySet, ExtSet, Var)):
             raise ValueError(f"set tail bound to non-set term: {tail!r}")
         return ExtSet(head, tail)
-    if isinstance(t, CP):
-        return CP(subst_term(s, t.left), subst_term(s, t.right))
-    if isinstance(t, Interval):
+    if cls is CP:
+        left = subst_term(s, t.left)
+        right = subst_term(s, t.right)
+        if left is t.left and right is t.right:
+            return t
+        return CP(left, right)
+    if cls is Interval:
         lo = subst_term(s, t.lo)
         hi = subst_term(s, t.hi)
+        if lo is t.lo and hi is t.hi:
+            return t
         return Interval(lo, hi)
     return t
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .formulas import C, Constraint
-from .groundeval import NotGround, term_value
+from .groundeval import NotGround, term_value, value_to_term
 from .terms import (
     CP, Atom, EMPTY, EmptySet, ExtSet, Int, Interval, Pair, Str, Term, Var,
     VarGen, compose, is_ground, mkset, set_parts, subst_term, term_key, term_vars,
@@ -153,14 +153,7 @@ def concretize(t: Term) -> Optional[Term]:
             val = term_value(t)
         except NotGround:
             return None
-        return _values_to_set(val)
+        return value_to_term(val)
     if isinstance(t, Interval) and is_ground(t):
-        val = term_value(t)
-        return _values_to_set(val)
+        return value_to_term(term_value(t))
     return None
-
-
-def _values_to_set(val) -> Term:
-    from .groundeval import value_to_term
-
-    return value_to_term(val)

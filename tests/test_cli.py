@@ -50,3 +50,30 @@ def test_jobs_option_is_gone(machine_file, capsys):
 def test_stray_character_is_a_usage_error(machine_file, capsys):
     assert cli.main(["verify", machine_file("n >= 0 $")]) == cli.USAGE
     assert "unexpected character '$'" in capsys.readouterr().err
+
+
+def _animate(machine, tmp_path, trace, carriers=None):
+    trace_path = tmp_path / "run.trace"
+    trace_path.write_text(trace)
+    argv = ["animate", machine, "--trace", str(trace_path)]
+    if carriers is not None:
+        carriers_path = tmp_path / "run.carriers"
+        carriers_path.write_text(carriers)
+        argv += ["--carriers", str(carriers_path)]
+    return cli.main(argv), argv
+
+
+def test_bad_carriers_value_names_the_file_line(machine_file, tmp_path, capsys):
+    code, argv = _animate(machine_file("n >= 0"), tmp_path, "",
+                          carriers="# carriers\ns = {a, b\n")
+    assert code == cli.USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[-1]}:2: ")
+    assert "expected '}'" in err
+
+
+def test_bad_trace_chunk_names_the_file_line(machine_file, tmp_path, capsys):
+    code, argv = _animate(machine_file("n >= 0"), tmp_path, "# replay\n\nev po\n")
+    assert code == cli.USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[3]}:3: expected param=value, found 'po'")

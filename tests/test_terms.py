@@ -1,5 +1,6 @@
 """Term construction, substitution and the fresh-name supply."""
 import pytest
+from setsolve.formulas import And, C, subst_formula
 from setsolve.terms import (
     CP, EMPTY, Atom, EmptySet, ExtSet, Int, Interval, Pair, Str, Term, Var,
     VarGen, compose, is_ground, mkset, set_parts, subst_term, term_key,
@@ -82,3 +83,42 @@ def test_terms_are_hashable_values():
     assert len({Int(1), Int(1), Atom("x"), Atom("x")}) == 2
     d = {mkset([Int(1)]): "s"}
     assert d[ExtSet(Int(1), EMPTY)] == "s"
+
+
+def test_subst_shares_untouched_structure():
+    untouched = Pair(Atom("a"), mkset([Int(1)], tail=Var("R")))
+    t = CP(untouched, Interval(Var("L"), Int(3)))
+    s = {"L": Int(0), "Z": Int(9)}
+    out = subst_term(s, t)
+    assert out == CP(untouched, Interval(Int(0), Int(3)))
+    assert out.left is untouched
+    assert subst_term(s, untouched) is untouched
+    assert subst_term(s, t.right).hi is t.right.hi
+
+
+def test_subst_formula_shares_untouched_constraints():
+    kept = C("in", Var("X"), mkset([Int(1)], tail=Var("R")))
+    changed = C("eq", Var("Y"), Int(2))
+    f = And((kept, changed))
+    out = subst_formula({"Y": Atom("b")}, f, VarGen())
+    assert out == And((kept, C("eq", Atom("b"), Int(2))))
+    assert out.parts[0] is kept
+    assert subst_formula({"Y": Atom("b")}, kept, VarGen()) is kept
+    assert subst_formula({"Z": Atom("b")}, f, VarGen()) is f
+
+
+def test_compose_shares_untouched_values():
+    kept = mkset([Int(1)], tail=Var("R"))
+    s = {"X": kept, "Y": Pair(Var("Z"), Int(1))}
+    s2 = compose(s, {"Z": Int(4)})
+    assert s2["X"] is kept
+    assert s2["Y"] == Pair(Int(4), Int(1))
+
+
+def test_subst_rejects_non_set_tail_under_sharing():
+    # The head is untouched and the tail is bound: the tail is still checked.
+    s = mkset([Atom("a")], tail=Var("R"))
+    with pytest.raises(ValueError):
+        subst_term({"R": Atom("b")}, s)
+    with pytest.raises(ValueError):
+        subst_term({"R": Pair(Int(1), Int(2))}, Pair(Int(0), s))
