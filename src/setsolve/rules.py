@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import arith, groundeval
-from .formulas import C, Constraint, Formula, QPayload, binder_names, conj, subst_formula
+from .formulas import C, Constraint, QPayload, binder_names, conj, subst_formula
 from .terms import (
     CP, Atom, EMPTY, EmptySet, ExtSet, Int, Interval, Pair, Str, Term, Var,
     is_ground, mkset, set_parts, subst_term, term_vars,
@@ -738,7 +738,7 @@ def _rule_quant(c: Constraint, store):
                 s = {names[0]: n1, names[1]: n2}
         ren = {l: gen.fresh() for l in q.locals}
         s.update(ren)
-        inner = q.body if q.funcs is None else _conj2(q.funcs, q.body)
+        inner = q.body if q.funcs is None else conj([q.funcs, q.body])
         return pre + [subst_formula(s, inner, gen)]
 
     if isinstance(d, EmptySet):
@@ -765,10 +765,6 @@ def _rule_quant(c: Constraint, store):
         n = gen.fresh()
         return [[C("le", d.lo, n), C("le", n, d.hi)] + instantiate(n)]
     return []  # quantifying over an ur-element
-
-
-def _conj2(a: Formula, b: Formula) -> Formula:
-    return conj([a, b])
 
 
 _RULES = {
