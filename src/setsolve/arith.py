@@ -10,6 +10,7 @@ spurious "consistent".
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -158,31 +159,15 @@ class ArithStore:
 
     def consistent(self, budget: int = 4096) -> Optional[bool]:
         """True / False when decided; None when the integer search ran out."""
-        if self.failed:
-            return False
-        eqs, ineqs = _gauss(list(self.eqs), list(self.ineqs))
-        if eqs is None:
-            return False
-        rows = _drop_redundant(ineqs)
-        if not _rational_feasible(rows):
-            return False
-        return _int_feasible(rows, budget)[0]
+        return self._search(budget)[0]
 
     def model(self, budget: int = 4096) -> Optional[dict[str, int]]:
         """An integer assignment satisfying the store, or None."""
-        if self.failed:
-            return None
-        eqs, ineqs = _gauss(list(self.eqs), list(self.ineqs))
-        if eqs is None:
-            return None
-        rows = _drop_redundant(ineqs)
-        if not _rational_feasible(rows):
-            return None
-        ok, model = _int_feasible(rows, budget)
+        ok, pivots, model = self._search(budget)
         if not ok:
             return None
         # Back-substitute the eliminated equality variables.
-        for pivot_var, expr in reversed(eqs):
+        for pivot_var, expr in reversed(pivots):
             val = expr.const
             for k, c in expr.coeffs.items():
                 val += c * Fraction(model.get(k, 0))
@@ -190,6 +175,21 @@ class ArithStore:
                 return None
             model[pivot_var] = int(val)
         return model
+
+    def _search(self, budget: int):
+        """(verdict, equality pivots, integer model of the remaining
+        variables): Gaussian elimination, then Fourier-Motzkin over the
+        rationals, then the bounded integer search."""
+        if self.failed:
+            return False, [], {}
+        pivots, ineqs = _gauss(self.eqs, self.ineqs)
+        if pivots is None:
+            return False, [], {}
+        rows = _drop_redundant(ineqs)
+        if not _rational_feasible(rows):
+            return False, [], {}
+        ok, model = _int_feasible(rows, budget)
+        return ok, pivots, model
 
 
 def _gauss(eqs: list[LinExpr], ineqs: list[Row]):
@@ -232,9 +232,25 @@ def _drop_redundant(rows: list[Row]) -> list[Row]:
     return list(seen.values())
 
 
+def _eliminate(rows: list[Row], v: str) -> list[Row]:
+    """One Fourier-Motzkin step: project v out of the rows."""
+    lower_rows, upper_rows, out = [], [], []
+    for e, s in rows:
+        c = e.coeffs.get(v, Fraction(0))
+        if c > 0:
+            upper_rows.append((e, s, c))
+        elif c < 0:
+            lower_rows.append((e, s, c))
+        else:
+            out.append((e, s))
+    for eu, su, cu in upper_rows:
+        for el, sl, cl in lower_rows:
+            out.append((eu.scale(-cl) + el.scale(cu), su or sl))
+    return _drop_redundant(out)
+
+
 def _rational_feasible(rows: list[Row]) -> bool:
     """Fourier-Motzkin elimination; exact over the rationals."""
-    rows = list(rows)
     while True:
         for e, s in rows:
             if e.is_const():
@@ -245,22 +261,7 @@ def _rational_feasible(rows: list[Row]) -> bool:
             varset |= e.free()
         if not varset:
             return True
-        v = sorted(varset)[0]
-        lower_rows, upper_rows, rest = [], [], []
-        for e, s in rows:
-            c = e.coeffs.get(v, Fraction(0))
-            if c > 0:
-                upper_rows.append((e, s, c))
-            elif c < 0:
-                lower_rows.append((e, s, c))
-            else:
-                rest.append((e, s))
-        new_rows = rest
-        for eu, su, cu in upper_rows:
-            for el, sl, cl in lower_rows:
-                comb = eu.scale(-cl) + el.scale(cu)
-                new_rows.append((comb, su or sl))
-        rows = _drop_redundant(new_rows)
+        rows = _eliminate(rows, sorted(varset)[0])
         if len(rows) > 2000:
             # Projection blow-up guard; fall back to "feasible" and let the
             # integer search give the definite word.
@@ -269,30 +270,16 @@ def _rational_feasible(rows: list[Row]) -> bool:
 
 def _var_bounds(rows: list[Row], v: str):
     """Rational bounds (with strictness) for v after eliminating the rest."""
-    work = list(rows)
-    others = set()
-    for e, _ in work:
+    others: set[str] = set()
+    for e, _ in rows:
         others |= e.free()
     others.discard(v)
     for u in sorted(others):
-        lower_rows, upper_rows, rest = [], [], []
-        for e, s in work:
-            c = e.coeffs.get(u, Fraction(0))
-            if c > 0:
-                upper_rows.append((e, s, c))
-            elif c < 0:
-                lower_rows.append((e, s, c))
-            else:
-                rest.append((e, s))
-        work = rest
-        for eu, su, cu in upper_rows:
-            for el, sl, cl in lower_rows:
-                work.append((eu.scale(-cl) + el.scale(cu), su or sl))
-        work = _drop_redundant(work)
+        rows = _eliminate(rows, u)
     lo: Optional[Fraction] = None
     hi: Optional[Fraction] = None
     lo_strict = hi_strict = False
-    for e, s in work:
+    for e, s in rows:
         c = e.coeffs.get(v, Fraction(0))
         if c == 0:
             continue
@@ -307,16 +294,12 @@ def _var_bounds(rows: list[Row], v: str):
 
 
 def _int_floor(hi: Fraction, strict: bool) -> int:
-    import math
-
     if strict and hi.denominator == 1:
         return int(hi) - 1
     return math.floor(hi)
 
 
 def _int_ceil(lo: Fraction, strict: bool) -> int:
-    import math
-
     if strict and lo.denominator == 1:
         return int(lo) + 1
     return math.ceil(lo)

@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from . import arith, groundeval
-from .arith import ABin, ANeg, ArithStore
+from .arith import ArithStore
 from .formulas import (
-    And, C, Constraint, FalseF, Formula, IllFormed, Implies, Neg, Or,
-    PredCall, Program, QPayload, TrueF, expand_calls, formula_vars,
+    INT, SIG, And, Constraint, FalseF, Formula, IllFormed, Implies, Neg, Or,
+    PredCall, Program, TrueF, arg_vars, expand_calls, formula_vars,
     subst_formula,
 )
 from .negate import nnf
@@ -38,10 +38,6 @@ from .terms import (
     CP, Atom, EMPTY, ExtSet, Int, Interval, Pair, Subst, Term, Var, VarGen,
     compose, is_ground, mkset, subst_term, term_vars,
 )
-
-
-class ResourceExhausted(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -59,20 +55,11 @@ PRIO = {
 }
 N_PRIO = 5
 
-SET_POS = {
-    "un": (0, 1, 2), "nun": (0, 1, 2),
-    "disj": (0, 1), "ndisj": (0, 1),
-    "subset": (0, 1), "nsubset": (0, 1),
-    "comp": (0, 1, 2), "ncomp": (0, 1, 2),
-    "inv": (0, 1), "ninv": (0, 1),
-    "id": (0, 1), "nid": (0, 1),
-    "dom": (0, 1), "ndom": (0, 1),
-    "ran": (0, 1), "nran": (0, 1),
-    "pfun": (0,), "npfun": (0,),
-    "applyTo": (0,), "foplus": (0, 3),
-    "in": (1,), "nin": (1,),
-    "eq": (), "neq": (),
-}
+# The argument positions of each constraint kind that hold a set, and those
+# that hold an integer, read from the signatures.
+SET_POS = {k: {i for i, s in enumerate(sig) if isinstance(s, tuple) and s[0] == "S"}
+           for k, sig in SIG.items()}
+INT_POS = {k: {i for i, s in enumerate(sig) if s == INT} for k, sig in SIG.items()}
 
 
 def _prio(item: QItem) -> int:
@@ -105,8 +92,7 @@ def items_of(f: Formula) -> Optional[list[QItem]]:
 
 
 class Store:
-    __slots__ = ("subst", "binds", "queues", "parked", "arith", "gen", "_sorts_dirty",
-                 "_set_sorted", "_int_sorted")
+    __slots__ = ("subst", "binds", "queues", "parked", "arith", "gen")
 
     def __init__(self, gen: VarGen):
         self.subst: dict[str, Term] = {}
@@ -115,9 +101,6 @@ class Store:
         self.parked: list[tuple[frozenset, Constraint]] = []
         self.arith = ArithStore()
         self.gen = gen
-        self._sorts_dirty = True
-        self._set_sorted: frozenset = frozenset()
-        self._int_sorted: frozenset = frozenset()
 
     def clone(self) -> "Store":
         s = Store.__new__(Store)
@@ -127,25 +110,19 @@ class Store:
         s.parked = list(self.parked)
         s.arith = self.arith.copy()
         s.gen = self.gen
-        s._sorts_dirty = True
-        s._set_sorted = frozenset()
-        s._int_sorted = frozenset()
         return s
 
     def enqueue(self, item: QItem, stamp: int = STALE) -> None:
         self.queues[_prio(item)].append((stamp, item))
-        self._sorts_dirty = True
 
     def pop(self) -> Optional[tuple[int, QItem]]:
         for q in self.queues:
             if q:
-                self._sorts_dirty = True
                 return q.popleft()
         return None
 
     def park(self, c: Constraint) -> None:
-        self.parked.append((frozenset(_constraint_vars(c)), c))
-        self._sorts_dirty = True
+        self.parked.append((frozenset(formula_vars(c)), c))
 
     def apply_bind(self, delta: dict[str, Term]) -> bool:
         self.subst = compose(self.subst, delta)
@@ -172,7 +149,6 @@ class Store:
                         self.arith.assert_eq(arith.lower(Var(name)) - arith.lower(t))
                 else:
                     return False  # an arithmetic variable bound to a non-integer
-        self._sorts_dirty = True
         return True
 
     def items(self) -> Iterator[tuple[QItem, bool]]:
@@ -185,9 +161,11 @@ class Store:
             for stamp, it in q:
                 yield it, stamp == binds
 
-    def _scan_sorts(self) -> None:
+    def _scan_sorts(self) -> tuple[set[str], set[str]]:
+        """The variables that the store's constraints use as sets, and those
+        they use as integers."""
         sset: set[str] = set()
-        sint: set[str] = set(self.arith.vars())
+        sint = self.arith.vars()
         for c, normal in self.items():
             if isinstance(c, OrNode):
                 continue
@@ -198,8 +176,7 @@ class Store:
                 continue
             for i, a in enumerate(c.args):
                 if not isinstance(a, Term):
-                    for v in _aexpr_vars(a):
-                        sint.add(v)
+                    sint |= arg_vars(a)
                     continue
                 if not normal:
                     a = subst_term(self.subst, a)
@@ -207,41 +184,11 @@ class Store:
                     for b in (a.lo, a.hi):
                         if isinstance(b, Var):
                             sint.add(b.name)
-                if c.kind in ("is", "le", "lt"):
-                    sint.update(term_vars(a))
+                if i in INT_POS.get(c.kind, ()):
+                    sint |= term_vars(a)
                 elif isinstance(a, Var) and i in SET_POS.get(c.kind, ()):
                     sset.add(a.name)
-        self._set_sorted = frozenset(sset)
-        self._int_sorted = frozenset(sint)
-        self._sorts_dirty = False
-
-    def set_sorted(self) -> frozenset:
-        if self._sorts_dirty:
-            self._scan_sorts()
-        return self._set_sorted
-
-    def int_sorted(self) -> frozenset:
-        if self._sorts_dirty:
-            self._scan_sorts()
-        return self._int_sorted
-
-
-def _aexpr_vars(a) -> set[str]:
-    if isinstance(a, Term):
-        return term_vars(a)
-    if isinstance(a, ABin):
-        return _aexpr_vars(a.left) | _aexpr_vars(a.right)
-    if isinstance(a, ANeg):
-        return _aexpr_vars(a.body)
-    return set()
-
-
-def _constraint_vars(c: Constraint) -> set[str]:
-    return formula_vars(c)
-
-
-def _subst_item(store: Store, c: Constraint) -> Constraint:
-    return subst_formula(store.subst, c, store.gen)
+        return sset, sint
 
 
 @dataclass
@@ -274,7 +221,7 @@ def all_var_names(f: Formula) -> set[str]:
     def walk(g: Formula) -> None:
         if isinstance(g, Constraint):
             for a in g.args:
-                out.update(_aexpr_vars(a))
+                out.update(arg_vars(a))
             if g.q is not None:
                 out.update(term_vars(g.q.binder))
                 out.update(term_vars(g.q.domain))
@@ -292,7 +239,7 @@ def all_var_names(f: Formula) -> set[str]:
             walk(g.right)
         elif isinstance(g, PredCall):
             for a in g.args:
-                out.update(_aexpr_vars(a))
+                out.update(arg_vars(a))
 
     walk(f)
     return out
@@ -367,7 +314,7 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
             if stamp == store.binds and item.q is None:
                 c = item
             else:
-                c = _subst_item(store, item)
+                c = subst_formula(store.subst, item, store.gen)
             out = rewrite(c, store)
             if trace:
                 trace(c.kind, constraint=c,
@@ -425,7 +372,7 @@ def _extract(store: Store, query_vars: set[str]) -> Optional[Solution]:
         t = subst_term(store.subst, Var(v))
         if t != Var(v):
             bindings[v] = t
-    residual = [_subst_item(store, c) for _, c in store.parked]
+    residual = [subst_formula(store.subst, c, store.gen) for _, c in store.parked]
     return Solution(bindings, residual, frozenset(query_vars), store)
 
 
@@ -445,7 +392,7 @@ def ground_complete(sol: Solution, hints: Optional[dict[str, list[Term]]] = None
     for t in sol.bindings.values():
         need |= term_vars(t)
     for c in sol.residual:
-        need |= _constraint_vars(c)
+        need |= formula_vars(c)
     for v in sol.query_vars:
         if v not in store.subst:
             need.add(v)
@@ -453,8 +400,7 @@ def ground_complete(sol: Solution, hints: Optional[dict[str, list[Term]]] = None
         return dict(sol.bindings) if _residual_ok(sol.residual, {}) else None
 
     model = store.arith.model()
-    int_sorted = set(store.int_sorted())
-    set_sorted = set(store.set_sorted())
+    set_sorted, int_sorted = store._scan_sorts()
     # Variables sitting in structural positions of the answer terms carry
     # their sort with them: set tails must be sets, interval bounds integers.
     stack = list(sol.bindings.values())

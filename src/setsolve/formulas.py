@@ -8,33 +8,44 @@ from typing import Iterable, Optional, Sequence, Union
 from . import arith
 from .terms import Pair, Term, Var, VarGen, subst_term, term_vars
 
-# The primitive constraint kinds.  Every ``nX`` is the exact complement of
-# ``X``.  ``npair`` is internal: it is emitted by negative rewrite rules and
-# never appears in surface syntax.
-KINDS = frozenset(
-    {
-        "eq", "neq", "in", "nin",
-        "un", "nun", "disj", "ndisj", "subset", "nsubset",
-        "comp", "ncomp", "inv", "ninv", "id", "nid",
-        "pfun", "npfun", "dom", "ndom", "ran", "nran",
-        "applyTo", "foplus",
-        "le", "lt", "is",
-        "foreach", "exists",
-        "npair",
-        "dec",
-    }
-)
+# Constraint signatures, one sort per argument: a lower-case letter is a
+# schema variable, ("S", x) a set of x, ("P", x, y) a pair and INT an integer.
+# The typechecker instantiates them and the store reads its set and integer
+# positions from them.  Every ``nX`` is the exact complement of ``X``.
+# ``npair`` is internal: it is emitted by negative rewrite rules and never
+# appears in surface syntax.
+INT = 0
 
-ARITY = {
-    "eq": 2, "neq": 2, "in": 2, "nin": 2,
-    "un": 3, "nun": 3, "disj": 2, "ndisj": 2, "subset": 2, "nsubset": 2,
-    "comp": 3, "ncomp": 3, "inv": 2, "ninv": 2, "id": 2, "nid": 2,
-    "pfun": 1, "npfun": 1, "dom": 2, "ndom": 2, "ran": 2, "nran": 2,
-    "applyTo": 3, "foplus": 4,
-    "le": 2, "lt": 2, "is": 2,
-    "npair": 1,
-    "dec": 2,
-}
+
+def _signatures() -> dict[str, tuple]:
+    a, b, c = "a", "b", "c"
+    S, P = lambda x: ("S", x), lambda x, y: ("P", x, y)
+    sets3 = (S(a), S(a), S(a))
+    rel = S(P(a, b))
+    return {
+        "eq": (a, a), "neq": (a, a),
+        "in": (a, S(a)), "nin": (a, S(a)),
+        "un": sets3, "nun": sets3,
+        "disj": (S(a), S(a)), "ndisj": (S(a), S(a)),
+        "subset": (S(a), S(a)), "nsubset": (S(a), S(a)),
+        "comp": (S(P(a, b)), S(P(b, c)), S(P(a, c))),
+        "ncomp": (S(P(a, b)), S(P(b, c)), S(P(a, c))),
+        "inv": (rel, S(P(b, a))), "ninv": (rel, S(P(b, a))),
+        "id": (S(a), S(P(a, a))), "nid": (S(a), S(P(a, a))),
+        "pfun": (rel,), "npfun": (rel,),
+        "dom": (rel, S(a)), "ndom": (rel, S(a)),
+        "ran": (rel, S(b)), "nran": (rel, S(b)),
+        "applyTo": (rel, a, b),
+        "foplus": (rel, a, b, rel),
+        "le": (INT, INT), "lt": (INT, INT), "is": (INT, INT),
+        "npair": (a,),
+    }
+
+
+SIG = _signatures()
+# ``dec(X, type)`` is a typing directive; its second argument is a type.
+ARITY = {k: len(sig) for k, sig in SIG.items()} | {"dec": 2}
+KINDS = frozenset(ARITY) | {"foreach", "exists"}
 
 
 class Formula:
@@ -194,7 +205,7 @@ def formula_vars(f: Formula) -> set[str]:
             return out
         out = set()
         for a in f.args:
-            out |= _arg_vars(a)
+            out |= arg_vars(a)
         return out
     if isinstance(f, (And, Or)):
         out = set()
@@ -213,13 +224,14 @@ def formula_vars(f: Formula) -> set[str]:
     return set()
 
 
-def _arg_vars(a) -> set[str]:
+def arg_vars(a) -> set[str]:
+    """Variables of a constraint argument: a term or an integer expression."""
     if isinstance(a, Term):
         return term_vars(a)
     if isinstance(a, arith.ABin):
-        return _arg_vars(a.left) | _arg_vars(a.right)
+        return arg_vars(a.left) | arg_vars(a.right)
     if isinstance(a, arith.ANeg):
-        return _arg_vars(a.body)
+        return arg_vars(a.body)
     return set()
 
 

@@ -139,11 +139,10 @@ def _rule_neq(store, a, b):
     if _definite_set(other):
         n = store.gen.fresh()
         return [[C("in", n, a), C("nin", n, b)], [C("in", n, b), C("nin", n, a)]]
-    set_sorted = store.set_sorted()
+    set_sorted, int_sorted = store._scan_sorts()
     if (va and va in set_sorted) or (vb and vb in set_sorted):
         n = store.gen.fresh()
         return [[C("in", n, a), C("nin", n, b)], [C("in", n, b), C("nin", n, a)]]
-    int_sorted = store.int_sorted()
     if (va and va in int_sorted) or (vb and vb in int_sorted):
         if all(isinstance(t, (Var, Int)) for t in (a, b)):
             return [[C("lt", a, b)], [C("lt", b, a)]]

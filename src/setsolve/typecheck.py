@@ -12,8 +12,8 @@ from typing import Optional, Union
 
 from .arith import ABin, ANeg
 from .formulas import (
-    And, Clause, Constraint, FalseF, Formula, Implies, Neg, Or, PredCall,
-    Program, TrueF, binder_names,
+    INT, SIG, And, Clause, Constraint, FalseF, Formula, Implies, Neg, Or,
+    PredCall, Program, TrueF, binder_names,
 )
 from .terms import (
     CP, Atom, EmptySet, ExtSet, Int, Interval, Pair, Str, Term, Var,
@@ -130,35 +130,6 @@ class TypeEnv:
             seen.add(t.name)
             t = self.synonyms[t.name]
         return t
-
-
-# Schematic constraint signatures; lowercase letters are schema variables.
-def _sig():
-    a, b, c = "a", "b", "c"
-    S, P = lambda x: ("S", x), lambda x, y: ("P", x, y)
-    sets3 = (S(a), S(a), S(a))
-    rel = S(P(a, b))
-    return {
-        "eq": (a, a), "neq": (a, a),
-        "in": (a, S(a)), "nin": (a, S(a)),
-        "un": sets3, "nun": sets3,
-        "disj": (S(a), S(a)), "ndisj": (S(a), S(a)),
-        "subset": (S(a), S(a)), "nsubset": (S(a), S(a)),
-        "comp": (S(P(a, b)), S(P(b, c)), S(P(a, c))),
-        "ncomp": (S(P(a, b)), S(P(b, c)), S(P(a, c))),
-        "inv": (rel, S(P(b, a))), "ninv": (rel, S(P(b, a))),
-        "id": (S(a), S(P(a, a))), "nid": (S(a), S(P(a, a))),
-        "pfun": (rel,), "npfun": (rel,),
-        "dom": (rel, S(a)), "ndom": (rel, S(a)),
-        "ran": (rel, S(b)), "nran": (rel, S(b)),
-        "applyTo": (rel, a, b),
-        "foplus": (rel, a, b, rel),
-        "le": (TInt(), TInt()), "lt": (TInt(), TInt()), "is": (TInt(), TInt()),
-        "npair": (a,),
-    }
-
-
-SIG = _sig()
 
 
 class Checker:
@@ -292,13 +263,13 @@ class Checker:
         inst: dict[str, TV] = {}
 
         def go(s):
+            if s == INT:
+                return TInt()
             if isinstance(s, str):
                 return inst.setdefault(s, self.fresh())
-            if isinstance(s, tuple) and s and s[0] == "S":
+            if s[0] == "S":
                 return TSet(go(s[1]))
-            if isinstance(s, tuple) and s and s[0] == "P":
-                return TProd((go(s[1]), go(s[2])))
-            return s
+            return TProd((go(s[1]), go(s[2])))
 
         return tuple(go(s) for s in sig)
 

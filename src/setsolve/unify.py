@@ -35,6 +35,8 @@ def unify(t1: Term, t2: Term, gen: Optional[VarGen] = None) -> list[Branch]:
 
 def _solve(eqs: list[tuple[Term, Term]], subst: dict[str, Term],
            deferred: list[Constraint], gen: VarGen) -> list[Branch]:
+    """Pending equations are substituted when they are popped, so each is
+    read under every bind made before it."""
     eqs = list(eqs)
     while eqs:
         a, b = eqs.pop(0)
@@ -45,13 +47,10 @@ def _solve(eqs: list[tuple[Term, Term]], subst: dict[str, Term],
         if isinstance(a, Var) or isinstance(b, Var):
             if not isinstance(a, Var):
                 a, b = b, a
-            res = _bind(a.name, b, gen)
-            if res is None:
+            delta = _bind(a.name, b, gen)
+            if delta is None:
                 return []
-            delta, extra = res
-            subst = compose(dict(subst), delta)
-            eqs = [(subst_term(delta, x), subst_term(delta, y)) for x, y in eqs]
-            eqs.extend(extra)
+            subst = compose(subst, delta)
             continue
         if isinstance(a, Pair) and isinstance(b, Pair):
             eqs.insert(0, (a.second, b.second))
@@ -64,7 +63,9 @@ def _solve(eqs: list[tuple[Term, Term]], subst: dict[str, Term],
         # Both sides are set terms now.
         if is_ground(a) and is_ground(b):
             try:
-                return _solve(eqs, subst, deferred, gen) if term_value(a) == term_value(b) else []
+                if term_value(a) != term_value(b):
+                    return []
+                continue
             except NotGround:
                 pass
         branches = _set_eq_branches(a, b, gen)
@@ -80,15 +81,15 @@ def _solve(eqs: list[tuple[Term, Term]], subst: dict[str, Term],
 
 def _bind(name: str, t: Term, gen: VarGen):
     """Bind a variable, relaxing the occurs check in set-tail position.
-    Returns (delta, extra equations) or None when unsatisfiable."""
+    Returns the delta, or None when unsatisfiable."""
     if name not in term_vars(t):
-        return {name: t}, []
+        return {name: t}
     if isinstance(t, ExtSet):
         elems, tail = set_parts(t)
         spine_ok = isinstance(tail, Var) and tail.name == name
         if spine_ok and not any(name in term_vars(e) for e in elems):
             fresh = gen.fresh()
-            return {name: mkset(elems, fresh)}, []
+            return {name: mkset(elems, fresh)}
     return None
 
 
