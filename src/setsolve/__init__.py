@@ -29,9 +29,8 @@ from .terms import (
 )
 from .typecheck import TypeEnv, check_formula, check_program
 from .verifier import (
-    PO, GuardNotSatisfied, NondeterministicEvent, POResult, VerifyError,
-    discharge, generate_pos, initial_state, report_json, step,
-    typecheck_machine, verify_machine,
+    PO, GuardNotSatisfied, POResult, VerifyError, discharge, generate_pos,
+    initial_state, report_json, step, typecheck_machine, verify_machine,
 )
 
 __version__ = "0.1.0"
@@ -40,13 +39,12 @@ __all__ = [
     "And", "Atom", "C", "CP", "Constraint", "CorpusCase", "CorpusError",
     "EMPTY", "EmptySet", "ExtSet", "FalseF", "Formula", "GuardNotSatisfied",
     "Implies", "Int", "Interval", "Machine", "MachineError", "Neg",
-    "NondeterministicEvent", "NotNegatable", "Or", "PO", "POResult",
-    "Pair", "ParseError", "PredCall", "Program", "Result", "Solution",
-    "Str", "Term", "TrueF", "TypeEnv", "Var", "VarGen", "VerifyError",
-    "check_formula", "check_program", "conj", "discharge", "disj",
-    "formula_vars", "generate_pos", "ground_complete", "initial_state",
-    "is_ground", "load_corpus", "mkset", "negate", "parse_formula",
-    "parse_machine", "parse_program", "pp_formula", "pp_term",
+    "NotNegatable", "Or", "PO", "POResult", "Pair", "ParseError", "PredCall",
+    "Program", "Result", "Solution", "Str", "Term", "TrueF", "TypeEnv", "Var",
+    "VarGen", "VerifyError", "check_formula", "check_program", "conj",
+    "discharge", "disj", "formula_vars", "generate_pos", "ground_complete",
+    "initial_state", "is_ground", "load_corpus", "mkset", "negate",
+    "parse_formula", "parse_machine", "parse_program", "pp_formula", "pp_term",
     "report_json", "set_parts", "solve", "step", "typecheck_machine",
     "verify_machine",
 ]

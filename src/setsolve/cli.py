@@ -16,7 +16,7 @@ import sys
 from typing import Optional
 
 from .engine import Result, Solution, solve
-from .formulas import Formula, Neg, Program
+from .formulas import Formula, IllFormed, Neg, Program
 from .machines import parse_machine
 from .negate import NotNegatable
 from .parser import ParseError, parse_formula, parse_program, parse_term
@@ -69,6 +69,16 @@ def _stderr_trace(kind, **kw):
         print(f"  {kind} << {tail}", file=sys.stderr)
 
 
+def _parse_file(path: str, parse):
+    """Parse a program or machine file; a parse error names the file."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except ParseError as e:
+        raise ParseError(f"{path}:{e}" if e.line else f"{path}: {e}") from None
+
+
 def _load_goals(ns) -> tuple[list[Formula], Optional[Program]]:
     """Goals from -e or from the queries of a program file."""
     if ns.expr is not None:
@@ -79,8 +89,7 @@ def _load_goals(ns) -> tuple[list[Formula], Optional[Program]]:
     if ns.file.endswith(".smch"):
         print("machines are verified or animated, not solved", file=sys.stderr)
         raise SystemExit(USAGE)
-    with open(ns.file) as fh:
-        prog = parse_program(fh.read())
+    prog = _parse_file(ns.file, parse_program)
     if not prog.queries:
         print(f"{ns.file}: no queries", file=sys.stderr)
         raise SystemExit(USAGE)
@@ -134,9 +143,6 @@ def cmd_prove(ns) -> int:
             print("Unknown.")
             unknown += 1
             continue
-        except NotNegatable as e:
-            print(f"cannot negate the goal: {e}", file=sys.stderr)
-            return USAGE
         if res.unsat:
             print("Theorem.")
             theorem += 1
@@ -155,12 +161,10 @@ def cmd_prove(ns) -> int:
 
 
 def cmd_typecheck(ns) -> int:
-    with open(ns.file) as fh:
-        text = fh.read()
     if ns.file.endswith(".smch"):
-        errors = typecheck_machine(parse_machine(text))
+        errors = typecheck_machine(_parse_file(ns.file, parse_machine))
     else:
-        errors = [str(e) for e in check_program(parse_program(text))]
+        errors = [str(e) for e in check_program(_parse_file(ns.file, parse_program))]
     for e in errors:
         print(e)
     if errors:
@@ -192,11 +196,10 @@ def _print_results(results) -> None:
 
 
 def cmd_verify(ns) -> int:
-    with open(ns.file) as fh:
-        m = parse_machine(fh.read())
+    m = _parse_file(ns.file, parse_machine)
     results = verify_machine(
-        m, budget=ns.budget, max_hyp=ns.max_hyp, auto=ns.auto_hyp,
-        strict_wd=ns.strict_wd, typed=not ns.untyped)
+        m, budget=ns.budget, max_hyp=ns.max_hyp, strict_wd=ns.strict_wd,
+        typed=not ns.untyped)
     if ns.po:
         results = [r for r in results if r.po.po_id == ns.po]
         if not results:
@@ -254,8 +257,7 @@ def _print_state(label: str, state: dict[str, Term]) -> None:
 
 
 def cmd_animate(ns) -> int:
-    with open(ns.file) as fh:
-        m = parse_machine(fh.read())
+    m = _parse_file(ns.file, parse_machine)
     carriers = _load_carriers(ns.carriers) if ns.carriers else None
     state = initial_state(m, budget=ns.budget, carriers=carriers)
     _print_state("state 0", state)
@@ -319,8 +321,6 @@ def build_argv() -> argparse.ArgumentParser:
     p.add_argument("--po", default=None, help="check one obligation by name")
     p.add_argument("--max-hyp", type=int, default=5,
                    help="invariants pulled in automatically, at most (default 5)")
-    p.add_argument("--auto-hyp", action=argparse.BooleanOptionalAction,
-                   default=True, help="pull in extra invariants on failure")
     p.add_argument("--strict-wd", action="store_true",
                    help="demand functional applications, not just local ones")
     p.add_argument("--json", default=None, metavar="PATH",
@@ -348,13 +348,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     ns = build_argv().parse_args(argv)
     try:
         return ns.run(ns)
-    except ParseError as e:
-        print(str(e), file=sys.stderr)
-        return USAGE
-    except VerifyError as e:
-        print(str(e), file=sys.stderr)
-        return USAGE
-    except FileNotFoundError as e:
+    except (ParseError, VerifyError, IllFormed, NotNegatable, OSError) as e:
         print(str(e), file=sys.stderr)
         return USAGE
 

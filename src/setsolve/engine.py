@@ -35,8 +35,8 @@ from .formulas import (
 from .negate import nnf
 from .rules import Bind, rewrite
 from .terms import (
-    CP, Atom, EMPTY, ExtSet, Int, Interval, Pair, Subst, Term, Var, VarGen,
-    compose, is_ground, mkset, subst_term, term_vars,
+    CP, Atom, EMPTY, ExtSet, IllSorted, Int, Interval, Pair, Term, Var,
+    VarGen, compose, is_ground, mkset, subst_term, term_vars,
 )
 
 
@@ -88,6 +88,8 @@ def items_of(f: Formula) -> Optional[list[QItem]]:
         return out
     if isinstance(f, Or):
         return [OrNode(f.parts)]
+    if isinstance(f, PredCall):
+        raise IllFormed(f"unknown predicate {f.name}/{len(f.args)}")
     raise IllFormed(f"unexpected {type(f).__name__} after preprocessing")
 
 
@@ -294,7 +296,10 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
             if isinstance(item, OrNode):
                 branches = []
                 for alt in item.alts:
-                    g = subst_formula(store.subst, alt, store.gen)
+                    try:
+                        g = subst_formula(store.subst, alt, store.gen)
+                    except IllSorted:
+                        continue
                     sub = items_of(g)
                     if sub is not None:
                         branches.append(sub)
@@ -311,11 +316,18 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
                 for it in branches[0]:
                     store.enqueue(it)
                 continue
-            if stamp == store.binds and item.q is None:
-                c = item
-            else:
-                c = subst_formula(store.subst, item, store.gen)
-            out = rewrite(c, store)
+            # A bind can leave a term ill-sorted in this item or, for the
+            # scans of a rule, in any item of the store: either way the
+            # store has no solution.
+            try:
+                if stamp == store.binds and item.q is None:
+                    c = item
+                else:
+                    c = subst_formula(store.subst, item, store.gen)
+                out = rewrite(c, store)
+            except IllSorted:
+                dead = True
+                break
             if trace:
                 trace(c.kind, constraint=c,
                       result=("park" if out is None else len(out)))
@@ -347,7 +359,10 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
 def _apply_branch(store: Store, branch: list, stamp: int) -> bool:
     for em in branch:
         if isinstance(em, Bind):
-            if not store.apply_bind(dict(em.delta)):
+            try:
+                if not store.apply_bind(dict(em.delta)):
+                    return False
+            except IllSorted:
                 return False
         elif isinstance(em, Constraint):
             store.enqueue(em, stamp)

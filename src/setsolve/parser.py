@@ -273,9 +273,12 @@ class Parser:
 
     def amul(self):
         e = self.aunary()
-        while self.at("*") or self.at("div", "atom") or self.at("mod", "atom"):
-            op = self.next().val
-            e = ABin(op, e, self.aunary())
+        while self.at("*"):
+            self.next()
+            e = ABin("*", e, self.aunary())
+        if self.at("div", "atom") or self.at("mod", "atom"):
+            raise self.err(f"'{self.peek().val}' is not supported: integer "
+                           f"expressions use +, - and *")
         return e
 
     def aunary(self):

@@ -44,7 +44,7 @@ def pp_term(t: Term) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
-_APREC = {"+": 1, "-": 1, "*": 2, "div": 2, "mod": 2}
+_APREC = {"+": 1, "-": 1, "*": 2}
 
 
 def _pp_ax(a, min_prec: int) -> str:
@@ -119,11 +119,3 @@ def _pp(f: Formula, ctx: int) -> str:
 
 def pp_formula(f: Formula) -> str:
     return _pp(f, _PREC_IMPLIES)
-
-
-def pp_solution(bindings: dict[str, Term], residual: list[Constraint]) -> str:
-    parts = [f"{v} = {pp_term(t)}" for v, t in sorted(bindings.items())]
-    parts += [pp_constraint(c) for c in residual]
-    if not parts:
-        return "true"
-    return ", ".join(parts)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from . import arith, groundeval
 from .formulas import C, Constraint, QPayload, binder_names, conj, subst_formula
 from .terms import (
-    CP, Atom, EMPTY, EmptySet, ExtSet, Int, Interval, Pair, Str, Term, Var,
-    is_ground, mkset, set_parts, subst_term, term_vars,
+    CP, Atom, EMPTY, EmptySet, ExtSet, IllSorted, Int, Interval, Pair, Str,
+    Term, Var, is_ground, mkset, set_parts, subst_term, term_vars,
 )
 from .unify import concretize, unify
 
@@ -747,7 +747,10 @@ def _rule_quant(c: Constraint, store):
                           delayed=c.delayed)
         if foreach:
             return [instantiate(d.head) + [rest]]
-        return [instantiate(d.head), [rest]]
+        try:
+            return [instantiate(d.head), [rest]]
+        except IllSorted:
+            return [[rest]]  # the head leaves the body ill-sorted
     if isinstance(d, Var):
         if foreach:
             return None

@@ -107,10 +107,6 @@ def set_parts(t: Term) -> tuple[list[Term], Term]:
     return elems, t
 
 
-def is_set_term(t: Term) -> bool:
-    return isinstance(t, (EmptySet, ExtSet, CP, Interval))
-
-
 def term_vars(t: Term) -> set[str]:
     out: set[str] = set()
     _collect_vars(t, out)
@@ -148,6 +144,12 @@ def is_ground(t: Term) -> bool:
     return True
 
 
+class IllSorted(ValueError):
+    """A substitution put a term that is not a set in a set tail, or one
+    that is not an integer in an interval bound.  The binding that did it
+    has no solution, so the solver fails that branch."""
+
+
 def subst_term(s: Subst, t: Term) -> Term:
     """Apply a substitution.  Binding a set tail splices the sets together.
 
@@ -171,7 +173,7 @@ def subst_term(s: Subst, t: Term) -> Term:
         if tail is t.tail:
             return t if head is t.head else ExtSet(head, tail)
         if not isinstance(tail, (EmptySet, ExtSet, Var)):
-            raise ValueError(f"set tail bound to non-set term: {tail!r}")
+            raise IllSorted(f"set tail bound to non-set term: {tail!r}")
         return ExtSet(head, tail)
     if cls is CP:
         left = subst_term(s, t.left)
@@ -184,6 +186,8 @@ def subst_term(s: Subst, t: Term) -> Term:
         hi = subst_term(s, t.hi)
         if lo is t.lo and hi is t.hi:
             return t
+        if not (isinstance(lo, (Int, Var)) and isinstance(hi, (Int, Var))):
+            raise IllSorted(f"non-integer interval bound: {lo!r}, {hi!r}")
         return Interval(lo, hi)
     return t
 

@@ -391,26 +391,6 @@ def check_program(prog: Program, env: Optional[TypeEnv] = None) -> list[TypeErro
     return errors
 
 
-def type_of_ground(t: Term, env: TypeEnv):
-    """Ground type computation used by the well-typedness property tests."""
-    if isinstance(t, Int):
-        return TInt()
-    if isinstance(t, Str):
-        return TStr()
-    if isinstance(t, Atom):
-        for syn in env.synonyms.values():
-            if isinstance(syn, TEnum) and t.name in syn.members:
-                return syn
-        return None
-    if isinstance(t, Pair):
-        a = type_of_ground(t.first, env)
-        b = type_of_ground(t.second, env)
-        if a is None or b is None:
-            return None
-        return TProd((a, b))
-    return None
-
-
 def inhabits(t: Term, ty, env: TypeEnv) -> bool:
     """Does ground term t inhabit type ty?"""
     ty = env.resolve(ty)

@@ -19,8 +19,8 @@ from typing import Optional
 from .formulas import C, Constraint
 from .groundeval import NotGround, term_value, value_to_term
 from .terms import (
-    CP, Atom, EMPTY, EmptySet, ExtSet, Int, Interval, Pair, Str, Term, Var,
-    VarGen, compose, is_ground, mkset, set_parts, subst_term, term_key, term_vars,
+    CP, Atom, EMPTY, EmptySet, ExtSet, IllSorted, Int, Interval, Pair, Str,
+    Term, Var, VarGen, compose, is_ground, mkset, set_parts, subst_term, term_vars,
 )
 
 Branch = tuple[dict[str, Term], list[Constraint]]
@@ -36,12 +36,16 @@ def unify(t1: Term, t2: Term, gen: Optional[VarGen] = None) -> list[Branch]:
 def _solve(eqs: list[tuple[Term, Term]], subst: dict[str, Term],
            deferred: list[Constraint], gen: VarGen) -> list[Branch]:
     """Pending equations are substituted when they are popped, so each is
-    read under every bind made before it."""
+    read under every bind made before it.  A bind that leaves a term
+    ill-sorted fails the branch."""
     eqs = list(eqs)
     while eqs:
         a, b = eqs.pop(0)
-        a = subst_term(subst, a)
-        b = subst_term(subst, b)
+        try:
+            a = subst_term(subst, a)
+            b = subst_term(subst, b)
+        except IllSorted:
+            return []
         if a == b:
             continue
         if isinstance(a, Var) or isinstance(b, Var):
@@ -50,7 +54,10 @@ def _solve(eqs: list[tuple[Term, Term]], subst: dict[str, Term],
             delta = _bind(a.name, b, gen)
             if delta is None:
                 return []
-            subst = compose(subst, delta)
+            try:
+                subst = compose(subst, delta)
+            except IllSorted:
+                return []
             continue
         if isinstance(a, Pair) and isinstance(b, Pair):
             eqs.insert(0, (a.second, b.second))

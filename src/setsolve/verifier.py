@@ -285,7 +285,6 @@ def _violated(po: PO, used: set[str], witness: dict[str, Term]) -> list[str]:
 
 
 def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
-              auto: bool = True,
               hints: Optional[dict[str, list[Term]]] = None) -> POResult:
     t0 = time.perf_counter()
     used: list[str] = []
@@ -317,7 +316,7 @@ def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
                 shown = {v: witness[v] for v in po.show_vars if v in witness}
                 return POResult(po, "Disproved", tuple(used), iterations, ms(),
                                 counterexample=shown)
-            if auto and len(used) < max_hyp:
+            if len(used) < max_hyp:
                 ranked = _rank_pool(po, set(used))
                 pick = next((l for l, _ in ranked if l in bad), bad[0])
                 used.append(pick)
@@ -328,7 +327,7 @@ def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
 
         # No certified witness: either the budget ran out or the answer
         # cannot be grounded.  More hypotheses can still settle it.
-        if auto and len(used) < max_hyp:
+        if len(used) < max_hyp:
             ranked = _rank_pool(po, set(used))
             if ranked:
                 used.append(ranked[0][0])
@@ -341,15 +340,14 @@ def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
 
 
 def verify_machine(m: Machine, *, budget: int = 200_000, max_hyp: int = 5,
-                   auto: bool = True, strict_wd: bool = False,
-                   typed: bool = True) -> list[POResult]:
+                   strict_wd: bool = False, typed: bool = True) -> list[POResult]:
     if typed:
         errors = typecheck_machine(m)
         if errors:
             raise VerifyError("type errors:\n" + "\n".join(errors))
     pos = generate_pos(m, strict_wd=strict_wd)
     hints = _hints(m)
-    return [discharge(po, budget=budget, max_hyp=max_hyp, auto=auto, hints=hints)
+    return [discharge(po, budget=budget, max_hyp=max_hyp, hints=hints)
             for po in pos]
 
 
@@ -389,12 +387,6 @@ def report_json(m: Machine, results: list[POResult]) -> dict:
 
 class GuardNotSatisfied(Exception):
     pass
-
-
-class NondeterministicEvent(Exception):
-    def __init__(self, msg: str, states: list[dict]):
-        super().__init__(msg)
-        self.states = states
 
 
 def _canon(t: Term) -> Term:

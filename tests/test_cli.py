@@ -77,3 +77,66 @@ def test_bad_trace_chunk_names_the_file_line(machine_file, tmp_path, capsys):
     assert code == cli.USAGE
     err = capsys.readouterr().err
     assert err.startswith(f"{argv[3]}:3: expected param=value, found 'po'")
+
+
+@pytest.mark.parametrize("cmd, suffix, text", [
+    ("verify", ".smch", _MACHINE % "n >= 0 $"),
+    ("animate", ".smch", _MACHINE % "n >= 0 $"),
+    ("typecheck", ".smch", _MACHINE % "n >= 0 $"),
+    ("typecheck", ".slog", "p(X) :- X = $.\n?- p(a).\n"),
+    ("solve", ".slog", "p(X) :- X = $.\n?- p(a).\n"),
+    ("prove", ".slog", "p(X) :- X = $.\n?- p(a).\n"),
+])
+def test_parse_error_names_the_file(tmp_path, capsys, cmd, suffix, text):
+    path = tmp_path / f"bad{suffix}"
+    path.write_text(text)
+    argv = [cmd, str(path)] + (["--trace", str(path)] if cmd == "animate" else [])
+    assert cli.main(argv) == cli.USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:")
+    assert err.count("\n") == 1
+    assert "unexpected character '$'" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "-e", "p(X)"], "unknown predicate p/1"),
+    (["prove", "-e", "neg(p(X))"], "unknown predicate p/1"),
+    (["solve", "-e", "neg(p(X))"], "call to p/1 under negation"),
+    (["prove", "-e", "X is 7 mod 2 implies X = 5"], "'mod' is not supported"),
+    (["solve", "-e", "X is 7 div 2"], "'div' is not supported"),
+    (["solve", "-e", "3 is 7 div 2"], "'div' is not supported"),
+])
+def test_bad_goal_is_a_one_line_usage_error(capsys, argv, message):
+    assert cli.main(argv) == cli.USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and message in out.err
+
+
+def test_undefined_predicate_in_a_clause_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "undef.slog"
+    path.write_text("p(X) :- q(X).\n?- p(a).\n")
+    assert cli.main(["solve", str(path)]) == cli.USAGE
+    assert capsys.readouterr().err == "unknown predicate q/1\n"
+
+
+def test_directory_is_a_usage_error(tmp_path, capsys):
+    assert cli.main(["solve", str(tmp_path)]) == cli.USAGE
+    assert "Is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("goal, code, out", [
+    ("X = {a/Y} & Y = 1", cli.REFUTED, "Unsat.\n"),
+    ("Y = 1 & X = {a/Y}", cli.REFUTED, "Unsat.\n"),
+    ("(Y = 1 or Y = {b}) & X = {a/Y}", cli.OK, "X = {a,b}, Y = {b}\n"),
+])
+def test_non_set_in_a_set_tail(capsys, goal, code, out):
+    assert cli.main(["solve", "-e", goal]) == code
+    assert capsys.readouterr().out == out
+
+
+def test_auto_hyp_option_is_gone(machine_file, capsys):
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["verify", "--no-auto-hyp", machine_file("n >= 0")])
+    assert ei.value.code == cli.USAGE
+    assert "--no-auto-hyp" in capsys.readouterr().err

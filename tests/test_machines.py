@@ -137,3 +137,10 @@ def test_fold_counts_through_intervals_and_negations(invariant, first):
 def test_string_literal_is_not_a_keyword(invariant):
     with pytest.raises(MachineError):
         machine(f"  inv1: {invariant}")
+
+
+@pytest.mark.parametrize("op", ["div", "mod"])
+def test_div_and_mod_are_rejected(op):
+    with pytest.raises(MachineError, match=f"'{op}' is not supported") as ei:
+        machine(f"  inv1: n is 7 {op} 2")
+    assert (ei.value.line, ei.value.col) == (10, 16)

@@ -144,3 +144,10 @@ def test_round_trip_random_constraints():
         c = rnd_constraint(r)
         out = pp_formula(c)
         assert parse_formula(out) == c, out
+
+
+@pytest.mark.parametrize("text", ["X is 7 div 2", "3 is 7 mod 2", "X is 2 * Y div 2"])
+def test_div_and_mod_are_rejected(text):
+    # Nothing evaluates them, so accepting them would give wrong verdicts.
+    with pytest.raises(ParseError, match="is not supported"):
+        parse_formula(text)
