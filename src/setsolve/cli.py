@@ -143,7 +143,7 @@ def cmd_prove(ns) -> int:
             print("Unknown.")
             unknown += 1
             continue
-        if res.unsat:
+        if res.unsat and not res.ill_sorted:
             print("Theorem.")
             theorem += 1
         elif res.solutions:

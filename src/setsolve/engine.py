@@ -18,6 +18,11 @@ built from an already substituted constraint and fresh variables, and no
 bind has happened since.  Woken, root and disjunct items and whole formula
 emissions are queued stale, and quantifier items are substituted at every
 pop, because that renames their bound names away from the incoming terms.
+
+A bind that leaves a term ill-sorted (``IllSorted``) kills the store that
+holds the term, and drops the alternative or instance that would hold it.
+Each such cut is recorded, because an ill-sorted formula and its negation
+can both come out unsat: an unsat result with a cut refutes nothing.
 """
 from __future__ import annotations
 
@@ -94,7 +99,8 @@ def items_of(f: Formula) -> Optional[list[QItem]]:
 
 
 class Store:
-    __slots__ = ("subst", "binds", "queues", "parked", "arith", "gen")
+    __slots__ = ("subst", "binds", "queues", "parked", "arith", "gen",
+                 "sort_cuts")
 
     def __init__(self, gen: VarGen):
         self.subst: dict[str, Term] = {}
@@ -103,6 +109,9 @@ class Store:
         self.parked: list[tuple[frozenset, Constraint]] = []
         self.arith = ArithStore()
         self.gen = gen
+        # The ill-sorted terms that cut a branch; every clone shares the
+        # list, so it covers the whole search.
+        self.sort_cuts: list[str] = []
 
     def clone(self) -> "Store":
         s = Store.__new__(Store)
@@ -112,6 +121,7 @@ class Store:
         s.parked = list(self.parked)
         s.arith = self.arith.copy()
         s.gen = self.gen
+        s.sort_cuts = self.sort_cuts
         return s
 
     def enqueue(self, item: QItem, stamp: int = STALE) -> None:
@@ -210,6 +220,7 @@ class Result:
     complete: bool           # the whole search space was examined
     exhausted_budget: bool
     steps: int
+    ill_sorted: Optional[str] = None  # the first ill-sorted term that cut a branch
 
     @property
     def unsat(self) -> bool:
@@ -298,7 +309,8 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
                 for alt in item.alts:
                     try:
                         g = subst_formula(store.subst, alt, store.gen)
-                    except IllSorted:
+                    except IllSorted as e:
+                        store.sort_cuts.append(str(e))
                         continue
                     sub = items_of(g)
                     if sub is not None:
@@ -325,7 +337,8 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
                 else:
                     c = subst_formula(store.subst, item, store.gen)
                 out = rewrite(c, store)
-            except IllSorted:
+            except IllSorted as e:
+                store.sort_cuts.append(str(e))
                 dead = True
                 break
             if trace:
@@ -353,7 +366,8 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
             break
 
     complete = (not exhausted) and not stack
-    return Result(sols, complete, exhausted, steps)
+    cut = root.sort_cuts[0] if root.sort_cuts else None
+    return Result(sols, complete, exhausted, steps, cut)
 
 
 def _apply_branch(store: Store, branch: list, stamp: int) -> bool:
@@ -362,7 +376,8 @@ def _apply_branch(store: Store, branch: list, stamp: int) -> bool:
             try:
                 if not store.apply_bind(dict(em.delta)):
                     return False
-            except IllSorted:
+            except IllSorted as e:
+                store.sort_cuts.append(str(e))
                 return False
         elif isinstance(em, Constraint):
             store.enqueue(em, stamp)

@@ -105,7 +105,7 @@ def _rule_eq(c: Constraint, store):
        (isinstance(a, Interval) and isinstance(b, CP)):
         return [[C("subset", a, b), C("subset", b, a)]]
     out = []
-    for delta, deferred in unify(a, b, store.gen):
+    for delta, deferred in unify(a, b, store.gen, store.sort_cuts):
         branch: list = []
         if delta:
             branch.append(_bind(delta))
@@ -749,8 +749,9 @@ def _rule_quant(c: Constraint, store):
             return [instantiate(d.head) + [rest]]
         try:
             return [instantiate(d.head), [rest]]
-        except IllSorted:
-            return [[rest]]  # the head leaves the body ill-sorted
+        except IllSorted as e:  # the head leaves the body ill-sorted
+            store.sort_cuts.append(str(e))
+            return [[rest]]
     if isinstance(d, Var):
         if foreach:
             return None

@@ -54,6 +54,12 @@ class EmptySet(Term):
 EMPTY = EmptySet()
 
 
+class IllSorted(ValueError):
+    """A set tail that is not a set, or an interval bound that is not an
+    integer.  Substitution builds one when it binds such a position to the
+    wrong sort; the solver then drops the branch that made the bind."""
+
+
 @dataclass(frozen=True, slots=True)
 class ExtSet(Term):
     """``{head / tail}``: the set ``{head}`` united with ``tail``."""
@@ -63,7 +69,7 @@ class ExtSet(Term):
 
     def __post_init__(self) -> None:
         if not isinstance(self.tail, (EmptySet, ExtSet, Var)):
-            raise ValueError(f"invalid set tail: {self.tail!r}")
+            raise IllSorted(f"invalid set tail: {self.tail!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,7 +90,7 @@ class Interval(Term):
     def __post_init__(self) -> None:
         for b in (self.lo, self.hi):
             if not isinstance(b, (Int, Var)):
-                raise ValueError(f"invalid interval bound: {b!r}")
+                raise IllSorted(f"invalid interval bound: {b!r}")
 
 
 Subst = Mapping[str, Term]
@@ -144,12 +150,6 @@ def is_ground(t: Term) -> bool:
     return True
 
 
-class IllSorted(ValueError):
-    """A substitution put a term that is not a set in a set tail, or one
-    that is not an integer in an interval bound.  The binding that did it
-    has no solution, so the solver fails that branch."""
-
-
 def subst_term(s: Subst, t: Term) -> Term:
     """Apply a substitution.  Binding a set tail splices the sets together.
 
@@ -170,10 +170,8 @@ def subst_term(s: Subst, t: Term) -> Term:
     if cls is ExtSet:
         head = subst_term(s, t.head)
         tail = subst_term(s, t.tail)
-        if tail is t.tail:
-            return t if head is t.head else ExtSet(head, tail)
-        if not isinstance(tail, (EmptySet, ExtSet, Var)):
-            raise IllSorted(f"set tail bound to non-set term: {tail!r}")
+        if head is t.head and tail is t.tail:
+            return t
         return ExtSet(head, tail)
     if cls is CP:
         left = subst_term(s, t.left)
@@ -186,8 +184,6 @@ def subst_term(s: Subst, t: Term) -> Term:
         hi = subst_term(s, t.hi)
         if lo is t.lo and hi is t.hi:
             return t
-        if not (isinstance(lo, (Int, Var)) and isinstance(hi, (Int, Var))):
-            raise IllSorted(f"non-integer interval bound: {lo!r}, {hi!r}")
         return Interval(lo, hi)
     return t
 

@@ -26,25 +26,28 @@ from .terms import (
 Branch = tuple[dict[str, Term], list[Constraint]]
 
 
-def unify(t1: Term, t2: Term, gen: Optional[VarGen] = None) -> list[Branch]:
-    """All ways to make two terms equal under set semantics."""
+def unify(t1: Term, t2: Term, gen: Optional[VarGen] = None,
+          cuts: Optional[list[str]] = None) -> list[Branch]:
+    """All ways to make two terms equal under set semantics.  An alternative
+    whose bind leaves a term ill-sorted is dropped, and why goes to cuts."""
     gen = gen or VarGen()
     gen.bump_past(term_vars(t1) | term_vars(t2))
-    return _solve([(t1, t2)], {}, [], gen)
+    return _solve([(t1, t2)], {}, [], gen, [] if cuts is None else cuts)
 
 
 def _solve(eqs: list[tuple[Term, Term]], subst: dict[str, Term],
-           deferred: list[Constraint], gen: VarGen) -> list[Branch]:
+           deferred: list[Constraint], gen: VarGen,
+           cuts: list[str]) -> list[Branch]:
     """Pending equations are substituted when they are popped, so each is
-    read under every bind made before it.  A bind that leaves a term
-    ill-sorted fails the branch."""
+    read under every bind made before it."""
     eqs = list(eqs)
     while eqs:
         a, b = eqs.pop(0)
         try:
             a = subst_term(subst, a)
             b = subst_term(subst, b)
-        except IllSorted:
+        except IllSorted as e:
+            cuts.append(str(e))
             return []
         if a == b:
             continue
@@ -56,7 +59,8 @@ def _solve(eqs: list[tuple[Term, Term]], subst: dict[str, Term],
                 return []
             try:
                 subst = compose(subst, delta)
-            except IllSorted:
+            except IllSorted as e:
+                cuts.append(str(e))
                 return []
             continue
         if isinstance(a, Pair) and isinstance(b, Pair):
@@ -81,7 +85,8 @@ def _solve(eqs: list[tuple[Term, Term]], subst: dict[str, Term],
             continue
         out: list[Branch] = []
         for extra_eqs, extra_cs in branches:
-            out.extend(_solve(extra_eqs + eqs, subst, deferred + extra_cs, gen))
+            out.extend(_solve(extra_eqs + eqs, subst, deferred + extra_cs, gen,
+                              cuts))
         return out
     return [(dict(subst), list(deferred))]
 

@@ -301,6 +301,9 @@ def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
         res = solve(_query(po, hyps), budget=budget, max_solutions=1)
 
         if res.unsat:
+            if res.ill_sorted:
+                return POResult(po, "Unknown", tuple(used), iterations, ms(),
+                                note=f"ill-sorted term: {res.ill_sorted}")
             return POResult(po, "Proved", tuple(used), iterations, ms())
 
         witness: Optional[dict[str, Term]] = None

@@ -135,8 +135,52 @@ def test_non_set_in_a_set_tail(capsys, goal, code, out):
     assert capsys.readouterr().out == out
 
 
-def test_auto_hyp_option_is_gone(machine_file, capsys):
-    with pytest.raises(SystemExit) as ei:
-        cli.main(["verify", "--no-auto-hyp", machine_file("n >= 0")])
-    assert ei.value.code == cli.USAGE
-    assert "--no-auto-hyp" in capsys.readouterr().err
+_COPY_MACHINE = """\
+machine h
+variables
+  n : int
+  m : int
+end
+invariants
+  inv1: n >= 0
+  inv2: m >= n
+end
+init
+  act1: n := 0
+  act2: m := 0
+end
+event copy
+  then
+    act1: n := m
+end
+"""
+
+
+def test_max_hyp_zero_pulls_in_no_invariant(tmp_path, capsys):
+    # Preserving inv1 under copy needs inv2; --max-hyp 0 never assumes it.
+    path = tmp_path / "h.smch"
+    path.write_text(_COPY_MACHINE)
+    assert cli.main(["verify", str(path)]) == cli.OK
+    assert "h/copy/inv1/INV  Proved  [inv2]\n" in capsys.readouterr().out
+    assert cli.main(["verify", "--max-hyp", "0", str(path)]) == cli.UNKNOWN
+    assert ("h/copy/inv1/INV  Unknown  (witness violates unassumed "
+            "invariant inv2)\n") in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("goal", [
+    "Y = 1 implies X = {a/Y}",
+    "Y = 1 implies X neq {a/Y}",
+])
+def test_prove_does_not_count_an_ill_sorted_death_as_a_proof(capsys, goal):
+    # The negated goal dies of the ill-sorted {a/1} whichever way the goal
+    # reads, so neither it nor its opposite is a theorem.
+    assert cli.main(["prove", "-e", goal]) == cli.UNKNOWN
+    assert capsys.readouterr().out == "Unknown.\n"
+
+
+@pytest.mark.parametrize("invariant", ["f = {[a, 0] / n}", "f neq {[a, 0] / n}"])
+def test_untyped_verify_does_not_prove_an_ill_sorted_invariant(machine_file,
+                                                              capsys, invariant):
+    assert cli.main(["verify", "--untyped", machine_file(invariant)]) == cli.UNKNOWN
+    assert capsys.readouterr().out.startswith(
+        "iv/INIT/inv1  Unknown  (ill-sorted term: invalid set tail: Int(value=0))\n")

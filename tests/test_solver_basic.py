@@ -235,7 +235,18 @@ def test_ground_complete_reads_interval_bounds(run):
     "X = int(1, Y) & Y = a",      # a non-integer interval bound
 ])
 def test_ill_sorted_bind_fails_the_branch(run, text):
-    unsat(run, text)
+    res = run(text)
+    assert res.unsat, f"{text} should be unsatisfiable"
+    assert res.ill_sorted, "the cut branch is recorded"
+
+
+@pytest.mark.parametrize("text", [
+    "X = {a/Y} & Y = {} & X = {b}",
+    "Y = {b} & X = {a/Y} & X = {a}",
+])
+def test_well_sorted_unsat_records_no_cut(run, text):
+    res = run(text)
+    assert res.unsat and res.ill_sorted is None
 
 
 @pytest.mark.parametrize("text, x", [
@@ -249,3 +260,4 @@ def test_only_the_branch_with_the_ill_sorted_term_dies(run, text, x):
     res = run(text)
     assert res.solutions, f"{text} has an answer"
     assert res.solutions[0].bindings["X"] == x
+    assert res.ill_sorted, "the cut branch is recorded"
