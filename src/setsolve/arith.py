@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .terms import Int, Term, Var
+from .terms import IllSorted, Int, Term, Var
 
 
 class NonLinear(Exception):
@@ -92,6 +92,17 @@ def lower(e: AExpr) -> LinExpr:
             raise NonLinear(f"non-linear product: {e!r}")
         raise ValueError(f"unknown operator {e.op!r}")
     raise TypeError(f"not an integer expression: {e!r}")
+
+
+def check_int(e: AExpr) -> None:
+    """Raise IllSorted unless every leaf of e is an integer or a variable."""
+    if isinstance(e, ABin):
+        check_int(e.left)
+        check_int(e.right)
+    elif isinstance(e, ANeg):
+        check_int(e.body)
+    elif not isinstance(e, (Int, Var)):
+        raise IllSorted(f"not an integer: {e!r}")
 
 
 def expr_is_ground(e: AExpr) -> bool:

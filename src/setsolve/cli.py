@@ -197,9 +197,7 @@ def _print_results(results) -> None:
 
 def cmd_verify(ns) -> int:
     m = _parse_file(ns.file, parse_machine)
-    results = verify_machine(
-        m, budget=ns.budget, max_hyp=ns.max_hyp, strict_wd=ns.strict_wd,
-        typed=not ns.untyped)
+    results = verify_machine(m, budget=ns.budget, max_hyp=ns.max_hyp)
     if ns.po:
         results = [r for r in results if r.po.po_id == ns.po]
         if not results:
@@ -321,12 +319,8 @@ def build_argv() -> argparse.ArgumentParser:
     p.add_argument("--po", default=None, help="check one obligation by name")
     p.add_argument("--max-hyp", type=int, default=5,
                    help="invariants pulled in automatically, at most (default 5)")
-    p.add_argument("--strict-wd", action="store_true",
-                   help="demand functional applications, not just local ones")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="write the machine report as JSON")
-    p.add_argument("--untyped", action="store_true",
-                   help="skip typechecking before verification")
     p.add_argument("--budget", type=int, default=200_000,
                    help="rewrite step budget per attempt (default 200000)")
     p.set_defaults(run=cmd_verify)

@@ -19,10 +19,13 @@ bind has happened since.  Woken, root and disjunct items and whole formula
 emissions are queued stale, and quantifier items are substituted at every
 pop, because that renames their bound names away from the incoming terms.
 
-A bind that leaves a term ill-sorted (``IllSorted``) kills the store that
-holds the term, and drops the alternative or instance that would hold it.
-Each such cut is recorded, because an ill-sorted formula and its negation
-can both come out unsat: an unsat result with a cut refutes nothing.
+Sorts follow one rule, read from ``formulas.SIG`` (see ``rules``): a
+non-set where a set belongs, or a non-integer where an integer belongs, is
+ill-sorted (``IllSorted``).  Such a term kills the store that holds it, and
+drops the alternative or instance that would hold it; a ``foreach`` whose
+body turns ill-sorted still holds over an empty domain.  Each cut is
+recorded, because an ill-sorted formula and its negation can both come out
+unsat: an unsat result with a cut refutes nothing.
 """
 from __future__ import annotations
 
@@ -33,8 +36,8 @@ from typing import Iterator, Optional
 from . import arith, groundeval
 from .arith import ArithStore
 from .formulas import (
-    INT, SIG, And, Constraint, FalseF, Formula, IllFormed, Implies, Neg, Or,
-    PredCall, Program, TrueF, arg_vars, expand_calls, formula_vars,
+    INT_POS, SET_POS, And, C, Constraint, FalseF, Formula, IllFormed, Implies,
+    Neg, Or, PredCall, Program, TrueF, arg_vars, expand_calls, formula_vars,
     subst_formula,
 )
 from .negate import nnf
@@ -59,12 +62,6 @@ PRIO = {
     "foreach": 3, "exists": 3,
 }
 N_PRIO = 5
-
-# The argument positions of each constraint kind that hold a set, and those
-# that hold an integer, read from the signatures.
-SET_POS = {k: {i for i, s in enumerate(sig) if isinstance(s, tuple) and s[0] == "S"}
-           for k, sig in SIG.items()}
-INT_POS = {k: {i for i, s in enumerate(sig) if s == INT} for k, sig in SIG.items()}
 
 
 def _prio(item: QItem) -> int:
@@ -136,7 +133,7 @@ class Store:
     def park(self, c: Constraint) -> None:
         self.parked.append((frozenset(formula_vars(c)), c))
 
-    def apply_bind(self, delta: dict[str, Term]) -> bool:
+    def apply_bind(self, delta: dict[str, Term]) -> None:
         self.subst = compose(self.subst, delta)
         self.binds += 1
         keys = set(delta)
@@ -154,14 +151,10 @@ class Store:
         for name in delta:
             if name in self.arith.vars():
                 t = subst_term(self.subst, Var(name))
-                if isinstance(t, Int):
+                if not isinstance(t, (Int, Var)):
+                    raise IllSorted(f"not an integer: {t!r}")
+                if t != Var(name):
                     self.arith.assert_eq(arith.lower(Var(name)) - arith.lower(t))
-                elif isinstance(t, Var):
-                    if t.name != name:
-                        self.arith.assert_eq(arith.lower(Var(name)) - arith.lower(t))
-                else:
-                    return False  # an arithmetic variable bound to a non-integer
-        return True
 
     def items(self) -> Iterator[tuple[QItem, bool]]:
         """Parked and queued items, each with whether it is normal under the
@@ -330,7 +323,8 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
                 continue
             # A bind can leave a term ill-sorted in this item or, for the
             # scans of a rule, in any item of the store: either way the
-            # store has no solution.
+            # store has no solution, unless the item is a foreach, which
+            # still holds over an empty domain.
             try:
                 if stamp == store.binds and item.q is None:
                     c = item
@@ -339,6 +333,9 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
                 out = rewrite(c, store)
             except IllSorted as e:
                 store.sort_cuts.append(str(e))
+                if item.kind == "foreach":
+                    store.enqueue(C("eq", item.q.domain, EMPTY))
+                    continue
                 dead = True
                 break
             if trace:
@@ -374,8 +371,7 @@ def _apply_branch(store: Store, branch: list, stamp: int) -> bool:
     for em in branch:
         if isinstance(em, Bind):
             try:
-                if not store.apply_bind(dict(em.delta)):
-                    return False
+                store.apply_bind(dict(em.delta))
             except IllSorted as e:
                 store.sort_cuts.append(str(e))
                 return False

@@ -2,16 +2,17 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Sequence
 
 from . import arith
 from .terms import Pair, Term, Var, VarGen, subst_term, term_vars
 
 # Constraint signatures, one sort per argument: a lower-case letter is a
 # schema variable, ("S", x) a set of x, ("P", x, y) a pair and INT an integer.
-# The typechecker instantiates them and the store reads its set and integer
-# positions from them.  Every ``nX`` is the exact complement of ``X``.
+# The typechecker instantiates them; the parser, the rewrite rules and the
+# store read their set and integer positions from them.  Every ``nX`` is the
+# exact complement of ``X``.
 # ``npair`` is internal: it is emitted by negative rewrite rules and never
 # appears in surface syntax.
 INT = 0
@@ -43,6 +44,11 @@ def _signatures() -> dict[str, tuple]:
 
 
 SIG = _signatures()
+# The argument positions of each kind that hold a set, and those that hold
+# an integer.
+SET_POS = {k: tuple(i for i, s in enumerate(sig) if isinstance(s, tuple) and s[0] == "S")
+           for k, sig in SIG.items()}
+INT_POS = {k: tuple(i for i, s in enumerate(sig) if s == INT) for k, sig in SIG.items()}
 # ``dec(X, type)`` is a typing directive; its second argument is a type.
 ARITY = {k: len(sig) for k, sig in SIG.items()} | {"dec": 2}
 KINDS = frozenset(ARITY) | {"foreach", "exists"}
@@ -359,6 +365,9 @@ def instantiate_clause(clause: Clause, args: Sequence[Term], gen: VarGen):
     if len(args) != len(clause.params):
         raise IllFormed(
             f"predicate {clause.name}/{len(clause.params)} called with {len(args)} arguments")
+    if not all(isinstance(a, Term) for a in args):
+        raise IllFormed(f"predicate {clause.name}/{len(clause.params)} takes "
+                        "terms, not integer expressions")
     locals_ = sorted(formula_vars(clause.body) - set(clause.params))
     ren = {name: gen.fresh() for name in locals_}
     s: dict[str, Term] = dict(zip(clause.params, args))

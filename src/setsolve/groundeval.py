@@ -16,7 +16,7 @@ from .formulas import (
 )
 from .terms import (
     CP, Atom, EmptySet, ExtSet, Int, Interval, Pair, Str, Term, Var, VarGen,
-    is_ground, mkset, subst_term, term_key,
+    is_ground, mkset, term_key,
 )
 
 
@@ -43,20 +43,12 @@ def term_value(t: Term):
         while isinstance(cur, ExtSet):
             elems.add(term_value(cur.head))
             cur = cur.tail
-        rest = term_value(cur)
-        if not isinstance(rest, frozenset):
-            raise NotGround(f"set tail is not a set: {cur!r}")
-        return frozenset(elems) | rest
+        return frozenset(elems) | term_value(cur)
     if isinstance(t, CP):
         a, b = term_value(t.left), term_value(t.right)
-        if not isinstance(a, frozenset) or not isinstance(b, frozenset):
-            raise NotGround("cp over non-set values")
         return frozenset(("pair", x, y) for x in a for y in b)
     if isinstance(t, Interval):
-        lo, hi = term_value(t.lo), term_value(t.hi)
-        if not isinstance(lo, int) or not isinstance(hi, int):
-            raise NotGround("interval bound not an integer")
-        return frozenset(range(lo, hi + 1))
+        return frozenset(range(term_value(t.lo), term_value(t.hi) + 1))
     if isinstance(t, Var):
         raise NotGround(f"unbound variable {t.name}")
     raise TypeError(f"not a term: {t!r}")

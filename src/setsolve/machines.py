@@ -58,7 +58,7 @@ from typing import Optional
 
 from .arith import ABin, ANeg
 from .formulas import (
-    ARITY, C, Constraint, Formula, Implies, KINDS, Neg, Or, QPayload, TrueF,
+    C, Constraint, Formula, Implies, KINDS, Neg, Or, QPayload, TrueF,
     conj, disj,
 )
 from .parser import ParseError, Parser, Tok
@@ -546,14 +546,7 @@ class _MParser(Parser):
                 self.next()
                 args.append(self.aexpr())
             self.expect(")")
-            if ARITY.get(t.val) != len(args):
-                raise MachineError(f"{t.val} takes {ARITY.get(t.val)} arguments",
-                                   t.line, t.col)
-            for x in args:
-                if not isinstance(x, Term):
-                    raise MachineError(f"{t.val} relates terms, not integer "
-                                       "expressions", t.line, t.col)
-            return Constraint(t.val, tuple(args))
+            return self.constraint(t.val, args, t)
         return self.infix_constraint()
 
     def quantifier(self) -> Formula:

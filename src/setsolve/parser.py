@@ -26,11 +26,12 @@ from typing import Callable, Optional
 
 from .arith import ABin, ANeg
 from .formulas import (
-    ARITY, Clause, Constraint, FalseF, Formula, Implies, KINDS, Neg, PredCall,
-    Program, QPayload, TrueF, conj, disj,
+    ARITY, INT_POS, Clause, Constraint, FalseF, Formula, Implies, KINDS, Neg,
+    PredCall, Program, QPayload, TrueF, conj, disj,
 )
 from .terms import (
-    CP, Atom, EMPTY, ExtSet, Int, Interval, Pair, Str, Term, Var, mkset,
+    CP, EMPTY, Atom, ExtSet, IllSorted, Int, Interval, Pair, Str, Term, Var,
+    mkset,
 )
 from .typecheck import TBasic, TEnum, TInt, TNameVar, TProd, TSet, TStr
 
@@ -216,15 +217,12 @@ class Parser:
         if t.val == "{":
             return self.set_term()
         if t.kind == "atom":
-            if t.val == "cp" and self.peek(1).val == "(":
+            if t.val in ("cp", "int") and self.peek(1).val == "(":
                 a, b = self._two_args()
-                return CP(a, b)
-            if t.val == "int" and self.peek(1).val == "(":
-                a, b = self._two_args()
-                if not isinstance(a, (Int, Var)) or not isinstance(b, (Int, Var)):
-                    raise self.Error("interval bounds must be integers or variables",
-                                     t.line, t.col)
-                return Interval(a, b)
+                try:
+                    return CP(a, b) if t.val == "cp" else Interval(a, b)
+                except IllSorted as e:
+                    raise self.Error(str(e), t.line, t.col) from None
             self.next()
             return self.word(t)
         raise self.err(f"expected a term, found {t.val!r}")
@@ -450,11 +448,20 @@ class Parser:
             self.i = save
             return self.infix_constraint()
         if name in KINDS:
-            if ARITY.get(name) != len(args):
-                raise self.Error(f"{name} takes {ARITY.get(name)} arguments",
-                                 t.line, t.col)
-            return Constraint(name, tuple(args))
+            return self.constraint(name, args, t)
         return PredCall(name, tuple(args))
+
+    def constraint(self, kind: str, args: list, t: Tok) -> Constraint:
+        """``kind(args)``, after checking its arity and that integer
+        expressions stand only in the integer positions of its signature."""
+        if ARITY.get(kind) != len(args):
+            raise self.Error(f"{kind} takes {ARITY.get(kind)} arguments",
+                             t.line, t.col)
+        for i, a in enumerate(args):
+            if not isinstance(a, Term) and i not in INT_POS[kind]:
+                raise self.Error(f"argument {i + 1} of {kind} must be a term, "
+                                 "not an integer expression", t.line, t.col)
+        return Constraint(kind, tuple(args))
 
     def _tok_infix(self, t: Tok) -> bool:
         return t.val in _INFIX and t.kind in ("punct", "atom")
@@ -474,15 +481,10 @@ class Parser:
         kind, swap = _INFIX[op.val]
         if swap:
             a, b = b, a
-        if kind in ("eq", "neq", "in", "nin"):
-            for x in (a, b):
-                if not isinstance(x, Term):
-                    raise self.Error(f"{kind} relates terms, not integer expressions",
-                                     t.line, t.col)
         if kind == "is" and not isinstance(a, Term):
             raise self.Error("the left side of is must be a variable or number",
                              t.line, t.col)
-        return Constraint(kind, (a, b))
+        return self.constraint(kind, [a, b], t)
 
     def quantifier(self) -> Formula:
         kw = self.next().val

@@ -13,16 +13,26 @@ Ground constraints short-circuit through the evaluator.  Rules follow a
 case-split discipline: membership drives elements into variable sets,
 negative constraints introduce fresh witnesses, and union-style constraints
 peel one listed element per step so every chain of descendants shrinks.
+
+Sorts follow one rule, read from ``formulas.SIG``: an atom, integer, string
+or pair in a set position or a quantifier domain, or a leaf other than an
+integer or a variable in an integer position, raises ``IllSorted``.
+``rewrite`` checks each constraint on entry, so no rule sees a non-set where
+it expects a set; the term constructors check set tails, product factors
+and interval bounds, and ``Store.apply_bind`` what an arithmetic variable
+is bound to.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import arith, groundeval
-from .formulas import C, Constraint, QPayload, binder_names, conj, subst_formula
+from .formulas import (
+    INT_POS, SET_POS, C, Constraint, QPayload, binder_names, conj, subst_formula,
+)
 from .terms import (
-    CP, Atom, EMPTY, EmptySet, ExtSet, IllSorted, Int, Interval, Pair, Str,
-    Term, Var, is_ground, mkset, set_parts, subst_term, term_vars,
+    CP, NON_SETS, EMPTY, EmptySet, ExtSet, IllSorted, Int, Interval, Pair, Term,
+    Var, is_ground, mkset, set_parts, subst_term, term_vars,
 )
 from .unify import concretize, unify
 
@@ -39,16 +49,6 @@ def _bind(delta: dict[str, Term]) -> Bind:
     return Bind(tuple(sorted(delta.items())))
 
 
-def _arg_ground(a) -> bool:
-    if isinstance(a, Term):
-        return is_ground(a)
-    if isinstance(a, arith.ABin):
-        return _arg_ground(a.left) and _arg_ground(a.right)
-    if isinstance(a, arith.ANeg):
-        return _arg_ground(a.body)
-    return False
-
-
 def _sym_setlike(t: Term) -> bool:
     """A product/interval that cannot be expanded yet."""
     return isinstance(t, (CP, Interval)) and not is_ground(t)
@@ -60,25 +60,30 @@ def rewrite(c: Constraint, store):
         return [[]]
     if k in ("foreach", "exists"):
         return _rule_quant(c, store)
+    if k == "eq":
+        return _rule_eq(c, store)  # eq relates terms of any sort
+    args = c.args
+    for i in SET_POS[k]:
+        if type(args[i]) in NON_SETS:
+            raise IllSorted(f"not a set: {args[i]!r}")
+    for i in INT_POS[k]:
+        arith.check_int(args[i])
     if k in ("is", "le", "lt"):
         return _rule_arith(c, store)
-    if k == "eq":
-        return _rule_eq(c, store)
 
     # Expand ground products/intervals in argument position.
-    args = list(c.args)
+    args = list(args)
     changed = False
     for i, a in enumerate(args):
-        if isinstance(a, Term):
-            g = concretize(a)
-            if g is not None:
-                args[i] = g
-                changed = True
+        g = concretize(a)
+        if g is not None:
+            args[i] = g
+            changed = True
     if changed:
         return [[C(k, *args)]]
 
-    if all(_arg_ground(a) for a in args):
-        return [[]] if groundeval.eval_constraint(C(k, *args)) else []
+    if all(is_ground(a) for a in args):
+        return [[]] if groundeval.eval_constraint(c) else []
 
     return _RULES[k](store, *args)
 
@@ -126,11 +131,10 @@ def _rule_neq(store, a, b):
     if _definite_set(a) and _definite_set(b):
         n = store.gen.fresh()
         return [[C("in", n, a), C("nin", n, b)], [C("in", n, b), C("nin", n, a)]]
-    scalars = (Atom, Int, Str, Pair)
-    if (_definite_set(a) and isinstance(b, scalars)) or \
-       (_definite_set(b) and isinstance(a, scalars)):
+    if (_definite_set(a) and isinstance(b, NON_SETS)) or \
+       (_definite_set(b) and isinstance(a, NON_SETS)):
         return [[]]  # a set is never equal to an ur-element
-    if isinstance(a, scalars) and isinstance(b, scalars) and type(a) is not type(b):
+    if isinstance(a, NON_SETS) and isinstance(b, NON_SETS) and type(a) is not type(b):
         return [[]]
     # At least one side is a variable.
     va = a.name if isinstance(a, Var) else None
@@ -163,11 +167,10 @@ def _rule_in(store, x, s):
     if isinstance(s, CP):
         n1, n2 = store.gen.fresh(), store.gen.fresh()
         return [[C("eq", x, Pair(n1, n2)), C("in", n1, s.left), C("in", n2, s.right)]]
-    if isinstance(s, Interval):
-        if isinstance(x, (Var, Int)):
-            return [[C("le", s.lo, x), C("le", x, s.hi)]]
-        return []
-    return []  # ur-elements have no members
+    # s is an interval.
+    if isinstance(x, (Var, Int)):
+        return [[C("le", s.lo, x), C("le", x, s.hi)]]
+    return []
 
 
 def _rule_nin(store, x, s):
@@ -185,10 +188,9 @@ def _rule_nin(store, x, s):
             [C("eq", x, p), C("nin", n1, s.left)],
             [C("eq", x, p), C("nin", n2, s.right)],
         ]
-    if isinstance(s, Interval):
-        if isinstance(x, (Var, Int)):
-            return [[C("lt", x, s.lo)], [C("lt", s.hi, x)]]
-        return [[]]
+    # s is an interval.
+    if isinstance(x, (Var, Int)):
+        return [[C("lt", x, s.lo)], [C("lt", s.hi, x)]]
     return [[]]
 
 
@@ -355,9 +357,7 @@ def _rule_pfun(store, f):
             [C("eq", f.right, EMPTY)],
             [C("eq", f.right, mkset([store.gen.fresh()]))],
         ]
-    if isinstance(f, Interval):
-        return [[C("lt", f.hi, f.lo)]]
-    return []
+    return [[C("lt", f.hi, f.lo)]]  # f is an interval
 
 
 def _rule_npfun(store, f):
@@ -690,17 +690,15 @@ def _rule_foplus(store, f, x, y, out):
 def _rule_arith(c: Constraint, store):
     k = c.kind
     a, b = c.args
+    if arith.expr_is_ground(a) and arith.expr_is_ground(b):
+        return [[]] if groundeval.eval_constraint(c) else []
+    if k == "is" and isinstance(a, Var) and arith.expr_is_ground(b):
+        return [[C("eq", a, Int(arith.eval_ground(b)))]]
     try:
-        if _arg_ground(a) and _arg_ground(b):
-            return [[]] if groundeval.eval_constraint(c) else []
-        if k == "is" and isinstance(a, Var) and _arg_ground(b):
-            return [[C("eq", a, Int(arith.eval_ground(b)))]]
         la = arith.lower(a)
         lb = arith.lower(b)
     except arith.NonLinear:
         return None  # park until enough operands are bound
-    except (TypeError, ValueError):
-        return []  # non-integer operand
     if k == "is":
         store.arith.assert_eq(la - lb)
     else:
@@ -715,6 +713,8 @@ def _rule_arith(c: Constraint, store):
 def _rule_quant(c: Constraint, store):
     q = c.q
     d = q.domain
+    if type(d) in NON_SETS:
+        raise IllSorted(f"not a set: {d!r}")
     g = concretize(d)
     if g is not None:
         return [[Constraint(c.kind, (), q=QPayload(q.binder, g, q.locals, q.body, q.funcs),
@@ -762,12 +762,11 @@ def _rule_quant(c: Constraint, store):
             return None
         n1, n2 = gen.fresh(), gen.fresh()
         return [[C("in", n1, d.left), C("in", n2, d.right)] + instantiate(Pair(n1, n2))]
-    if isinstance(d, Interval):
-        if foreach:
-            return None
-        n = gen.fresh()
-        return [[C("le", d.lo, n), C("le", n, d.hi)] + instantiate(n)]
-    return []  # quantifying over an ur-element
+    # d is an interval.
+    if foreach:
+        return None
+    n = gen.fresh()
+    return [[C("le", d.lo, n), C("le", n, d.hi)] + instantiate(n)]
 
 
 _RULES = {

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class Term:
@@ -53,11 +53,15 @@ class EmptySet(Term):
 
 EMPTY = EmptySet()
 
+# The terms that are never sets.
+NON_SETS = (Atom, Int, Str, Pair)
+
 
 class IllSorted(ValueError):
-    """A set tail that is not a set, or an interval bound that is not an
-    integer.  Substitution builds one when it binds such a position to the
-    wrong sort; the solver then drops the branch that made the bind."""
+    """A term of the wrong sort: a non-set where a set belongs, or a
+    non-integer where an integer belongs.  The constructors below raise it
+    for their own positions, and the solver for constraint arguments; the
+    solver then drops the branch that holds the term."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,6 +82,11 @@ class CP(Term):
 
     left: Term
     right: Term
+
+    def __post_init__(self) -> None:
+        for s in (self.left, self.right):
+            if isinstance(s, NON_SETS):
+                raise IllSorted(f"invalid product factor: {s!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,7 +12,7 @@ from typing import Optional, Union
 
 from .arith import ABin, ANeg
 from .formulas import (
-    INT, SIG, And, Clause, Constraint, FalseF, Formula, Implies, Neg, Or,
+    INT, SIG, And, Constraint, FalseF, Formula, Implies, Neg, Or,
     PredCall, Program, TrueF, binder_names,
 )
 from .terms import (

@@ -17,10 +17,10 @@ from __future__ import annotations
 from typing import Optional
 
 from .formulas import C, Constraint
-from .groundeval import NotGround, term_value, value_to_term
+from .groundeval import term_value, value_to_term
 from .terms import (
-    CP, Atom, EMPTY, EmptySet, ExtSet, IllSorted, Int, Interval, Pair, Str,
-    Term, Var, VarGen, compose, is_ground, mkset, set_parts, subst_term, term_vars,
+    CP, EMPTY, NON_SETS, EmptySet, ExtSet, IllSorted, Interval, Pair, Term, Var,
+    VarGen, compose, is_ground, mkset, set_parts, subst_term, term_vars,
 )
 
 Branch = tuple[dict[str, Term], list[Constraint]]
@@ -67,18 +67,13 @@ def _solve(eqs: list[tuple[Term, Term]], subst: dict[str, Term],
             eqs.insert(0, (a.second, b.second))
             eqs.insert(0, (a.first, b.first))
             continue
-        if isinstance(a, (Atom, Int, Str)) or isinstance(b, (Atom, Int, Str)):
-            return []  # distinct constants or a constant against a structure
-        if isinstance(a, Pair) or isinstance(b, Pair):
-            return []  # pair against a set term
+        if isinstance(a, NON_SETS) or isinstance(b, NON_SETS):
+            return []  # distinct ur-elements, or an ur-element against a set
         # Both sides are set terms now.
         if is_ground(a) and is_ground(b):
-            try:
-                if term_value(a) != term_value(b):
-                    return []
-                continue
-            except NotGround:
-                pass
+            if term_value(a) != term_value(b):
+                return []
+            continue
         branches = _set_eq_branches(a, b, gen)
         if branches is None:
             deferred.append(C("eq", a, b))
@@ -161,12 +156,6 @@ def _set_eq_branches(a: Term, b: Term, gen: VarGen):
 def concretize(t: Term) -> Optional[Term]:
     """Ground CP/Interval -> canonical extensional set; None when no change
     applies (returns the rewritten term only at the outermost level)."""
-    if isinstance(t, CP) and is_ground(t):
-        try:
-            val = term_value(t)
-        except NotGround:
-            return None
-        return value_to_term(val)
-    if isinstance(t, Interval) and is_ground(t):
+    if isinstance(t, (CP, Interval)) and is_ground(t):
         return value_to_term(term_value(t))
     return None

@@ -113,7 +113,7 @@ def _wd_goal(m: Machine, occ: WDOcc) -> tuple[Formula, Formula]:
     return goal, neg
 
 
-def generate_pos(m: Machine, strict_wd: bool = False) -> list[PO]:
+def generate_pos(m: Machine) -> list[PO]:
     pos: list[PO] = []
     carriers = tuple(c.name for c in m.carriers)
     statevars = m.var_names()
@@ -165,10 +165,6 @@ def generate_pos(m: Machine, strict_wd: bool = False) -> list[PO]:
                 occs.append((conj([all_guards, occ.pre]), occ))
         for k, (pre, occ) in enumerate(occs, start=1):
             goal, neg = _wd_goal(m, occ)
-            if strict_wd:
-                fn, x = occ.apply.args[0], occ.apply.args[1]
-                neg = disj([C("comp", mkset([Pair(x, x)]), fn, mkset([])),
-                            C("npfun", fn)])
             pos.append(PO(
                 po_id=f"{m.name}/{ev.name}/{occ.site}/wd{k}/WD",
                 kind="WD", machine=m.name, event=ev.name, target=occ.site,
@@ -342,13 +338,12 @@ def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
         return POResult(po, "Unknown", tuple(used), iterations, ms(), note=note)
 
 
-def verify_machine(m: Machine, *, budget: int = 200_000, max_hyp: int = 5,
-                   strict_wd: bool = False, typed: bool = True) -> list[POResult]:
-    if typed:
-        errors = typecheck_machine(m)
-        if errors:
-            raise VerifyError("type errors:\n" + "\n".join(errors))
-    pos = generate_pos(m, strict_wd=strict_wd)
+def verify_machine(m: Machine, *, budget: int = 200_000,
+                   max_hyp: int = 5) -> list[POResult]:
+    errors = typecheck_machine(m)
+    if errors:
+        raise VerifyError("type errors:\n" + "\n".join(errors))
+    pos = generate_pos(m)
     hints = _hints(m)
     return [discharge(po, budget=budget, max_hyp=max_hyp, hints=hints)
             for po in pos]

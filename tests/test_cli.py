@@ -105,6 +105,9 @@ def test_parse_error_names_the_file(tmp_path, capsys, cmd, suffix, text):
     (["prove", "-e", "X is 7 mod 2 implies X = 5"], "'mod' is not supported"),
     (["solve", "-e", "X is 7 div 2"], "'div' is not supported"),
     (["solve", "-e", "3 is 7 div 2"], "'div' is not supported"),
+    (["solve", "-e", "un(1 + 1, {}, C)"], "argument 1 of un must be a term"),
+    (["solve", "-e", "eq(X + 1, Y)"], "argument 1 of eq must be a term"),
+    (["solve", "-e", "subset(X + 1, A)"], "argument 1 of subset must be a term"),
 ])
 def test_bad_goal_is_a_one_line_usage_error(capsys, argv, message):
     assert cli.main(argv) == cli.USAGE
@@ -118,6 +121,16 @@ def test_undefined_predicate_in_a_clause_is_a_usage_error(tmp_path, capsys):
     path.write_text("p(X) :- q(X).\n?- p(a).\n")
     assert cli.main(["solve", str(path)]) == cli.USAGE
     assert capsys.readouterr().err == "unknown predicate q/1\n"
+
+
+@pytest.mark.parametrize("query", ["p(1 + 1)", "p(Y + 1)", "neg(p(Y + 1))"])
+def test_integer_expression_as_a_predicate_argument_is_a_usage_error(tmp_path, capsys,
+                                                                     query):
+    # The clause would put the expression where a term belongs.
+    path = tmp_path / "p.slog"
+    path.write_text(f"p(X) :- X in {{2}}.\n?- {query}.\n")
+    assert cli.main(["solve", str(path)]) == cli.USAGE
+    assert capsys.readouterr().err == "predicate p/1 takes terms, not integer expressions\n"
 
 
 def test_directory_is_a_usage_error(tmp_path, capsys):
@@ -170,6 +183,13 @@ def test_max_hyp_zero_pulls_in_no_invariant(tmp_path, capsys):
 @pytest.mark.parametrize("goal", [
     "Y = 1 implies X = {a/Y}",
     "Y = 1 implies X neq {a/Y}",
+    "D = 2 implies foreach(Z in D, Z = 1)",
+    "D = 2 implies exists(Z in D, Z = 1)",
+    "A = 1 implies subset(A, B)",
+    "A = 1 implies nsubset(A, B)",
+    "F = a implies npfun(F)",
+    "X = a implies 3 =< X",
+    "nun(1, 2, 3)",
 ])
 def test_prove_does_not_count_an_ill_sorted_death_as_a_proof(capsys, goal):
     # The negated goal dies of the ill-sorted {a/1} whichever way the goal
@@ -179,8 +199,9 @@ def test_prove_does_not_count_an_ill_sorted_death_as_a_proof(capsys, goal):
 
 
 @pytest.mark.parametrize("invariant", ["f = {[a, 0] / n}", "f neq {[a, 0] / n}"])
-def test_untyped_verify_does_not_prove_an_ill_sorted_invariant(machine_file,
-                                                              capsys, invariant):
-    assert cli.main(["verify", "--untyped", machine_file(invariant)]) == cli.UNKNOWN
-    assert capsys.readouterr().out.startswith(
-        "iv/INIT/inv1  Unknown  (ill-sorted term: invalid set tail: Int(value=0))\n")
+def test_verify_rejects_an_ill_sorted_invariant_as_a_type_error(machine_file,
+                                                               capsys, invariant):
+    assert cli.main(["verify", machine_file(invariant)]) == cli.USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("type errors:\n") and "type mismatch" in out.err

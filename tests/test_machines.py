@@ -126,6 +126,7 @@ def test_machine_error_is_a_parse_error_with_a_line():
 @pytest.mark.parametrize("invariant, first", [
     ("n in int(0, 3)", C("in", Var("n"), Interval(Int(0), Int(3)))),
     ("n is -(n)", C("is", Var("n"), ANeg(Var("n")))),
+    ("le(n, n + 1)", C("le", Var("n"), ABin("+", Var("n"), Int(1)))),  # prefix form
 ])
 def test_fold_counts_through_intervals_and_negations(invariant, first):
     m = machine(f"  inv1: {invariant} & f(a) = n")

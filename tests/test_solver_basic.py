@@ -233,6 +233,13 @@ def test_ground_complete_reads_interval_bounds(run):
     "[X, Y] = [{a/Y}, 1]",        # inside one unification, at the bind
     "Y = 1 & Z in {a/Y}",
     "X = int(1, Y) & Y = a",      # a non-integer interval bound
+    "1 < {a}",                    # a ground non-integer in arithmetic
+    "X < {a}",
+    "dom(F, D) & F = 1",          # a non-set in a relation position
+    "X = cp(Y, Z) & Y = 1",       # a non-set product factor
+    "un(A, B, C) & A = 1",
+    "X < Y & Y = a",              # an arithmetic variable bound to an atom
+    "X < Y & Y in {a}",           # ... after the arithmetic store holds it
 ])
 def test_ill_sorted_bind_fails_the_branch(run, text):
     res = run(text)
@@ -253,6 +260,7 @@ def test_well_sorted_unsat_records_no_cut(run, text):
     ("(Y = 1 or Y = {b}) & X = {a/Y}", mkset([Atom("a"), Atom("b")])),
     ("Y = 1 & (X = {a/Y} or X = b)", Atom("b")),
     ("exists(Z in {1, {b}}, X = {a/Z})", mkset([Atom("a"), Atom("b")])),
+    ("Y = 1 & foreach(Z in X, W = {a/Y})", EMPTY),  # holds over an empty domain
 ])
 def test_only_the_branch_with_the_ill_sorted_term_dies(run, text, x):
     # The oracle has no verdict on an ill-sorted term, even in a disjunct or

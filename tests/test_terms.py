@@ -41,10 +41,10 @@ def test_subst_splices_set_tails():
 
 
 def test_subst_reaches_every_position():
-    t = CP(Var("A"), Pair(Var("B"), Interval(Var("L"), Var("H"))))
+    t = CP(Var("A"), mkset([Pair(Var("B"), Interval(Var("L"), Var("H")))]))
     out = subst_term({"A": EMPTY, "B": Int(1), "L": Int(2), "H": Int(3)}, t)
     assert is_ground(out)
-    assert out == CP(EMPTY, Pair(Int(1), Interval(Int(2), Int(3))))
+    assert out == CP(EMPTY, mkset([Pair(Int(1), Interval(Int(2), Int(3)))]))
 
 
 def test_compose_stays_idempotent():
@@ -86,7 +86,7 @@ def test_terms_are_hashable_values():
 
 
 def test_subst_shares_untouched_structure():
-    untouched = Pair(Atom("a"), mkset([Int(1)], tail=Var("R")))
+    untouched = mkset([Pair(Atom("a"), mkset([Int(1)], tail=Var("R")))])
     t = CP(untouched, Interval(Var("L"), Int(3)))
     s = {"L": Int(0), "Z": Int(9)}
     out = subst_term(s, t)
