@@ -48,12 +48,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class OrNode:
-    alts: tuple[Formula, ...]
-
-
-QItem = object  # Constraint | OrNode
+QItem = object  # Constraint | Or
 STALE = -1  # the stamp of a queued item that may not be normal
 
 PRIO = {
@@ -61,15 +56,11 @@ PRIO = {
     "in": 1, "nin": 1, "neq": 1, "npair": 1, "is": 1, "le": 1, "lt": 1,
     "foreach": 3, "exists": 3,
 }
-N_PRIO = 5
+N_PRIO = 4
 
 
 def _prio(item: QItem) -> int:
-    if isinstance(item, OrNode):
-        return 2
-    if item.delayed:
-        return 4
-    return PRIO.get(item.kind, 2)
+    return 2 if isinstance(item, Or) else PRIO.get(item.kind, 2)
 
 
 def items_of(f: Formula) -> Optional[list[QItem]]:
@@ -78,7 +69,7 @@ def items_of(f: Formula) -> Optional[list[QItem]]:
         return []
     if isinstance(f, FalseF):
         return None
-    if isinstance(f, Constraint):
+    if isinstance(f, (Constraint, Or)):
         return [f]
     if isinstance(f, And):
         out: list[QItem] = []
@@ -88,8 +79,6 @@ def items_of(f: Formula) -> Optional[list[QItem]]:
                 return None
             out.extend(sub)
         return out
-    if isinstance(f, Or):
-        return [OrNode(f.parts)]
     if isinstance(f, PredCall):
         raise IllFormed(f"unknown predicate {f.name}/{len(f.args)}")
     raise IllFormed(f"unexpected {type(f).__name__} after preprocessing")
@@ -112,7 +101,7 @@ class Store:
 
     def clone(self) -> "Store":
         s = Store.__new__(Store)
-        s.subst = dict(self.subst)
+        s.subst = self.subst  # apply_bind replaces it, nothing mutates it
         s.binds = self.binds
         s.queues = [deque(q) for q in self.queues]
         s.parked = list(self.parked)
@@ -172,7 +161,7 @@ class Store:
         sset: set[str] = set()
         sint = self.arith.vars()
         for c, normal in self.items():
-            if isinstance(c, OrNode):
+            if isinstance(c, Or):
                 continue
             if c.q is not None:
                 d = c.q.domain if normal else subst_term(self.subst, c.q.domain)
@@ -262,13 +251,9 @@ def prepare(formula: Formula, program: Optional[Program], gen: VarGen) -> Formul
 
 
 def solve(formula: Formula, program: Optional[Program] = None, *,
-          budget: int = 200_000, max_solutions: int = 1,
-          gen: Optional[VarGen] = None,
-          query_vars: Optional[set[str]] = None,
-          trace=None) -> Result:
-    gen = gen or VarGen()
-    if query_vars is None:
-        query_vars = formula_vars(formula)
+          budget: int = 200_000, max_solutions: int = 1, trace=None) -> Result:
+    gen = VarGen()
+    query_vars = formula_vars(formula)
     f = prepare(formula, program, gen)
     root = Store(gen)
     init = items_of(f)
@@ -297,9 +282,9 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
                 break
             stamp, item = popped
             steps += 1
-            if isinstance(item, OrNode):
+            if isinstance(item, Or):
                 branches = []
-                for alt in item.alts:
+                for alt in item.parts:
                     try:
                         g = subst_formula(store.subst, alt, store.gen)
                     except IllSorted as e:
@@ -404,8 +389,8 @@ def _extract(store: Store, query_vars: set[str]) -> Optional[Solution]:
 
 # --- grounding completion ----------------------------------------------------
 
-def ground_complete(sol: Solution, hints: Optional[dict[str, list[Term]]] = None,
-                    tries: int = 4000) -> Optional[dict[str, Term]]:
+def ground_complete(sol: Solution,
+                    hints: Optional[dict[str, list[Term]]] = None) -> Optional[dict[str, Term]]:
     """Extend an answer to a fully ground witness, or return None.
 
     Unbound variables are filled from carrier hints, the arithmetic model,
@@ -494,7 +479,7 @@ def ground_complete(sol: Solution, hints: Optional[dict[str, list[Term]]] = None
         name, cands = pools[idx]
         for cand in cands:
             count[0] += 1
-            if count[0] > tries:
+            if count[0] > 4000:  # candidates tried before giving up
                 return None
             fill[name] = cand
             got = rec(idx + 1, fill)

@@ -12,7 +12,7 @@ from .terms import Pair, Term, Var, VarGen, subst_term, term_vars
 # schema variable, ("S", x) a set of x, ("P", x, y) a pair and INT an integer.
 # The typechecker instantiates them; the parser, the rewrite rules and the
 # store read their set and integer positions from them.  Every ``nX`` is the
-# exact complement of ``X``.
+# exact complement of ``X`` (``COMPLEMENT`` pairs them).
 # ``npair`` is internal: it is emitted by negative rewrite rules and never
 # appears in surface syntax.
 INT = 0
@@ -49,6 +49,8 @@ SIG = _signatures()
 SET_POS = {k: tuple(i for i, s in enumerate(sig) if isinstance(s, tuple) and s[0] == "S")
            for k, sig in SIG.items()}
 INT_POS = {k: tuple(i for i, s in enumerate(sig) if s == INT) for k, sig in SIG.items()}
+_NEGATED = {"n" + k: k for k in SIG if "n" + k in SIG}
+COMPLEMENT = _NEGATED | {k: nk for nk, k in _NEGATED.items()}
 # ``dec(X, type)`` is a typing directive; its second argument is a type.
 ARITY = {k: len(sig) for k, sig in SIG.items()} | {"dec": 2}
 KINDS = frozenset(ARITY) | {"foreach", "exists"}
@@ -93,7 +95,6 @@ class Constraint(Formula):
     kind: str
     args: tuple = ()
     q: Optional[QPayload] = None
-    delayed: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -186,8 +187,8 @@ def disj(parts: Iterable[Formula]) -> Formula:
     return Or(tuple(flat))
 
 
-def C(kind: str, *args, q: Optional[QPayload] = None, delayed: bool = False) -> Constraint:
-    return Constraint(kind, tuple(args), q=q, delayed=delayed)
+def C(kind: str, *args, q: Optional[QPayload] = None) -> Constraint:
+    return Constraint(kind, tuple(args), q=q)
 
 
 def binder_names(binder: Term) -> tuple[str, ...]:
@@ -253,7 +254,7 @@ def subst_formula(s: dict[str, Term], f: Formula, gen: VarGen) -> Formula:
         args = tuple([_subst_arg(s, a) for a in f.args])
         if all(map(operator.is_, args, f.args)):
             return f
-        return Constraint(f.kind, args, delayed=f.delayed)
+        return Constraint(f.kind, args)
     if cls is And or cls is Or:
         parts = tuple([subst_formula(s, p, gen) for p in f.parts])
         return f if all(map(operator.is_, parts, f.parts)) else cls(parts)
@@ -294,8 +295,7 @@ def _subst_quant(s: dict[str, Term], f: Constraint, gen: VarGen) -> Constraint:
     if not inner:
         if domain is q.domain:
             return f
-        return Constraint(f.kind, (), q=QPayload(q.binder, domain, q.locals, q.body, q.funcs),
-                          delayed=f.delayed)
+        return Constraint(f.kind, (), q=QPayload(q.binder, domain, q.locals, q.body, q.funcs))
     # Rename bound names that would capture variables of the incoming terms.
     incoming: set[str] = set()
     for v in inner.values():
@@ -317,8 +317,7 @@ def _subst_quant(s: dict[str, Term], f: Constraint, gen: VarGen) -> Constraint:
         funcs = subst_formula(inner, funcs, gen)
     if not renames and domain is q.domain and body is q.body and funcs is q.funcs:
         return f
-    return Constraint(f.kind, (), q=QPayload(binder, domain, locals_, body, funcs),
-                      delayed=f.delayed)
+    return Constraint(f.kind, (), q=QPayload(binder, domain, locals_, body, funcs))
 
 
 class IllFormed(Exception):
@@ -354,8 +353,7 @@ def expand_calls(f: Formula, program: Optional[Program], gen: VarGen,
         q = f.q
         body = expand_calls(q.body, program, gen, _stack)
         funcs = expand_calls(q.funcs, program, gen, _stack) if q.funcs is not None else None
-        return Constraint(f.kind, (), q=QPayload(q.binder, q.domain, q.locals, body, funcs),
-                          delayed=f.delayed)
+        return Constraint(f.kind, (), q=QPayload(q.binder, q.domain, q.locals, body, funcs))
     return f
 
 

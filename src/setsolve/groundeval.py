@@ -11,8 +11,8 @@ from typing import Optional
 
 from . import arith
 from .formulas import (
-    And, Constraint, FalseF, Formula, Implies, Neg, Or, PredCall, TrueF, binder_names,
-    subst_formula,
+    COMPLEMENT, And, Constraint, FalseF, Formula, Implies, Neg, Or, PredCall, TrueF,
+    binder_names, subst_formula,
 )
 from .terms import (
     CP, Atom, EmptySet, ExtSet, Int, Interval, Pair, Str, Term, Var, VarGen,
@@ -92,6 +92,8 @@ def _eval_aexpr(a) -> int:
 def eval_constraint(c: Constraint) -> bool:
     """Truth value of a ground constraint.  Raises NotGround otherwise."""
     k = c.kind
+    if k.startswith("n") and k in COMPLEMENT:  # nX holds where X does not
+        return not eval_constraint(Constraint(COMPLEMENT[k], c.args))
     if k in ("foreach", "exists"):
         return _eval_quant(c)
     if k in ("is", "le", "lt"):
@@ -104,56 +106,43 @@ def eval_constraint(c: Constraint) -> bool:
     args = [term_value(a) for a in c.args]
     if k == "eq":
         return args[0] == args[1]
-    if k == "neq":
-        return args[0] != args[1]
     if k == "in":
         return isinstance(args[1], frozenset) and args[0] in args[1]
-    if k == "nin":
-        return not (isinstance(args[1], frozenset) and args[0] in args[1])
     if k == "npair":
         return not is_pair_value(args[0])
-    if k in ("un", "nun"):
+    if k == "un":
         a, b, cc = args
-        ok = (isinstance(a, frozenset) and isinstance(b, frozenset)
-              and isinstance(cc, frozenset) and (a | b) == cc)
-        return ok if k == "un" else not ok
-    if k in ("disj", "ndisj"):
+        return (isinstance(a, frozenset) and isinstance(b, frozenset)
+                and isinstance(cc, frozenset) and (a | b) == cc)
+    if k == "disj":
         a, b = args
-        ok = isinstance(a, frozenset) and isinstance(b, frozenset) and not (a & b)
-        return ok if k == "disj" else not ok
-    if k in ("subset", "nsubset"):
+        return isinstance(a, frozenset) and isinstance(b, frozenset) and not (a & b)
+    if k == "subset":
         a, b = args
-        ok = isinstance(a, frozenset) and isinstance(b, frozenset) and a <= b
-        return ok if k == "subset" else not ok
-    if k in ("comp", "ncomp"):
+        return isinstance(a, frozenset) and isinstance(b, frozenset) and a <= b
+    if k == "comp":
         r, s, t = args
-        ok = (is_relation(r) and is_relation(s) and isinstance(t, frozenset)
-              and compose_rel(r, s) == t)
-        return ok if k == "comp" else not ok
-    if k in ("inv", "ninv"):
+        return (is_relation(r) and is_relation(s) and isinstance(t, frozenset)
+                and compose_rel(r, s) == t)
+    if k == "inv":
         r, t = args
-        ok = (is_relation(r) and isinstance(t, frozenset)
-              and frozenset(("pair", b, a) for a, b in rel_pairs(r)) == t)
-        return ok if k == "inv" else not ok
-    if k in ("id", "nid"):
+        return (is_relation(r) and isinstance(t, frozenset)
+                and frozenset(("pair", b, a) for a, b in rel_pairs(r)) == t)
+    if k == "id":
         a, r = args
-        ok = (isinstance(a, frozenset) and isinstance(r, frozenset)
-              and frozenset(("pair", x, x) for x in a) == r)
-        return ok if k == "id" else not ok
-    if k in ("pfun", "npfun"):
+        return (isinstance(a, frozenset) and isinstance(r, frozenset)
+                and frozenset(("pair", x, x) for x in a) == r)
+    if k == "pfun":
         f = args[0]
-        ok = is_relation(f) and len({a for a, _ in rel_pairs(f)}) == len(f)
-        return ok if k == "pfun" else not ok
-    if k in ("dom", "ndom"):
+        return is_relation(f) and len({a for a, _ in rel_pairs(f)}) == len(f)
+    if k == "dom":
         r, d = args
-        ok = (is_relation(r) and isinstance(d, frozenset)
-              and frozenset(a for a, _ in rel_pairs(r)) == d)
-        return ok if k == "dom" else not ok
-    if k in ("ran", "nran"):
+        return (is_relation(r) and isinstance(d, frozenset)
+                and frozenset(a for a, _ in rel_pairs(r)) == d)
+    if k == "ran":
         r, d = args
-        ok = (is_relation(r) and isinstance(d, frozenset)
-              and frozenset(b for _, b in rel_pairs(r)) == d)
-        return ok if k == "ran" else not ok
+        return (is_relation(r) and isinstance(d, frozenset)
+                and frozenset(b for _, b in rel_pairs(r)) == d)
     if k == "applyTo":
         f, x, y = args
         if not is_relation(f):

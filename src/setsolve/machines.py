@@ -34,15 +34,17 @@ connectives.  ``_MParser`` subclasses it with ``#`` comments, ``:=`` and
 ``:`` punctuation and a single word class, and overrides ``word`` (scope
 resolution and application lifting), ``sub_term`` (nested applications and
 parenthesised terms), ``mark``/``reset`` (which also undo lifted
-applications), ``call`` (constraints only, with term arguments, and no
-``dec``, ``foplus``, ``delay`` or predicate calls) and ``quantifier``
-(declared binders; lifted applications become locals).  Block structure,
-scoping, folding, well-definedness sites and actions are its own.
+applications), ``call`` (constraints only, with integer expressions in
+the integer positions of their signatures, and no ``dec``, ``foplus`` or
+predicate calls) and ``quantifier`` (declared binders; lifted applications
+become locals).  Block structure, scoping, folding, well-definedness sites
+and actions are its own.
 
 Guards and invariants use the constraint language, extended with function
 application ``f(x)``.  Applications are not terms of the core language, so
-they are compiled away: ``f(x)`` becomes a fresh variable ``m`` constrained
-by ``applyTo(f, x, m)``.  Inside a quantifier the application constraints
+they are compiled away: ``f(x)`` becomes a fresh variable ``m``, named
+``m1``, ``m2``, ... but never a word of the file, constrained by
+``applyTo(f, x, m)``.  Inside a quantifier the application constraints
 move to the functional slot of the quantifier and the fresh variables become
 its locals.  Every application produced this way is kept as a
 well-definedness obligation.
@@ -56,15 +58,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import ABin, ANeg
 from .formulas import (
-    C, Constraint, Formula, Implies, KINDS, Neg, Or, QPayload, TrueF,
-    conj, disj,
+    And, C, Constraint, Formula, Implies, KINDS, QPayload, TrueF, conj, disj,
 )
 from .parser import ParseError, Parser, Tok
-from .terms import (
-    CP, Atom, ExtSet, Interval, Pair, Term, Var, mkset, term_vars,
-)
+from .terms import Atom, Pair, Term, Var, mkset
 from .typecheck import TBasic, TEnum, TSet
 
 _KEYWORDS = frozenset((
@@ -75,7 +73,7 @@ _KEYWORDS = frozenset((
 # Names that cannot be declared as variables, carriers or parameters.
 _RESERVED = frozenset(KINDS) | _KEYWORDS | frozenset((
     "or", "implies", "neg", "true", "false", "cp", "int", "str",
-    "etype", "stype", "div", "mod", "delay", "dec",
+    "etype", "stype", "div", "mod", "dec",
 ))
 
 
@@ -196,6 +194,7 @@ class _MParser(Parser):
         self.site = ""
         self.lift_vars: set[str] = set()
         self.m_counter = 0
+        self.words = {t.val for t in self.toks}  # a lifted name is none of these
         self.in_init = False
 
     def name_tok(self, what: str) -> Tok:
@@ -232,7 +231,7 @@ class _MParser(Parser):
         while True:
             self.m_counter += 1
             name = f"m{self.m_counter}"
-            if not self.in_scope(name):
+            if name not in self.words:
                 self.lift_vars.add(name)
                 return name
 
@@ -475,50 +474,31 @@ class _MParser(Parser):
     def fold(self, f: Formula) -> Formula:
         """Merge ``applyTo(f, x, m) & m = t`` into ``applyTo(f, x, t)``.
 
-        Only fires when m is a generated variable used exactly twice, both
-        times as immediate conjuncts: the lift and a defining equality.
+        m is a lifted variable and both are immediate conjuncts.  Each
+        application lifts its own m, under a name the text never writes, so
+        m occurs only in its applyTo and where the application stood: here,
+        the equality.  So m occurs exactly twice, and the equality can go.
+        A fold only removes equalities, so one pass finds every match.
         """
-        from .formulas import And
-
         if not isinstance(f, And):
             return f
         items = list(f.parts)
-
-        def var_count(name: str) -> int:
-            total = 0
-            for g in items:
-                total += _count_var(g, name)
-            return total
-
-        changed = True
-        while changed:
-            changed = False
-            for i, g in enumerate(items):
-                if not (isinstance(g, Constraint) and g.kind == "applyTo"):
+        folded: set[int] = set()
+        for i, g in enumerate(items):
+            if not (isinstance(g, Constraint) and g.kind == "applyTo"):
+                continue
+            out = g.args[2]
+            if not (isinstance(out, Var) and out.name in self.lift_vars):
+                continue
+            for j, h in enumerate(items):
+                if j in folded or not (isinstance(h, Constraint) and h.kind == "eq"
+                                       and out in h.args):
                     continue
-                out = g.args[2]
-                if not (isinstance(out, Var) and out.name in self.lift_vars):
-                    continue
-                for j, h in enumerate(items):
-                    if j == i or not (isinstance(h, Constraint) and h.kind == "eq"):
-                        continue
-                    a, b = h.args
-                    other = None
-                    if a == out and isinstance(b, Term) and out.name not in term_vars(b):
-                        other = b
-                    elif b == out and isinstance(a, Term) and out.name not in term_vars(a):
-                        other = a
-                    if other is None:
-                        continue
-                    if var_count(out.name) != 2:
-                        continue
-                    items[i] = Constraint("applyTo", (g.args[0], g.args[1], other))
-                    del items[j]
-                    changed = True
-                    break
-                if changed:
-                    break
-        return conj(items)
+                a, b = h.args
+                items[i] = Constraint("applyTo", (g.args[0], g.args[1], b if a == out else a))
+                folded.add(j)
+                break
+        return conj(g for j, g in enumerate(items) if j not in folded)
 
     # --- hooks of the shared grammar --------------------------------------------
 
@@ -682,46 +662,6 @@ class _MParser(Parser):
         m = Var(self.fresh_m())
         lifted.append(Constraint("is", (m, e)))
         return m
-
-
-def _count_var(f: Formula, name: str) -> int:
-    """Occurrences of a variable in a formula, counted syntactically."""
-    from .formulas import And, PredCall
-
-    def ct(t) -> int:
-        if isinstance(t, Var):
-            return 1 if t.name == name else 0
-        if isinstance(t, Pair):
-            return ct(t.first) + ct(t.second)
-        if isinstance(t, ExtSet):
-            return ct(t.head) + ct(t.tail)
-        if isinstance(t, (CP, ABin)):
-            return ct(t.left) + ct(t.right)
-        if isinstance(t, Interval):
-            return ct(t.lo) + ct(t.hi)
-        if isinstance(t, ANeg):
-            return ct(t.body)
-        return 0
-
-    if isinstance(f, Constraint):
-        total = sum(ct(a) for a in f.args if isinstance(a, (Term, ABin, ANeg)))
-        if f.q is not None:
-            total += ct(f.q.binder) + ct(f.q.domain)
-            total += _count_var(f.q.body, name)
-            if f.q.funcs is not None:
-                total += _count_var(f.q.funcs, name)
-        return total
-    if isinstance(f, And):
-        return sum(_count_var(g, name) for g in f.parts)
-    if isinstance(f, Or):
-        return sum(_count_var(g, name) for g in f.parts)
-    if isinstance(f, Implies):
-        return _count_var(f.left, name) + _count_var(f.right, name)
-    if isinstance(f, Neg):
-        return _count_var(f.body, name)
-    if isinstance(f, PredCall):
-        return sum(ct(a) for a in f.args if isinstance(a, (Term, ABin, ANeg)))
-    return 0
 
 
 def parse_machine(text: str) -> Machine:

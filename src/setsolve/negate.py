@@ -8,29 +8,14 @@ override, predicate calls that introduce local existentials) raise
 from __future__ import annotations
 
 from .formulas import (
-    And, C, Constraint, FalseF, Formula, Implies, Neg, Or, PredCall, Program,
-    QPayload, TrueF, conj, disj, instantiate_clause,
+    COMPLEMENT, And, C, Constraint, FalseF, Formula, Implies, Neg, Or, PredCall,
+    Program, QPayload, TrueF, conj, disj, instantiate_clause,
 )
 from .terms import Pair, VarGen, mkset, term_vars
 
 
 class NotNegatable(Exception):
     pass
-
-
-COMPLEMENT = {
-    "eq": "neq", "neq": "eq",
-    "in": "nin", "nin": "in",
-    "un": "nun", "nun": "un",
-    "disj": "ndisj", "ndisj": "disj",
-    "subset": "nsubset", "nsubset": "subset",
-    "comp": "ncomp", "ncomp": "comp",
-    "inv": "ninv", "ninv": "inv",
-    "id": "nid", "nid": "id",
-    "pfun": "npfun", "npfun": "pfun",
-    "dom": "ndom", "ndom": "dom",
-    "ran": "nran", "nran": "ran",
-}
 
 
 def negate(f: Formula, gen: VarGen, program: Program | None = None) -> Formula:
@@ -131,6 +116,5 @@ def nnf(f: Formula, gen: VarGen, program: Program | None = None) -> Formula:
         q = f.q
         body = nnf(q.body, gen, program)
         funcs = nnf(q.funcs, gen, program) if q.funcs is not None else None
-        return Constraint(f.kind, (), q=QPayload(q.binder, q.domain, q.locals, body, funcs),
-                          delayed=f.delayed)
+        return Constraint(f.kind, (), q=QPayload(q.binder, q.domain, q.locals, body, funcs))
     return f

@@ -129,7 +129,9 @@ def tokenize(text: str, comment: str = "%", punct2: tuple[str, ...] = _PUNCT2,
     return toks
 
 
-_INFIX = {
+# Infix constraint operators: the constraint kind, and whether the operands
+# swap (``A >= B`` is ``le(B, A)``).  The printer writes the unswapped ones.
+INFIX_OPS = {
     "=": ("eq", False), "neq": ("neq", False),
     "in": ("in", False), "nin": ("nin", False),
     "is": ("is", False),
@@ -405,8 +407,8 @@ class Parser:
         return self.call(t)
 
     def call(self, t: Tok) -> Formula:
-        """``delay``, ``dec``, a constraint or a predicate call; failing
-        those, an infix constraint."""
+        """``dec``, a constraint or a predicate call; failing those, an
+        infix constraint."""
         if t.kind != "atom":
             return self.infix_constraint()
         if self.peek(1).val != "(":
@@ -414,14 +416,6 @@ class Parser:
                 return self.infix_constraint()
             self.next()
             return PredCall(t.val, ())
-        if t.val == "delay":
-            self.next()
-            self.expect("(")
-            f = self.prim_formula()
-            self.expect(")")
-            if not isinstance(f, Constraint) or f.q is not None:
-                raise self.Error("delay applies to a single constraint", t.line, t.col)
-            return Constraint(f.kind, f.args, delayed=True)
         if t.val == "dec":
             self.next()
             self.expect("(")
@@ -464,7 +458,7 @@ class Parser:
         return Constraint(kind, tuple(args))
 
     def _tok_infix(self, t: Tok) -> bool:
-        return t.val in _INFIX and t.kind in ("punct", "atom")
+        return t.val in INFIX_OPS and t.kind in ("punct", "atom")
 
     def _at_infix(self) -> bool:
         return self._tok_infix(self.peek())
@@ -478,7 +472,7 @@ class Parser:
                              op.line, op.col)
         self.next()
         b = self.aexpr()
-        kind, swap = _INFIX[op.val]
+        kind, swap = INFIX_OPS[op.val]
         if swap:
             a, b = b, a
         if kind == "is" and not isinstance(a, Term):

@@ -6,14 +6,13 @@ from __future__ import annotations
 
 from .arith import ABin, ANeg
 from .formulas import And, Constraint, FalseF, Formula, Implies, Neg, Or, PredCall, TrueF
+from .parser import INFIX_OPS
 from .terms import (
     CP, Atom, EmptySet, ExtSet, Int, Interval, Pair, Str, Term, Var, set_parts,
 )
+from .typecheck import pp_type
 
-INFIX = {
-    "eq": "=", "neq": "neq", "in": "in", "nin": "nin",
-    "le": "=<", "lt": "<", "is": "is",
-}
+INFIX = {kind: op for op, (kind, swap) in INFIX_OPS.items() if not swap}
 
 _PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_ATOM = 1, 2, 3, 4
 
@@ -77,16 +76,12 @@ def pp_constraint(c: Constraint) -> str:
         return f"{c.kind}({binder} in {dom},{_pp(q.body, _PREC_ATOM)})"
     if c.kind in INFIX:
         a, b = c.args
-        body = f"{pp_aexpr(a)} {INFIX[c.kind]} {pp_aexpr(b)}"
-        return f"delay({body})" if c.delayed else body
+        return f"{pp_aexpr(a)} {INFIX[c.kind]} {pp_aexpr(b)}"
     if c.kind == "dec":
-        from .typecheck import pp_type
-
         v, ty = c.args
         return f"dec({pp_term(v)},{pp_type(ty)})"
     args = ",".join(pp_aexpr(a) for a in c.args)
-    body = f"{c.kind}({args})"
-    return f"delay({body})" if c.delayed else body
+    return f"{c.kind}({args})"
 
 
 def _pp(f: Formula, ctx: int) -> str:

@@ -717,8 +717,7 @@ def _rule_quant(c: Constraint, store):
         raise IllSorted(f"not a set: {d!r}")
     g = concretize(d)
     if g is not None:
-        return [[Constraint(c.kind, (), q=QPayload(q.binder, g, q.locals, q.body, q.funcs),
-                            delayed=c.delayed)]]
+        return [[Constraint(c.kind, (), q=QPayload(q.binder, g, q.locals, q.body, q.funcs))]]
     foreach = c.kind == "foreach"
     gen = store.gen
 
@@ -743,8 +742,7 @@ def _rule_quant(c: Constraint, store):
     if isinstance(d, EmptySet):
         return [[]] if foreach else []
     if isinstance(d, ExtSet):
-        rest = Constraint(c.kind, (), q=QPayload(q.binder, d.tail, q.locals, q.body, q.funcs),
-                          delayed=c.delayed)
+        rest = Constraint(c.kind, (), q=QPayload(q.binder, d.tail, q.locals, q.body, q.funcs))
         if foreach:
             return [instantiate(d.head) + [rest]]
         try:

@@ -20,28 +20,14 @@ from .terms import (
 )
 
 
+@dataclass(frozen=True)
 class TInt:
-    _inst = None
-
-    def __new__(cls):
-        if cls._inst is None:
-            cls._inst = super().__new__(cls)
-        return cls._inst
-
-    def __repr__(self):
-        return "TInt"
+    pass
 
 
+@dataclass(frozen=True)
 class TStr:
-    _inst = None
-
-    def __new__(cls):
-        if cls._inst is None:
-            cls._inst = super().__new__(cls)
-        return cls._inst
-
-    def __repr__(self):
-        return "TStr"
+    pass
 
 
 @dataclass(frozen=True)
@@ -288,6 +274,12 @@ class Checker:
             self.check_formula(f.right, where)
             return
         if isinstance(f, PredCall):
+            if not all(isinstance(a, Term) for a in f.args):
+                # As formulas.instantiate_clause, which solve goes through.
+                self.errors.append(TypeError_(
+                    f"predicate {f.name}/{len(f.args)} takes terms, not integer expressions",
+                    where))
+                return
             sig = self.env.preds.get((f.name, len(f.args)))
             if sig is None:
                 self.errors.append(TypeError_(f"no signature for {f.name}/{len(f.args)}", where))

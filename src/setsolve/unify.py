@@ -30,8 +30,10 @@ def unify(t1: Term, t2: Term, gen: Optional[VarGen] = None,
           cuts: Optional[list[str]] = None) -> list[Branch]:
     """All ways to make two terms equal under set semantics.  An alternative
     whose bind leaves a term ill-sorted is dropped, and why goes to cuts."""
-    gen = gen or VarGen()
-    gen.bump_past(term_vars(t1) | term_vars(t2))
+    if gen is None:
+        # A caller's generator is already clear of the caller's variables.
+        gen = VarGen()
+        gen.bump_past(term_vars(t1) | term_vars(t2))
     return _solve([(t1, t2)], {}, [], gen, [] if cuts is None else cuts)
 
 

@@ -36,7 +36,7 @@ from .machines import (
 )
 from .printer import pp_formula, pp_term
 from .terms import EMPTY, Atom, Pair, Term, Var, VarGen, is_ground, mkset
-from .typecheck import TBasic, TEnum, TProd, TSet, TypeEnv, check_formula
+from .typecheck import TEnum, TProd, TSet, TypeEnv, check_formula
 
 
 @dataclass(frozen=True)
@@ -203,12 +203,11 @@ def _hints(m: Machine) -> dict[str, list[Term]]:
     function-valued state can be completed.  Primed copies share the
     candidates of their base variable.
     """
-    syn = dict(machine_synonyms(m))
-    syn.setdefault("bool", TEnum(("true", "false")))
+    env = TypeEnv()
+    env.synonyms.update(machine_synonyms(m))
 
     def members(ty) -> Optional[tuple[str, ...]]:
-        while isinstance(ty, TBasic) and ty.name in syn:
-            ty = syn[ty.name]
+        ty = env.resolve(ty)
         return ty.members if isinstance(ty, TEnum) else None
 
     out: dict[str, list[Term]] = {}

@@ -1,6 +1,10 @@
 """Exit codes of the command line front end on small machine files."""
+from importlib import resources
+
 import pytest
 from setsolve import cli
+
+GEARS = str(resources.files("setsolve") / "data" / "corpus" / "gears.smch")
 
 _MACHINE = """\
 machine iv
@@ -79,6 +83,17 @@ def test_bad_trace_chunk_names_the_file_line(machine_file, tmp_path, capsys):
     assert err.startswith(f"{argv[3]}:3: expected param=value, found 'po'")
 
 
+@pytest.mark.parametrize("trace, code, last", [
+    ("start_GearRetract po=front\nmake_GearExtended po=front\n", cli.OK,
+     "state 2 after make_GearExtended"),
+    ("start_GearRetract po=front\nstart_GearRetract po=front\n", cli.REFUTED,
+     "stuck: start_GearRetract is not enabled in this state"),
+])
+def test_animate_replays_a_trace_on_gears(tmp_path, capsys, trace, code, last):
+    assert _animate(GEARS, tmp_path, trace)[0] == code
+    assert last in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("cmd, suffix, text", [
     ("verify", ".smch", _MACHINE % "n >= 0 $"),
     ("animate", ".smch", _MACHINE % "n >= 0 $"),
@@ -108,6 +123,7 @@ def test_parse_error_names_the_file(tmp_path, capsys, cmd, suffix, text):
     (["solve", "-e", "un(1 + 1, {}, C)"], "argument 1 of un must be a term"),
     (["solve", "-e", "eq(X + 1, Y)"], "argument 1 of eq must be a term"),
     (["solve", "-e", "subset(X + 1, A)"], "argument 1 of subset must be a term"),
+    (["solve", "-e", "delay(X = 1)"], "expected ')', found '='"),
 ])
 def test_bad_goal_is_a_one_line_usage_error(capsys, argv, message):
     assert cli.main(argv) == cli.USAGE

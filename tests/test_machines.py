@@ -80,6 +80,16 @@ def test_fold_into_state_variable():
         C("le", Int(0), Var("n")), C("applyTo", Var("f"), Atom("a"), Var("n"))))
 
 
+def test_lifted_names_avoid_every_word_of_the_file():
+    # inv1 lifts f(a) before the parameter m1 is declared; the guard's
+    # equality on m1 stays, because m1 is not a lifted name.
+    m = machine("  inv1: f(a) = n", events="event ev\n  any m1\n  where\n"
+                "    grd1: applyTo(f, a, m1) & m1 = 1\n  end\n")
+    assert m.invariant("inv1").formula == C("applyTo", Var("f"), Atom("a"), Var("n"))
+    assert m.event("ev").guards[0].formula == And((
+        C("applyTo", Var("f"), Atom("a"), Var("m1")), C("eq", Var("m1"), Int(1))))
+
+
 def test_application_in_foreach_becomes_local():
     m = machine("  inv1: foreach(x in s, f(x) >= 0)")
     q = m.invariant("inv1").formula

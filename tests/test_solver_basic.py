@@ -36,6 +36,7 @@ def test_disequality(run):
     unsat(run, "{1,2} neq {2,1,1}")
     unsat(run, "X neq X")
     sat(run, "[X,2] neq [1,Y]")
+    unsat(run, "X >= 1 & X =< 1 & Y >= 1 & Y =< 1 & X neq Y")
 
 
 def test_membership(run):
@@ -224,6 +225,8 @@ def test_ground_complete_reads_interval_bounds(run):
     g = ground_complete(res.solutions[0])
     assert g["N"].value > 0
     assert g["X"] == Interval(Int(1), g["N"])
+    # N is an integer only through the interval; sat grounds it.
+    sat(run, "X = int(1, N) & N neq 0")
 
 
 @pytest.mark.parametrize("text", [

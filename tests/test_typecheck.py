@@ -46,6 +46,15 @@ def test_undeclared_overload_beside_a_declared_one_is_reported():
     assert "query: no signature for p/2" in errs
 
 
+def test_integer_expression_as_a_predicate_argument_is_reported():
+    errs = [str(e) for e in errors_of("""
+        :- dec_p_type(p(int)).
+        p(X) :- X < 3.
+        ?- p(Y + 1).
+    """)]
+    assert errs == ["query: predicate p/1 takes terms, not integer expressions"]
+
+
 def test_set_versus_scalar_confusion_is_caught():
     assert check_formula(parse_formula("un(А, 1, C)".replace("А", "A")))
     assert check_formula(parse_formula("1 in 2"))
