@@ -286,7 +286,8 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
                 branches = []
                 for alt in item.parts:
                     try:
-                        g = subst_formula(store.subst, alt, store.gen)
+                        g = subst_formula(store.subst, alt, store.gen,
+                                          store.sort_cuts)
                     except IllSorted as e:
                         store.sort_cuts.append(str(e))
                         continue
@@ -314,7 +315,8 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
                 if stamp == store.binds and item.q is None:
                     c = item
                 else:
-                    c = subst_formula(store.subst, item, store.gen)
+                    c = subst_formula(store.subst, item, store.gen,
+                                      store.sort_cuts)
                 out = rewrite(c, store)
             except IllSorted as e:
                 store.sort_cuts.append(str(e))

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from . import arith
-from .terms import Pair, Term, Var, VarGen, subst_term, term_vars
+from .terms import EMPTY, IllSorted, Pair, Term, Var, VarGen, subst_term, term_vars
 
 # Constraint signatures, one sort per argument: a lower-case letter is a
 # schema variable, ("S", x) a set of x, ("P", x, y) a pair and INT an integer.
@@ -242,28 +242,33 @@ def arg_vars(a) -> set[str]:
     return set()
 
 
-def subst_formula(s: dict[str, Term], f: Formula, gen: VarGen) -> Formula:
+def subst_formula(s: dict[str, Term], f: Formula, gen: VarGen,
+                  cuts: Optional[list[str]] = None) -> Formula:
     """Capture-avoiding substitution into a formula.  A formula the
-    substitution does not change is returned as the same object."""
+    substitution does not change is returned as the same object.
+
+    With ``cuts``, a ``foreach`` whose body the substitution leaves
+    ill-sorted holds only over an empty domain: it becomes ``D = {}`` and
+    the ill-sorted term is appended to ``cuts``.  Without, it raises."""
     if not s:
         return f
     cls = type(f)
     if cls is Constraint:
         if f.q is not None:
-            return _subst_quant(s, f, gen)
+            return _subst_quant(s, f, gen, cuts)
         args = tuple([_subst_arg(s, a) for a in f.args])
         if all(map(operator.is_, args, f.args)):
             return f
         return Constraint(f.kind, args)
     if cls is And or cls is Or:
-        parts = tuple([subst_formula(s, p, gen) for p in f.parts])
+        parts = tuple([subst_formula(s, p, gen, cuts) for p in f.parts])
         return f if all(map(operator.is_, parts, f.parts)) else cls(parts)
     if cls is Neg:
-        body = subst_formula(s, f.body, gen)
+        body = subst_formula(s, f.body, gen, cuts)
         return f if body is f.body else Neg(body)
     if cls is Implies:
-        left = subst_formula(s, f.left, gen)
-        right = subst_formula(s, f.right, gen)
+        left = subst_formula(s, f.left, gen, cuts)
+        right = subst_formula(s, f.right, gen, cuts)
         return f if left is f.left and right is f.right else Implies(left, right)
     if cls is PredCall:
         args = tuple([subst_term(s, a) for a in f.args])
@@ -286,7 +291,8 @@ def _subst_arg(s: dict[str, Term], a):
     return a
 
 
-def _subst_quant(s: dict[str, Term], f: Constraint, gen: VarGen) -> Constraint:
+def _subst_quant(s: dict[str, Term], f: Constraint, gen: VarGen,
+                 cuts: Optional[list[str]]) -> Constraint:
     q = f.q
     assert q is not None
     bound = set(binder_names(q.binder)) | set(q.locals)
@@ -312,9 +318,15 @@ def _subst_quant(s: dict[str, Term], f: Constraint, gen: VarGen) -> Constraint:
         body = subst_formula(renames, body, gen)
         if funcs is not None:
             funcs = subst_formula(renames, funcs, gen)
-    body = subst_formula(inner, body, gen)
-    if funcs is not None:
-        funcs = subst_formula(inner, funcs, gen)
+    try:
+        body = subst_formula(inner, body, gen, cuts)
+        if funcs is not None:
+            funcs = subst_formula(inner, funcs, gen, cuts)
+    except IllSorted as e:
+        if f.kind != "foreach" or cuts is None:
+            raise
+        cuts.append(str(e))
+        return Constraint("eq", (domain, EMPTY))
     if not renames and domain is q.domain and body is q.body and funcs is q.funcs:
         return f
     return Constraint(f.kind, (), q=QPayload(binder, domain, locals_, body, funcs))

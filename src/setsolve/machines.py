@@ -713,13 +713,14 @@ def carrier_equalities(m: Machine) -> Formula:
     return conj(parts)
 
 
-def machine_synonyms(m: Machine) -> dict[str, object]:
+def carrier_synonyms(carriers: tuple[Carrier, ...]) -> dict[str, object]:
     """Type synonyms contributed by enumerated carriers."""
-    out: dict[str, object] = {}
-    for c in m.carriers:
-        if c.members is not None:
-            out[c.name] = TEnum(c.members)
-    return out
+    return {c.name: TEnum(c.members) for c in carriers if c.members is not None}
+
+
+def machine_synonyms(m: Machine) -> dict[str, object]:
+    """Type synonyms contributed by the machine's enumerated carriers."""
+    return carrier_synonyms(m.carriers)
 
 
 def machine_var_types(m: Machine) -> dict[str, object]:

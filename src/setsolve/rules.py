@@ -737,7 +737,7 @@ def _rule_quant(c: Constraint, store):
         ren = {l: gen.fresh() for l in q.locals}
         s.update(ren)
         inner = q.body if q.funcs is None else conj([q.funcs, q.body])
-        return pre + [subst_formula(s, inner, gen)]
+        return pre + [subst_formula(s, inner, gen, store.sort_cuts)]
 
     if isinstance(d, EmptySet):
         return [[]] if foreach else []

@@ -11,12 +11,30 @@ Three kinds of obligation are generated:
 An obligation is discharged by refuting its negation: the solver runs on
 ``hypotheses & neg(goal)``.  An unsatisfiable query proves the obligation;
 a satisfiable one is only reported as disproved when the witness can be
-completed to a ground state on which the whole query evaluates to true.
+completed to a well-typed ground state on which the whole query evaluates
+to true.
 
-Hypotheses start minimal: an INV obligation assumes only the invariant
-being preserved and the event itself.  When that fails, further invariants
-are pulled in one at a time, preferring those the candidate counterexample
-violates, then those sharing variables with the goal.
+An INV obligation is discharged in this order:
+
+  1. Goal conjuncts that are conjuncts of the hypotheses (those over
+     variables the event does not write) are not negated: the hypotheses
+     state them.  This is done when the obligation is generated, and the
+     query stays equivalent to the one over the whole goal.
+  2. The remaining goal conjuncts are grouped by shared variables, carrier
+     names aside.  Each group is refuted against only the hypotheses
+     connected to it through such variables, with the carriers left free.
+     An unsatisfiable query shows that a subset of the hypotheses entails
+     its group, so if every group is refuted (with no ill-sorted cut) the
+     obligation is proved.  This is the hypothesis selection of Event-B
+     provers, and its cost does not grow with the carriers.
+  3. Otherwise the whole query is solved with the carriers pinned to their
+     members.  Hypotheses start minimal: only the invariant being preserved
+     and the event itself.  When that fails, further invariants are pulled
+     in one at a time, preferring those the candidate counterexample
+     violates, then those sharing variables with the goal.  Only this stage
+     yields counterexamples and the causes of an Unknown.
+
+INIT and WD obligations go straight to stage 3.
 """
 from __future__ import annotations
 
@@ -24,19 +42,21 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import ground_complete, solve
+from .engine import Solution, ground_complete, solve
 from .formulas import (
-    C, Constraint, Formula, Neg, QPayload, conj, disj, formula_vars,
-    subst_formula,
+    And, C, Constraint, Formula, Neg, QPayload, TrueF, conj, disj,
+    formula_vars, subst_formula,
 )
 from .groundeval import NotGround, eval_formula, term_value, value_to_term
 from .machines import (
-    Machine, WDOcc, carrier_equalities, event_formula, guards_formula,
-    init_formula, machine_synonyms, machine_var_types, prime,
+    Carrier, Machine, WDOcc, carrier_equalities, carrier_synonyms,
+    event_formula, guards_formula, init_formula, machine_var_types, prime,
 )
 from .printer import pp_formula, pp_term
-from .terms import EMPTY, Atom, Pair, Term, Var, VarGen, is_ground, mkset
-from .typecheck import TEnum, TProd, TSet, TypeEnv, check_formula
+from .terms import (
+    EMPTY, Atom, ExtSet, Pair, Term, Var, VarGen, is_ground, mkset,
+)
+from .typecheck import TEnum, TProd, TSet, TypeEnv, check_formula, inhabits
 
 
 @dataclass(frozen=True)
@@ -52,6 +72,7 @@ class PO:
     pool: tuple[tuple[str, Formula], ...]  # candidate extra hypotheses
     decs: tuple[Constraint, ...]
     show_vars: tuple[str, ...]  # variables worth reporting in a counterexample
+    carriers: tuple[Carrier, ...]  # pinned by ``fixed``, left free in stage 2
 
 
 @dataclass
@@ -70,6 +91,12 @@ class VerifyError(Exception):
 
 
 # --- obligation generation ----------------------------------------------------
+
+def _conjuncts(f: Formula) -> list[Formula]:
+    if isinstance(f, And):
+        return [c for p in f.parts for c in _conjuncts(p)]
+    return [] if isinstance(f, TrueF) else [f]
+
 
 def _decs(m: Machine, primed: set[str]) -> tuple[Constraint, ...]:
     tys = machine_var_types(m)
@@ -131,6 +158,7 @@ def generate_pos(m: Machine) -> list[PO]:
             pool=(),
             decs=_decs(m, set()),
             show_vars=statevars + carriers,
+            carriers=m.carriers,
         ))
 
     for ev in m.events:
@@ -141,16 +169,21 @@ def generate_pos(m: Machine) -> list[PO]:
             if not (formula_vars(inv.formula) & written):
                 continue
             goal = prime(inv.formula, written)
+            fixed = conj([ctx, inv.formula, event_formula(m, ev, frames=False)])
+            # A goal conjunct over variables the event does not write is a
+            # conjunct of the hypotheses, so only the others are negated.
+            stated = set(_conjuncts(fixed))
             pos.append(PO(
                 po_id=f"{m.name}/{ev.name}/{inv.label}/INV",
                 kind="INV", machine=m.name, event=ev.name, target=inv.label,
-                fixed=conj([ctx, inv.formula, event_formula(m, ev, frames=False)]),
+                fixed=fixed,
                 goal=goal,
-                neg_goal=Neg(goal),
+                neg_goal=Neg(conj([g for g in _conjuncts(goal) if g not in stated])),
                 pool=tuple((o.label, o.formula) for o in m.invariants
                            if o.label != inv.label),
                 decs=_decs(m, written),
                 show_vars=show,
+                carriers=m.carriers,
             ))
 
         occs: list[tuple[Formula, WDOcc]] = []
@@ -174,14 +207,20 @@ def generate_pos(m: Machine) -> list[PO]:
                 pool=tuple((o.label, o.formula) for o in m.invariants),
                 decs=_decs(m, set()),
                 show_vars=show,
+                carriers=m.carriers,
             ))
     return pos
 
 
+def _type_env(carriers: tuple[Carrier, ...]) -> TypeEnv:
+    env = TypeEnv()
+    env.synonyms.update(carrier_synonyms(carriers))
+    return env
+
+
 def typecheck_machine(m: Machine) -> list[str]:
     """Check every formula of the machine in one shared context."""
-    env = TypeEnv()
-    env.synonyms.update(machine_synonyms(m))
+    env = _type_env(m.carriers)
     parts: list[Formula] = list(_decs(m, set(m.var_names())))
     parts += [inv.formula for inv in m.invariants]
     parts += [a.formula for a in m.init]
@@ -203,8 +242,7 @@ def _hints(m: Machine) -> dict[str, list[Term]]:
     function-valued state can be completed.  Primed copies share the
     candidates of their base variable.
     """
-    env = TypeEnv()
-    env.synonyms.update(machine_synonyms(m))
+    env = _type_env(m.carriers)
 
     def members(ty) -> Optional[tuple[str, ...]]:
         ty = env.resolve(ty)
@@ -254,8 +292,82 @@ def _query(po: PO, hyps: list[Formula]) -> Formula:
     return conj(list(po.decs) + [po.fixed] + hyps + [po.neg_goal])
 
 
+def _groups(parts: list[Formula], free: set[str]) -> list[tuple[set[str], list[Formula]]]:
+    """``parts`` split into groups linked by shared variables outside
+    ``free``, each with those variables; order within a group is kept."""
+    groups: list[tuple[set[str], list[Formula]]] = []
+    for p in parts:
+        vs = formula_vars(p) - free
+        linked = [g for g in groups if g[0] & vs]
+        for g in linked:
+            groups.remove(g)
+            vs |= g[0]
+        groups.append((vs, [q for g in linked for q in g[1]] + [p]))
+    return groups
+
+
+def _connected(parts: list[Formula], seed: set[str], free: set[str]) -> list[Formula]:
+    """The parts reachable from variables ``seed`` through shared variables
+    outside ``free``, in their order."""
+    reach = set(seed)
+    pending = [(formula_vars(p) - free, p) for p in parts]
+    grew = True
+    while grew:
+        grew = False
+        for vs, _ in pending:
+            if vs & reach and not vs <= reach:
+                reach |= vs
+                grew = True
+    return [p for vs, p in pending if vs & reach]
+
+
+def _proved_carrier_free(po: PO, budget: int) -> bool:
+    """Stage 2: refute the negation of each group of goal conjuncts against
+    the hypotheses connected to it, with the carriers not pinned."""
+    carriers = {c.name for c in po.carriers}
+    fixed = _conjuncts(po.fixed)
+    for vs, group in _groups(_conjuncts(po.neg_goal.body), carriers):
+        sliced = _connected(fixed, vs, carriers)
+        res = solve(conj(list(po.decs) + sliced + [Neg(conj(group))]), budget=budget)
+        if not res.unsat or res.ill_sorted:
+            return False
+    return True
+
+
+def _typed_hints(po: PO, sol: Solution,
+                 hints: Optional[dict[str, list[Term]]]) -> dict[str, list[Term]]:
+    """``hints`` plus, for each unbound leaf of an enumerated type in the
+    answer term of a declared variable, that type's members."""
+    env = _type_env(po.carriers)
+    out = dict(hints or {})
+
+    def walk(t: Term, ty) -> None:
+        ty = env.resolve(ty)
+        if isinstance(t, Var):
+            if isinstance(ty, TEnum) and t.name not in out:
+                out[t.name] = [Atom(x) for x in ty.members]
+        elif isinstance(t, ExtSet) and isinstance(ty, TSet):
+            walk(t.head, ty.elem)
+            walk(t.tail, ty)
+        elif isinstance(t, Pair) and isinstance(ty, TProd) and len(ty.parts) == 2:
+            walk(t.first, ty.parts[0])
+            walk(t.second, ty.parts[1])
+
+    for d in po.decs:
+        v, ty = d.args
+        if v.name in sol.bindings:
+            walk(sol.bindings[v.name], ty)
+    return out
+
+
 def _validate(po: PO, hyps: list[Formula], witness: dict[str, Term]) -> bool:
-    """A counterexample must make the whole query true on the ground."""
+    """A counterexample must fit the declared types and make the whole
+    query true on the ground."""
+    env = _type_env(po.carriers)
+    for d in po.decs:
+        v, ty = d.args
+        if v.name in witness and not inhabits(witness[v.name], ty, env):
+            return False
     f = conj([po.fixed] + hyps + [po.neg_goal])
     g = subst_formula(witness, f, VarGen())
     try:
@@ -290,6 +402,9 @@ def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
     def ms() -> float:
         return (time.perf_counter() - t0) * 1000.0
 
+    if po.kind == "INV" and _proved_carrier_free(po, budget):
+        return POResult(po, "Proved", (), 1, ms())
+
     while True:
         iterations += 1
         hyps = [by_label[l] for l in used]
@@ -303,7 +418,8 @@ def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
 
         witness: Optional[dict[str, Term]] = None
         if res.solutions:
-            witness = ground_complete(res.solutions[0], hints=hints)
+            sol = res.solutions[0]
+            witness = ground_complete(sol, hints=_typed_hints(po, sol, hints))
             if witness is not None and not _validate(po, hyps, witness):
                 witness = None
                 note = "witness failed ground validation"

@@ -1,4 +1,5 @@
 """Exit codes of the command line front end on small machine files."""
+import json
 from importlib import resources
 
 import pytest
@@ -221,3 +222,32 @@ def test_verify_rejects_an_ill_sorted_invariant_as_a_type_error(machine_file,
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("type errors:\n") and "type mismatch" in out.err
+
+
+def test_insertion_mutant_counterexample_fits_the_declared_types(tmp_path, capsys):
+    # Inserting a second image breaks pfun; the free images of the other
+    # points must be completed from bool, not with fresh atoms.
+    from setsolve.machines import machine_synonyms, machine_var_types, parse_machine
+    from setsolve.parser import parse_term
+    from setsolve.typecheck import TypeEnv, inhabits
+
+    text = open(GEARS).read().replace(
+        "act1: gear_ext_p(po) := true",
+        "act1: gear_ext_p := {[po, true] / gear_ext_p}")
+    path, report = tmp_path / "ins.smch", tmp_path / "ins.json"
+    path.write_text(text)
+    assert cli.main(["verify", "--json", str(report), str(path)]) == cli.REFUTED
+    capsys.readouterr()
+    row = next(r for r in json.loads(report.read_text())["pos"]
+               if r["id"] == "gears/make_GearExtended/inv1/INV")
+    assert row["status"] == "Disproved"
+    m = parse_machine(text)
+    types = machine_var_types(m)
+    env = TypeEnv()
+    env.synonyms.update(machine_synonyms(m))
+    cex = row["counterexample"]
+    assert {"gear_ext_p", "gear_ext_p_"} <= set(cex)
+    for name, value in cex.items():
+        ty = types.get(name[:-1] if name.endswith("_") else name)
+        if ty is not None:
+            assert inhabits(parse_term(value), ty, env), f"{name} = {value}"

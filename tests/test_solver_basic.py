@@ -1,6 +1,7 @@
 """Every constraint kind through the solver, answers certified by the oracle."""
 import pytest
 from conftest import certify
+from setsolve import cli
 from setsolve.engine import ground_complete, solve
 from setsolve.formulas import C
 from setsolve.parser import parse_formula
@@ -272,3 +273,17 @@ def test_only_the_branch_with_the_ill_sorted_term_dies(run, text, x):
     assert res.solutions, f"{text} has an answer"
     assert res.solutions[0].bindings["X"] == x
     assert res.ill_sorted, "the cut branch is recorded"
+
+
+@pytest.mark.parametrize("text", [
+    "Y = 1 & (foreach(Z in D, X = {a/Y}) or W = 1) & W = 2",
+    "Y = 1 & exists(V in {c}, foreach(Z in D, X = {a/Y}))",
+])
+def test_a_nested_foreach_with_an_ill_sorted_body_holds_over_an_empty_domain(
+        run, capsys, text):
+    res = run(text)
+    assert res.solutions, f"{text} has an answer"
+    assert res.solutions[0].bindings["D"] == EMPTY
+    assert res.ill_sorted, "the cut is recorded"
+    assert cli.main(["solve", "-e", text]) == cli.OK
+    assert "D = {}" in capsys.readouterr().out
