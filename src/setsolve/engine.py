@@ -5,6 +5,16 @@ rules produce).  Each store keeps a substitution, priority queues of pending
 goals, a list of parked irreducible constraints, and a linear-arithmetic
 store.  Binding a variable wakes any parked constraint that mentions it.
 
+The queue has four levels, and a pop takes the front item of the lowest
+non-empty one: 0 holds equalities, which bind; 1 the filters (``in``,
+``nin``, ``neq``, ``npair``, ``is``, ``le``, ``lt``); 2 the generators
+(every other constraint and each disjunction), which grow sets with fresh
+variables; 3 the quantifiers.  A ``comp(r, s, t)`` whose middle ``s`` is
+not a variable runs at level 1: with the pairs of ``s`` listed it only
+walks them and splits on equality of points, so it filters, and running it
+before ``pfun``, ``dom``, ``foplus`` or ``applyTo`` kills doomed branches
+before they grow.  A ``comp`` over a variable ``s`` stays at level 2.
+
 A quiescent store is an answer: the substitution plus the parked residue.
 Unsatisfiability is only reported when every branch failed within budget;
 running out of budget degrades the verdict, never flips it.
@@ -60,7 +70,11 @@ N_PRIO = 4
 
 
 def _prio(item: QItem) -> int:
-    return 2 if isinstance(item, Or) else PRIO.get(item.kind, 2)
+    if isinstance(item, Or):
+        return 2
+    if item.kind == "comp" and not isinstance(item.args[1], Var):
+        return 1
+    return PRIO.get(item.kind, 2)
 
 
 def items_of(f: Formula) -> Optional[list[QItem]]:
@@ -137,8 +151,11 @@ class Store:
             else:
                 kept.append((vs, c))
         self.parked = kept
+        # Asserting an equation below adds only variables the substitution
+        # leaves unbound, never a name of delta, so one scan serves them all.
+        int_vars = self.arith.vars()
         for name in delta:
-            if name in self.arith.vars():
+            if name in int_vars:
                 t = subst_term(self.subst, Var(name))
                 if not isinstance(t, (Int, Var)):
                     raise IllSorted(f"not an integer: {t!r}")
@@ -440,11 +457,12 @@ def ground_complete(sol: Solution,
                     int_sorted.add(s.name)
 
     a1, a2 = Atom("_e1"), Atom("_e2")
+    arith_vars = store.arith.vars()
     pools: list[tuple[str, list[Term]]] = []
     for i, v in enumerate(sorted(need)):
         if v in hints:
             pools.append((v, list(hints[v])))
-        elif v in store.arith.vars():
+        elif v in arith_vars:
             if model is None:
                 return None  # arithmetic residue with no certified model
             pools.append((v, [Int(model[v])] if v in model
