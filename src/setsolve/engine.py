@@ -15,6 +15,13 @@ walks them and splits on equality of points, so it filters, and running it
 before ``pfun``, ``dom``, ``foplus`` or ``applyTo`` kills doomed branches
 before they grow.  A ``comp`` over a variable ``s`` stays at level 2.
 
+A level is read under the current substitution, not the one an item was
+queued under.  The store files each level-2 ``comp`` under the variable its
+middle is; a bind that lists that middle moves the ``comp`` to the front of
+level 1, ahead of the constraints the same bind woke, and a woken ``comp``
+is queued by its middle after the bind.  Binds that touch no such middle
+leave the queues as they are.
+
 A quiescent store is an answer: the substitution plus the parked residue.
 Unsatisfiability is only reported when every branch failed within budget;
 running out of budget degrades the verdict, never flips it.
@@ -69,11 +76,18 @@ PRIO = {
 N_PRIO = 4
 
 
-def _prio(item: QItem) -> int:
+def _middle(c: Constraint, subst: dict[str, Term]) -> Term:
+    """The middle of a ``comp`` under ``subst``, which is idempotent."""
+    m = c.args[1]
+    return subst.get(m.name, m) if isinstance(m, Var) else m
+
+
+def _prio(item: QItem, subst: dict[str, Term] = {}) -> int:
+    """The level of ``item`` under ``subst`` (read, never written)."""
     if isinstance(item, Or):
         return 2
-    if item.kind == "comp" and not isinstance(item.args[1], Var):
-        return 1
+    if item.kind == "comp":
+        return 2 if isinstance(_middle(item, subst), Var) else 1
     return PRIO.get(item.kind, 2)
 
 
@@ -99,13 +113,17 @@ def items_of(f: Formula) -> Optional[list[QItem]]:
 
 
 class Store:
-    __slots__ = ("subst", "binds", "queues", "parked", "arith", "gen",
-                 "sort_cuts")
+    __slots__ = ("subst", "binds", "queues", "waiting", "parked", "arith",
+                 "gen", "sort_cuts")
 
     def __init__(self, gen: VarGen):
         self.subst: dict[str, Term] = {}
         self.binds = 0  # number of apply_bind calls, the stamp of new items
         self.queues: list[deque] = [deque() for _ in range(N_PRIO)]  # (stamp, item)
+        # The level-2 ``comp`` entries by the variable their middle is under
+        # the substitution.  Values are tuples, replaced and never mutated,
+        # so a clone copies only the dict.
+        self.waiting: dict[str, tuple] = {}
         self.parked: list[tuple[frozenset, Constraint]] = []
         self.arith = ArithStore()
         self.gen = gen
@@ -118,19 +136,40 @@ class Store:
         s.subst = self.subst  # apply_bind replaces it, nothing mutates it
         s.binds = self.binds
         s.queues = [deque(q) for q in self.queues]
+        s.waiting = dict(self.waiting)
         s.parked = list(self.parked)
         s.arith = self.arith.copy()
         s.gen = self.gen
         s.sort_cuts = self.sort_cuts
         return s
 
-    def enqueue(self, item: QItem, stamp: int = STALE) -> None:
-        self.queues[_prio(item)].append((stamp, item))
+    def enqueue(self, item: QItem, stamp: int = STALE, front: bool = False) -> None:
+        entry = (stamp, item)
+        level = _prio(item, self.subst)
+        if front:
+            self.queues[level].appendleft(entry)
+        else:
+            self.queues[level].append(entry)
+        if level == 2 and not isinstance(item, Or) and item.kind == "comp":
+            self._wait(_middle(item, self.subst).name, entry)
+
+    def _wait(self, name: str, entry: tuple[int, QItem]) -> None:
+        self.waiting[name] = self.waiting.get(name, ()) + (entry,)
 
     def pop(self) -> Optional[tuple[int, QItem]]:
         for q in self.queues:
             if q:
-                return q.popleft()
+                entry = q.popleft()
+                if self.waiting and q is self.queues[2]:
+                    item = entry[1]
+                    if not isinstance(item, Or) and item.kind == "comp":
+                        name = _middle(item, self.subst).name
+                        rest = tuple(e for e in self.waiting[name] if e is not entry)
+                        if rest:
+                            self.waiting[name] = rest
+                        else:
+                            del self.waiting[name]
+                return entry
         return None
 
     def park(self, c: Constraint) -> None:
@@ -147,10 +186,26 @@ class Store:
                 # becomes reducible exactly when a binding touches it, and
                 # letting it run before older generative items fails doomed
                 # branches early.
-                self.queues[_prio(c)].appendleft((STALE, c))
+                self.enqueue(c, STALE, front=True)
             else:
                 kept.append((vs, c))
         self.parked = kept
+        # A level-2 ``comp`` whose middle the bind lists turns into a filter
+        # (see ``_prio``) and moves to the front of level 1, ahead of the
+        # woken constraints, keeping its order; one whose middle is bound to
+        # a variable is filed under that variable.
+        moved = set()
+        for name in delta:
+            for e in self.waiting.pop(name, ()):
+                m = _middle(e[1], self.subst)
+                if isinstance(m, Var):
+                    self._wait(m.name, e)
+                else:
+                    moved.add(id(e))
+        if moved:
+            q2 = self.queues[2]
+            self.queues[2] = deque(e for e in q2 if id(e) not in moved)
+            self.queues[1].extendleft(reversed([e for e in q2 if id(e) in moved]))
         # Asserting an equation below adds only variables the substitution
         # leaves unbound, never a name of delta, so one scan serves them all.
         int_vars = self.arith.vars()
@@ -220,6 +275,8 @@ class Result:
     exhausted_budget: bool
     steps: int
     ill_sorted: Optional[str] = None  # the first ill-sorted term that cut a branch
+    clones: int = 0                   # branch stores made
+    max_depth: int = 0                # the deepest stack of pending stores
 
     @property
     def unsat(self) -> bool:
@@ -283,6 +340,7 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
     stack: list[Store] = [root]
     sols: list[Solution] = []
     exhausted = False
+    clones, max_depth = 0, len(stack)
 
     while stack:
         store = stack.pop()
@@ -321,6 +379,8 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
                     for it in sub:
                         s2.enqueue(it)
                     stack.append(s2)
+                clones += len(branches) - 1
+                max_depth = max(max_depth, len(stack))
                 for it in branches[0]:
                     store.enqueue(it)
                 continue
@@ -354,10 +414,13 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
             # Emissions are normal until the next bind, even one in their
             # own branch: unify can defer an equation on the variable it binds.
             stamp = store.binds
-            for branch in reversed(out[1:]):
-                s2 = store.clone()
-                if _apply_branch(s2, branch, stamp):
-                    stack.append(s2)
+            if len(out) > 1:
+                for branch in reversed(out[1:]):
+                    s2 = store.clone()
+                    if _apply_branch(s2, branch, stamp):
+                        stack.append(s2)
+                clones += len(out) - 1
+                max_depth = max(max_depth, len(stack))
             if not _apply_branch(store, out[0], stamp):
                 dead = True
                 break
@@ -368,7 +431,7 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
 
     complete = (not exhausted) and not stack
     cut = root.sort_cuts[0] if root.sort_cuts else None
-    return Result(sols, complete, exhausted, steps, cut)
+    return Result(sols, complete, exhausted, steps, cut, clones, max_depth)
 
 
 def _apply_branch(store: Store, branch: list, stamp: int) -> bool:

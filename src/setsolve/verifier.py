@@ -84,6 +84,7 @@ class POResult:
     time_ms: float
     counterexample: Optional[dict[str, Term]] = None
     note: str = ""
+    steps: int = 0             # summed over every solve call of the discharge
 
 
 class VerifyError(Exception):
@@ -321,17 +322,20 @@ def _connected(parts: list[Formula], seed: set[str], free: set[str]) -> list[For
     return [p for vs, p in pending if vs & reach]
 
 
-def _proved_carrier_free(po: PO, budget: int) -> bool:
+def _proved_carrier_free(po: PO, budget: int) -> tuple[bool, int]:
     """Stage 2: refute the negation of each group of goal conjuncts against
-    the hypotheses connected to it, with the carriers not pinned."""
+    the hypotheses connected to it, with the carriers not pinned.  Returns
+    whether every group was refuted, and the steps spent."""
     carriers = {c.name for c in po.carriers}
     fixed = _conjuncts(po.fixed)
+    steps = 0
     for vs, group in _groups(_conjuncts(po.neg_goal.body), carriers):
         sliced = _connected(fixed, vs, carriers)
         res = solve(conj(list(po.decs) + sliced + [Neg(conj(group))]), budget=budget)
+        steps += res.steps
         if not res.unsat or res.ill_sorted:
-            return False
-    return True
+            return False, steps
+    return True, steps
 
 
 def _typed_hints(po: PO, sol: Solution,
@@ -397,24 +401,28 @@ def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
     used: list[str] = []
     by_label = dict(po.pool)
     note = ""
-    iterations = 0
+    iterations = steps = 0
 
-    def ms() -> float:
-        return (time.perf_counter() - t0) * 1000.0
+    def done(status: str, **kw) -> POResult:
+        return POResult(po, status, tuple(used), iterations,
+                        (time.perf_counter() - t0) * 1000.0, steps=steps, **kw)
 
-    if po.kind == "INV" and _proved_carrier_free(po, budget):
-        return POResult(po, "Proved", (), 1, ms())
+    if po.kind == "INV":
+        proved, steps = _proved_carrier_free(po, budget)
+        if proved:
+            iterations = 1
+            return done("Proved")
 
     while True:
         iterations += 1
         hyps = [by_label[l] for l in used]
         res = solve(_query(po, hyps), budget=budget, max_solutions=1)
+        steps += res.steps
 
         if res.unsat:
             if res.ill_sorted:
-                return POResult(po, "Unknown", tuple(used), iterations, ms(),
-                                note=f"ill-sorted term: {res.ill_sorted}")
-            return POResult(po, "Proved", tuple(used), iterations, ms())
+                return done("Unknown", note=f"ill-sorted term: {res.ill_sorted}")
+            return done("Proved")
 
         witness: Optional[dict[str, Term]] = None
         if res.solutions:
@@ -428,16 +436,14 @@ def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
             bad = _violated(po, set(used), witness)
             if not bad:
                 shown = {v: witness[v] for v in po.show_vars if v in witness}
-                return POResult(po, "Disproved", tuple(used), iterations, ms(),
-                                counterexample=shown)
+                return done("Disproved", counterexample=shown)
             if len(used) < max_hyp:
                 ranked = _rank_pool(po, set(used))
                 pick = next((l for l, _ in ranked if l in bad), bad[0])
                 used.append(pick)
                 continue
-            return POResult(
-                po, "Unknown", tuple(used), iterations, ms(),
-                note=f"witness violates unassumed invariant {bad[0]}")
+            return done("Unknown",
+                        note=f"witness violates unassumed invariant {bad[0]}")
 
         # No certified witness: either the budget ran out or the answer
         # cannot be grounded.  More hypotheses can still settle it.
@@ -450,7 +456,7 @@ def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
             note = "search budget exhausted"
         elif res.solutions and not note:
             note = "answer could not be grounded"
-        return POResult(po, "Unknown", tuple(used), iterations, ms(), note=note)
+        return done("Unknown", note=note)
 
 
 def verify_machine(m: Machine, *, budget: int = 200_000,

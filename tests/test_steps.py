@@ -10,10 +10,11 @@ count does not grow with the carrier.
 import pytest
 from setsolve import verifier
 from setsolve.corpus import load_corpus
-from setsolve.engine import _prio, solve
+from setsolve.engine import Store, _prio, solve
 from setsolve.formulas import C
 from setsolve.machines import parse_machine
-from setsolve.terms import EMPTY, Atom, Pair, Var, mkset
+from setsolve.parser import parse_formula
+from setsolve.terms import EMPTY, Atom, Pair, Var, VarGen, mkset
 
 EXAMPLE_STEPS = [618, 117, 84, 12, 4]
 
@@ -23,15 +24,15 @@ PO_STEPS = {
     "gears_intermediate/INIT/inv1": [15],
     "gears_intermediate/INIT/inv2": [28],
     "gears/INIT/inv1": [9],
-    "gears/make_GearExtended/inv1/INV": [4294],
-    "gears/make_GearExtended/grd1/wd1/WD": [7, 179],
-    "gears/start_GearRetract/inv1/INV": [4294],
-    "gears/start_GearRetract/grd1/wd1/WD": [7, 179],
+    "gears/make_GearExtended/inv1/INV": [1374],
+    "gears/make_GearExtended/grd1/wd1/WD": [7, 192],
+    "gears/start_GearRetract/inv1/INV": [1374],
+    "gears/start_GearRetract/grd1/wd1/WD": [7, 192],
     "doors/INIT/inv1": [21],
     "doors/INIT/inv2": [6],
-    "doors/start_GearExtend/inv1/INV": [4296],
+    "doors/start_GearExtend/inv1/INV": [1376],
     "doors/start_GearExtend/inv2/INV": [4],
-    "doors/start_GearExtend/grd2/wd1/WD": [9, 331],
+    "doors/start_GearExtend/grd2/wd1/WD": [9, 288],
 }
 
 
@@ -78,9 +79,25 @@ def test_gears_inv_steps_do_not_depend_on_the_carrier(cases, monkeypatch, member
         "positionsdg = {front, right, left}", f"positionsdg = {{{members}}}")
     got = _po_steps(parse_machine(text), monkeypatch)
     assert {k: v for k, v in got.items() if k.endswith("/INV")} == {
-        "gears/make_GearExtended/inv1/INV": [4294],
-        "gears/start_GearRetract/inv1/INV": [4294],
+        "gears/make_GearExtended/inv1/INV": [1374],
+        "gears/start_GearRetract/inv1/INV": [1374],
     }
+
+
+@pytest.mark.parametrize("name", ["gears_intermediate.smch", "gears.smch", "doors.smch"])
+def test_a_po_result_counts_the_steps_of_its_whole_discharge(cases, name):
+    for r in verifier.verify_machine(cases[name].parsed):
+        assert r.steps == sum(PO_STEPS[r.po.po_id])
+
+
+def test_a_result_counts_its_branch_stores(monkeypatch):
+    made = []
+    clone = Store.clone
+    monkeypatch.setattr(Store, "clone", lambda s: made.append(1) or clone(s))
+    res = solve(parse_formula("X = a or X = b or X = c"), max_solutions=3)
+    assert len(res.solutions) == 3
+    assert res.clones == len(made) == 2
+    assert res.max_depth == 2
 
 
 def test_a_comp_over_a_known_relation_is_queued_with_the_filters():
@@ -88,3 +105,60 @@ def test_a_comp_over_a_known_relation_is_queued_with_the_filters():
     r = mkset([Pair(a, a)])
     assert _prio(C("comp", r, mkset([Pair(a, b)]), EMPTY)) == _prio(C("in", a, Var("S"))) == 1
     assert _prio(C("comp", r, Var("F"), EMPTY)) == _prio(C("pfun", Var("F"))) == 2
+
+
+R, S, T = Var("R"), Var("S"), Var("T")
+LISTED = mkset([Pair(Atom("a"), Atom("b"))])
+
+
+def _levels(store: Store) -> list[list]:
+    return [[item for _, item in q] for q in store.queues]
+
+
+def test_a_woken_comp_over_a_now_listed_middle_lands_at_the_front_of_level_1():
+    store, comp, older = Store(VarGen()), C("comp", R, S, T), C("in", Atom("a"), Var("X"))
+    store.enqueue(older)
+    store.park(comp)
+    store.apply_bind({"S": LISTED})
+    assert _levels(store)[1] == [comp, older]
+
+
+def test_a_queued_comp_whose_middle_a_bind_lists_moves_ahead_of_older_filters():
+    store, gen = Store(VarGen()), C("pfun", Var("F"))
+    older, comp = C("in", Atom("a"), Var("X")), C("comp", R, S, T)
+    woken = C("nin", Atom("c"), S)
+    for it in (gen, comp, older):
+        store.enqueue(it)
+    store.park(woken)
+    assert _levels(store)[1:3] == [[older], [gen, comp]]
+    store.apply_bind({"S": LISTED})
+    assert _levels(store)[1:3] == [[comp, woken, older], [gen]]
+    assert store.pop()[1] == comp
+
+
+def test_a_comp_whose_middle_stays_a_variable_keeps_its_place():
+    store = Store(VarGen())
+    first, comp, last = C("pfun", Var("F")), C("comp", R, S, T), C("dom", Var("G"), Var("D"))
+    for it in (first, comp, last):
+        store.enqueue(it)
+    store.apply_bind({"S": Var("S2")})
+    assert _levels(store)[2] == [first, comp, last]
+    # Filed under the new middle, it still moves when that one is listed.
+    store.apply_bind({"S2": LISTED})
+    assert _levels(store)[1:3] == [[comp], [first, last]]
+
+
+def test_a_clone_cannot_move_or_drop_another_branchs_items():
+    a = Store(VarGen())
+    comp, other = C("comp", R, S, T), C("comp", R, Var("U"), T)
+    a.enqueue(comp)
+    a.enqueue(other)
+    b = a.clone()
+    b.apply_bind({"S": LISTED})
+    assert _levels(b)[1:3] == [[comp], [other]]
+    assert _levels(a)[1:3] == [[], [comp, other]]
+    assert a.pop()[1] == comp  # leaves ``b``'s index alone
+    b.apply_bind({"U": LISTED})
+    assert _levels(b)[1:3] == [[other, comp], []]
+    a.apply_bind({"U": LISTED})
+    assert _levels(a)[1:3] == [[other], []]
