@@ -15,7 +15,7 @@ import signal
 import sys
 from typing import Optional
 
-from .engine import Result, Solution, solve
+from .engine import Result, Solution, ground_complete, solve
 from .formulas import Formula, IllFormed, Neg, Program
 from .machines import parse_machine
 from .negate import NotNegatable
@@ -146,11 +146,11 @@ def cmd_prove(ns) -> int:
         if res.unsat and not res.ill_sorted:
             print("Theorem.")
             theorem += 1
-        elif res.solutions:
+        elif res.solutions and ground_complete(res.solutions[0]) is not None:
             print("Counterexample.")
             print(_answer_line(res.solutions[0]))
             refuted += 1
-        else:
+        else:  # out of budget, or an answer that cannot be grounded
             print("Unknown.")
             unknown += 1
     if refuted:
@@ -197,12 +197,10 @@ def _print_results(results) -> None:
 
 def cmd_verify(ns) -> int:
     m = _parse_file(ns.file, parse_machine)
-    results = verify_machine(m, budget=ns.budget, max_hyp=ns.max_hyp)
-    if ns.po:
-        results = [r for r in results if r.po.po_id == ns.po]
-        if not results:
-            print(f"no obligation named {ns.po!r}", file=sys.stderr)
-            return USAGE
+    results = verify_machine(m, budget=ns.budget, max_hyp=ns.max_hyp, po_id=ns.po)
+    if ns.po is not None and not results:
+        print(f"no obligation named {ns.po!r}", file=sys.stderr)
+        return USAGE
     _print_results(results)
     if ns.json:
         with open(ns.json, "w") as fh:

@@ -36,6 +36,13 @@ bind has happened since.  Woken, root and disjunct items and whole formula
 emissions are queued stale, and quantifier items are substituted at every
 pop, because that renames their bound names away from the incoming terms.
 
+Each store keeps ``facts``: the bits ``INT``, ``SET`` and ``FUN`` (a set
+asserted ``pfun``) that the constraints of its branch have shown of each
+variable.  ``enqueue`` fills it under the substitution (see ``SHOWS``), and
+a bind to another variable passes the bits on.  It only grows, since a sort
+once shown holds on the branch, so a pop has nothing to undo; a clone
+copies it, since one ``or`` alternative says nothing of its sibling.
+
 Sorts follow one rule, read from ``formulas.SIG`` (see ``rules``): a
 non-set where a set belongs, or a non-integer where an integer belongs, is
 ill-sorted (``IllSorted``).  Such a term kills the store that holds it, and
@@ -48,7 +55,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from . import arith, groundeval
 from .arith import ArithStore
@@ -58,7 +65,7 @@ from .formulas import (
     subst_formula,
 )
 from .negate import nnf
-from .rules import Bind, rewrite
+from .rules import FUN, INT, SET, Bind, rewrite
 from .terms import (
     CP, Atom, EMPTY, ExtSet, IllSorted, Int, Interval, Pair, Term, Var,
     VarGen, compose, is_ground, mkset, subst_term, term_vars,
@@ -74,6 +81,11 @@ PRIO = {
     "foreach": 3, "exists": 3,
 }
 N_PRIO = 4
+
+# The bits each kind shows of the variable at an argument position.
+SHOWS = {k: tuple([(i, (SET | FUN) if k == "pfun" else SET) for i in SET_POS[k]]
+                  + [(i, INT) for i in INT_POS[k]])
+         for k in SET_POS}
 
 
 def _middle(c: Constraint, subst: dict[str, Term]) -> Term:
@@ -113,8 +125,8 @@ def items_of(f: Formula) -> Optional[list[QItem]]:
 
 
 class Store:
-    __slots__ = ("subst", "binds", "queues", "waiting", "parked", "arith",
-                 "gen", "sort_cuts")
+    __slots__ = ("subst", "binds", "queues", "waiting", "parked", "facts",
+                 "arith", "gen", "sort_cuts")
 
     def __init__(self, gen: VarGen):
         self.subst: dict[str, Term] = {}
@@ -125,6 +137,7 @@ class Store:
         # so a clone copies only the dict.
         self.waiting: dict[str, tuple] = {}
         self.parked: list[tuple[frozenset, Constraint]] = []
+        self.facts: dict[str, int] = {}  # sort bits by variable, see above
         self.arith = ArithStore()
         self.gen = gen
         # The ill-sorted terms that cut a branch; every clone shares the
@@ -138,6 +151,7 @@ class Store:
         s.queues = [deque(q) for q in self.queues]
         s.waiting = dict(self.waiting)
         s.parked = list(self.parked)
+        s.facts = dict(self.facts)
         s.arith = self.arith.copy()
         s.gen = self.gen
         s.sort_cuts = self.sort_cuts
@@ -150,8 +164,28 @@ class Store:
             self.queues[level].appendleft(entry)
         else:
             self.queues[level].append(entry)
-        if level == 2 and not isinstance(item, Or) and item.kind == "comp":
+        if isinstance(item, Or):
+            return
+        if item.q is not None:
+            self._show(item.q.domain, SET)
+        for i, bits in SHOWS.get(item.kind, ()):
+            self._show(item.args[i], bits)
+        if level == 2 and item.kind == "comp":
             self._wait(_middle(item, self.subst).name, entry)
+
+    def _show(self, a, bits: int) -> None:
+        """Add ``bits`` to the facts of ``a`` if it is a variable, and INT to
+        the variables of an interval's bounds or an integer expression."""
+        if isinstance(a, Var):
+            a = self.subst.get(a.name, a)
+        if isinstance(a, Var):
+            self.facts[a.name] = self.facts.get(a.name, 0) | bits
+        elif isinstance(a, Interval):
+            self._show(a.lo, INT)
+            self._show(a.hi, INT)
+        elif not isinstance(a, Term):
+            for n in arg_vars(a):
+                self._show(Var(n), INT)
 
     def _wait(self, name: str, entry: tuple[int, QItem]) -> None:
         self.waiting[name] = self.waiting.get(name, ()) + (entry,)
@@ -178,6 +212,11 @@ class Store:
     def apply_bind(self, delta: dict[str, Term]) -> None:
         self.subst = compose(self.subst, delta)
         self.binds += 1
+        facts = self.facts
+        for name in delta:
+            t = self.subst[name] if name in facts else None
+            if isinstance(t, Var):
+                facts[t.name] = facts.get(t.name, 0) | facts[name]
         keys = set(delta)
         kept = []
         for vs, c in self.parked:
@@ -217,44 +256,12 @@ class Store:
                 if t != Var(name):
                     self.arith.assert_eq(arith.lower(Var(name)) - arith.lower(t))
 
-    def items(self) -> Iterator[tuple[QItem, bool]]:
-        """Parked and queued items, each with whether it is normal under the
-        substitution already."""
-        for _, c in self.parked:
-            yield c, True
-        binds = self.binds
-        for q in self.queues:
-            for stamp, it in q:
-                yield it, stamp == binds
-
     def _scan_sorts(self) -> tuple[set[str], set[str]]:
-        """The variables that the store's constraints use as sets, and those
-        they use as integers."""
-        sset: set[str] = set()
-        sint = self.arith.vars()
-        for c, normal in self.items():
-            if isinstance(c, Or):
-                continue
-            if c.q is not None:
-                d = c.q.domain if normal else subst_term(self.subst, c.q.domain)
-                if isinstance(d, Var):
-                    sset.add(d.name)
-                continue
-            for i, a in enumerate(c.args):
-                if not isinstance(a, Term):
-                    sint |= arg_vars(a)
-                    continue
-                if not normal:
-                    a = subst_term(self.subst, a)
-                if isinstance(a, Interval):
-                    for b in (a.lo, a.hi):
-                        if isinstance(b, Var):
-                            sint.add(b.name)
-                if i in INT_POS.get(c.kind, ()):
-                    sint |= term_vars(a)
-                elif isinstance(a, Var) and i in SET_POS.get(c.kind, ()):
-                    sset.add(a.name)
-        return sset, sint
+        """The variables that the branch has shown to be sets, and those it
+        has shown to be integers."""
+        facts = self.facts
+        return ({n for n, b in facts.items() if b & SET},
+                {n for n, b in facts.items() if b & INT})
 
 
 @dataclass
@@ -384,10 +391,9 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
                 for it in branches[0]:
                     store.enqueue(it)
                 continue
-            # A bind can leave a term ill-sorted in this item or, for the
-            # scans of a rule, in any item of the store: either way the
-            # store has no solution, unless the item is a foreach, which
-            # still holds over an empty domain.
+            # A bind can leave a term of this item ill-sorted: then the store
+            # has no solution, unless the item is a foreach, which still
+            # holds over an empty domain.
             try:
                 if stamp == store.binds and item.q is None:
                     c = item

@@ -20,7 +20,8 @@ integer or a variable in an integer position, raises ``IllSorted``.
 ``rewrite`` checks each constraint on entry, so no rule sees a non-set where
 it expects a set; the term constructors check set tails, product factors
 and interval bounds, and ``Store.apply_bind`` what an arithmetic variable
-is bound to.
+is bound to.  ``neq`` on variables splits by the sort ``Store.facts`` has
+for them, and parks while it has none.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .formulas import (
 )
 from .terms import (
     CP, NON_SETS, EMPTY, EmptySet, ExtSet, IllSorted, Int, Interval, Pair, Term,
-    Var, is_ground, mkset, set_parts, subst_term, term_vars,
+    Var, is_ground, mkset, set_parts, term_vars,
 )
 from .unify import concretize, unify
 
@@ -43,6 +44,10 @@ class Bind:
 
 
 Branchs = list  # list of branches; branch = list of emissions
+
+# What a branch's constraints have shown about a variable, as bits of
+# ``Store.facts``: an integer, a set, and a set asserted ``pfun``.
+INT, SET, FUN = 1, 2, 4
 
 
 def _bind(delta: dict[str, Term]) -> Bind:
@@ -140,14 +145,11 @@ def _rule_neq(store, a, b):
     va = a.name if isinstance(a, Var) else None
     vb = b.name if isinstance(b, Var) else None
     other = b if va else a
-    if _definite_set(other):
+    bits = store.facts.get(va, 0) | store.facts.get(vb, 0)
+    if _definite_set(other) or bits & SET:
         n = store.gen.fresh()
         return [[C("in", n, a), C("nin", n, b)], [C("in", n, b), C("nin", n, a)]]
-    set_sorted, int_sorted = store._scan_sorts()
-    if (va and va in set_sorted) or (vb and vb in set_sorted):
-        n = store.gen.fresh()
-        return [[C("in", n, a), C("nin", n, b)], [C("in", n, b), C("nin", n, a)]]
-    if (va and va in int_sorted) or (vb and vb in int_sorted):
+    if bits & INT:
         if all(isinstance(t, (Var, Int)) for t in (a, b)):
             return [[C("lt", a, b)], [C("lt", b, a)]]
     return None
@@ -369,17 +371,6 @@ def _rule_npfun(store, f):
     ]
 
 
-def _store_asserts_pfun(store, f: Var) -> bool:
-    """Whether pfun(f) is already asserted somewhere in the store."""
-    name = f.name
-    for it, normal in store.items():
-        if isinstance(it, Constraint) and it.kind == "pfun":
-            a = it.args[0] if normal else subst_term(store.subst, it.args[0])
-            if isinstance(a, Var) and a.name == name:
-                return True
-    return False
-
-
 def _rule_dom(store, r, d):
     if isinstance(r, EmptySet):
         return [[C("eq", d, EMPTY)]]
@@ -406,7 +397,7 @@ def _rule_dom(store, r, d):
             elems, tail = set_parts(d)
             if (isinstance(tail, EmptySet)
                     and all(is_ground(e) for e in elems)
-                    and _store_asserts_pfun(store, r)):
+                    and store.facts.get(r.name, 0) & FUN):
                 # A function over a listed ground domain has exactly one
                 # pair per element: peel deterministically instead of
                 # re-deciding element multiplicity per step.

@@ -459,12 +459,13 @@ def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
         return done("Unknown", note=note)
 
 
-def verify_machine(m: Machine, *, budget: int = 200_000,
-                   max_hyp: int = 5) -> list[POResult]:
+def verify_machine(m: Machine, *, budget: int = 200_000, max_hyp: int = 5,
+                   po_id: Optional[str] = None) -> list[POResult]:
+    """Discharge every PO of ``m``, or only the one named ``po_id``."""
     errors = typecheck_machine(m)
     if errors:
         raise VerifyError("type errors:\n" + "\n".join(errors))
-    pos = generate_pos(m)
+    pos = [po for po in generate_pos(m) if po_id is None or po.po_id == po_id]
     hints = _hints(m)
     return [discharge(po, budget=budget, max_hyp=max_hyp, hints=hints)
             for po in pos]

@@ -251,3 +251,34 @@ def test_insertion_mutant_counterexample_fits_the_declared_types(tmp_path, capsy
         ty = types.get(name[:-1] if name.endswith("_") else name)
         if ty is not None:
             assert inhabits(parse_term(value), ty, env), f"{name} = {value}"
+
+
+@pytest.mark.parametrize("goal, code, out", [
+    # The residue keeps a parked comp that no ground candidate satisfies.
+    ("comp(R, S, T) & dom(T, D) & dom(R, E) implies subset(D, E)", cli.UNKNOWN,
+     "Unknown.\n"),
+    ("X in A implies X in B", cli.REFUTED, "Counterexample.\nA = {X/_N1}, X nin B\n"),
+])
+def test_prove_calls_only_a_grounded_answer_a_counterexample(capsys, goal, code, out):
+    assert cli.main(["prove", "-e", goal]) == code
+    assert capsys.readouterr().out == out
+
+
+def test_verify_po_checks_one_obligation(capsys):
+    assert cli.main(["verify", "--po", "gears/start_GearRetract/inv1/INV", GEARS]) == cli.OK
+    assert capsys.readouterr().out == (
+        "gears/start_GearRetract/inv1/INV  Proved\n"
+        "1 POs: 1 proved, 0 disproved, 0 unknown (INIT 0, WD 0, INV 1)\n")
+
+
+def test_verify_po_rejects_an_unknown_name_before_discharging(capsys, monkeypatch):
+    from setsolve import verifier
+
+    def discharge(*args, **kw):
+        raise AssertionError("no obligation is discharged")
+
+    monkeypatch.setattr(verifier, "discharge", discharge)
+    assert cli.main(["verify", "--po", "gears/no_such/INV", GEARS]) == cli.USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "no obligation named 'gears/no_such/INV'\n"

@@ -163,6 +163,23 @@ def test_domain(run):
     unsat(run, "ndom({[1,2]}, {1})")
 
 
+def test_pfun_follows_a_bind_to_another_variable(run):
+    # pfun(F) is shown of F; after F = G the listed domain of G is peeled
+    # one pair per element, so there is exactly one answer.
+    res = sat(run, "pfun(F) & F = G & dom(G, {a, b})", max_solutions=100)
+    assert res.complete and len(res.solutions) == 1 and res.steps == 23
+    # Without pfun, dom takes the general path: one answer per multiplicity.
+    assert len(run("F = G & dom(G, {a, b})", max_solutions=2).solutions) == 2
+
+
+def test_a_sort_shown_in_one_branch_stays_out_of_its_sibling(run):
+    # The subset branch dies on Z = 1; in the Z = 2 branch nothing shows X or
+    # Y to be a set, so X neq Y stays parked.
+    res = run("Z = 2 & (subset(X, A) & Z = 1 or Z = 2) & foreach(W in {1}, X neq Y)")
+    assert res.complete and len(res.solutions) == 1
+    assert cli._answer_line(res.solutions[0]) == "Z = 2, X neq Y"
+
+
 def test_range(run):
     sat(run, "ran({[1,2],[3,4]}, {2,4})")
     sat(run, "ran(F, {1})")
