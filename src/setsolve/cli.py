@@ -5,7 +5,9 @@ refutes the negation of a goal, ``typecheck`` reports type errors,
 ``verify`` discharges the proof obligations of a machine, and ``animate``
 replays an event trace.  Exit codes: 0 success (all proved / satisfiable),
 1 a definitive negative (unsatisfiable query, counterexample, disproved
-obligation), 2 out of budget, 3 usage, parse or type errors.
+obligation), 2 unknown, 3 usage, parse or type errors.  ``prove`` names the
+cause of an unknown: ``budget``, ``timeout``, ``ungroundable`` (an answer
+that does not ground) or ``ill_sorted``.
 """
 from __future__ import annotations
 
@@ -140,7 +142,7 @@ def cmd_prove(ns) -> int:
                 Neg(goal), program=prog, budget=ns.budget,
                 trace=_stderr_trace if ns.trace else None))
         except _Timeout:
-            print("Unknown.")
+            print("Unknown (timeout).")
             unknown += 1
             continue
         if res.unsat and not res.ill_sorted:
@@ -150,8 +152,10 @@ def cmd_prove(ns) -> int:
             print("Counterexample.")
             print(_answer_line(res.solutions[0]))
             refuted += 1
-        else:  # out of budget, or an answer that cannot be grounded
-            print("Unknown.")
+        else:
+            cause = ("ill_sorted" if res.unsat
+                     else "ungroundable" if res.solutions else "budget")
+            print(f"Unknown ({cause}).")
             unknown += 1
     if refuted:
         return REFUTED

@@ -22,6 +22,38 @@ it expects a set; the term constructors check set tails, product factors
 and interval bounds, and ``Store.apply_bind`` what an arithmetic variable
 is bound to.  ``neq`` on variables splits by the sort ``Store.facts`` has
 for them, and parks while it has none.
+
+``comp`` over a variable is decided whenever its third argument lists a pair
+(the relational rules of Cristiá and Rossi, JAR 2020): ``[x, z]`` is in
+``comp(r, s)`` exactly when ``r`` holds some ``[x, n]`` and ``s`` holds
+``[n, z]``.  Where ``r`` or ``s`` is a variable and the other is a variable
+or one listed pair, ``comp(r, s, {p1, ..., pk / t'})`` with ``pi = [xi, zi]``
+becomes, for fresh ``ni``:
+
+* ``[xi, ni] in r`` and ``[ni, zi] in s`` for each ``i``, so that every
+  listed pair has a witness;
+* ``foreach([X, N] in r, foreach([M, Z] in s, N neq M or [X, Z] in t))``,
+  so that ``comp(r, s)`` stays inside ``t``;
+* unless ``t'`` is ``{}``, ``foreach([X, Z] in t', [L], [X, L] in r &
+  [L, Z] in s)``, so that ``t'`` stays inside ``comp(r, s)``.
+
+``r`` and ``s`` may be the same variable: both memberships then list the
+same set.  So the irreducible ``comp`` forms are ``comp(R, S, T)``,
+``comp(R, {[u, v]}, T)`` and ``comp({[x, y]}, S, T)``, with ``R`` and ``S``
+variables and ``T`` not a listed set: a variable, ``{}``, or a product or
+interval that is not ground.  Each holds when ``R``, ``S`` and ``T`` are
+empty.
+
+Why the rewrite terminates: it emits no ``comp``, so it cannot feed itself;
+it adds ``k`` pairs to ``r`` and ``s``; and each ``foreach`` instantiates
+once per listed element of its domain and parks on a variable one.  With
+``t' = {}`` the quantifier bodies only test listed pairs of ``r`` and ``s``
+against the closed list ``t``, so nothing grows ``r``, ``s`` or ``t``.  With
+a variable ``t'``, a ``[X, Z] in t`` that lists a new element of ``t'``
+makes the last ``foreach`` ask for a witness again.  A membership tries
+every listed element before it grows a set, so that happens only on the
+last alternatives, and there the step budget is the backstop: running out
+of it gives Unknown.
 """
 from __future__ import annotations
 
@@ -29,7 +61,8 @@ from dataclasses import dataclass
 
 from . import arith, groundeval
 from .formulas import (
-    INT_POS, SET_POS, C, Constraint, QPayload, binder_names, conj, subst_formula,
+    INT_POS, SET_POS, And, C, Constraint, Or, QPayload, binder_names, conj,
+    subst_formula,
 )
 from .terms import (
     CP, NON_SETS, EMPTY, EmptySet, ExtSet, IllSorted, Int, Interval, Pair, Term,
@@ -582,7 +615,7 @@ def _rule_comp(store, r, s, t):
                 C("comp", r, s.tail, t2),
                 C("un", t1, t2, t),
             ]]
-        return None
+        return _comp_cover(store, r, s, t)
     if isinstance(s, CP):
         g = store.gen
         ia, ra, m = g.fresh(), g.fresh(), g.fresh()
@@ -592,18 +625,7 @@ def _rule_comp(store, r, s, t):
             C("dom", ra, m),
             C("eq", t, CP(m, s.right)),
         ]]
-    # r and s are variables: force listed elements of t into pair shape,
-    # then leave the constraint for the residue.
-    if isinstance(t, ExtSet):
-        cur: Term = t
-        while isinstance(cur, ExtSet):
-            pre = _pair_force(store, cur.head)
-            if pre is None:
-                return []
-            if pre:
-                return [pre + [C("comp", r, s, t)]]
-            cur = cur.tail
-    return None
+    return _comp_cover(store, r, s, t)
 
 
 def _comp_single(store, p: Pair, s, t):
@@ -628,7 +650,37 @@ def _comp_single(store, p: Pair, s, t):
             [C("nin", y, s.left), C("eq", t, EMPTY)],
             [C("in", y, s.left), C("eq", t, CP(mkset([x]), s.right))],
         ]
-    return None  # s is a variable: x-in-domain questions stay residual
+    return _comp_cover(store, mkset([p]), s, t)
+
+
+def _comp_cover(store, r, s, t):
+    """comp(r, s, t) with r or s a variable and the other a variable or one
+    listed pair: witnesses for the listed pairs of t and two quantifiers for
+    the inclusions (see the module docstring), or None when t lists none."""
+    if not isinstance(t, ExtSet):
+        return None
+    elems, tail = set_parts(t)
+    for e in elems:
+        pre = _pair_force(store, e)
+        if pre is None:
+            return []
+        if pre:
+            return [pre + [C("comp", r, s, t)]]
+    g = store.gen
+    out: list = []
+    for p in elems:
+        n = g.fresh()
+        out += [C("in", Pair(p.first, n), r), C("in", Pair(n, p.second), s)]
+    x, n, m, z = g.fresh(), g.fresh(), g.fresh(), g.fresh()
+    inner = Constraint("foreach", (), q=QPayload(
+        Pair(m, z), s, (), Or((C("neq", n, m), C("in", Pair(x, z), t)))))
+    out.append(Constraint("foreach", (), q=QPayload(Pair(x, n), r, (), inner)))
+    if not isinstance(tail, EmptySet):
+        x, z, n = g.fresh(), g.fresh(), g.fresh()
+        out.append(Constraint("foreach", (), q=QPayload(
+            Pair(x, z), tail, (n.name,),
+            And((C("in", Pair(x, n), r), C("in", Pair(n, z), s))))))
+    return [out]
 
 
 def _rule_ncomp(store, r, s, t):

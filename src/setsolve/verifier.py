@@ -85,6 +85,9 @@ class POResult:
     counterexample: Optional[dict[str, Term]] = None
     note: str = ""
     steps: int = 0             # summed over every solve call of the discharge
+    # Why an Unknown: budget, ungroundable (no answer grounds to a valid
+    # witness), unassumed_invariant or ill_sorted.
+    cause: str = ""
 
 
 class VerifyError(Exception):
@@ -421,7 +424,8 @@ def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
 
         if res.unsat:
             if res.ill_sorted:
-                return done("Unknown", note=f"ill-sorted term: {res.ill_sorted}")
+                return done("Unknown", note=f"ill-sorted term: {res.ill_sorted}",
+                            cause="ill_sorted")
             return done("Proved")
 
         witness: Optional[dict[str, Term]] = None
@@ -443,7 +447,8 @@ def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
                 used.append(pick)
                 continue
             return done("Unknown",
-                        note=f"witness violates unassumed invariant {bad[0]}")
+                        note=f"witness violates unassumed invariant {bad[0]}",
+                        cause="unassumed_invariant")
 
         # No certified witness: either the budget ran out or the answer
         # cannot be grounded.  More hypotheses can still settle it.
@@ -453,10 +458,9 @@ def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
                 used.append(ranked[0][0])
                 continue
         if res.exhausted_budget:
-            note = "search budget exhausted"
-        elif res.solutions and not note:
-            note = "answer could not be grounded"
-        return done("Unknown", note=note)
+            return done("Unknown", note="search budget exhausted", cause="budget")
+        return done("Unknown", note=note or "answer could not be grounded",
+                    cause="ungroundable")
 
 
 def verify_machine(m: Machine, *, budget: int = 200_000, max_hyp: int = 5,
@@ -490,6 +494,8 @@ def report_json(m: Machine, results: list[POResult]) -> dict:
                                      for k, v in sorted(r.counterexample.items())}
         if r.note:
             row["note"] = r.note
+        if r.cause:
+            row["cause"] = r.cause
         rows.append(row)
     return {
         "machine": m.name,

@@ -2,6 +2,7 @@
 import json
 from importlib import resources
 
+import jsonschema
 import pytest
 from setsolve import cli
 
@@ -195,6 +196,13 @@ def test_max_hyp_zero_pulls_in_no_invariant(tmp_path, capsys):
     assert cli.main(["verify", "--max-hyp", "0", str(path)]) == cli.UNKNOWN
     assert ("h/copy/inv1/INV  Unknown  (witness violates unassumed "
             "invariant inv2)\n") in capsys.readouterr().out
+    report = tmp_path / "h.json"
+    assert cli.main(["verify", "--max-hyp", "0", "--json", str(report), str(path)]) == cli.UNKNOWN
+    doc = json.loads(report.read_text())
+    jsonschema.validate(doc, json.loads(
+        (resources.files("setsolve") / "data" / "report.schema.json").read_text()))
+    row = next(r for r in doc["pos"] if r["id"] == "h/copy/inv1/INV")
+    assert (row["status"], row["cause"]) == ("Unknown", "unassumed_invariant")
 
 
 @pytest.mark.parametrize("goal", [
@@ -212,7 +220,7 @@ def test_prove_does_not_count_an_ill_sorted_death_as_a_proof(capsys, goal):
     # The negated goal dies of the ill-sorted {a/1} whichever way the goal
     # reads, so neither it nor its opposite is a theorem.
     assert cli.main(["prove", "-e", goal]) == cli.UNKNOWN
-    assert capsys.readouterr().out == "Unknown.\n"
+    assert capsys.readouterr().out == "Unknown (ill_sorted).\n"
 
 
 @pytest.mark.parametrize("invariant", ["f = {[a, 0] / n}", "f neq {[a, 0] / n}"])
@@ -254,14 +262,31 @@ def test_insertion_mutant_counterexample_fits_the_declared_types(tmp_path, capsy
 
 
 @pytest.mark.parametrize("goal, code, out", [
-    # The residue keeps a parked comp that no ground candidate satisfies.
-    ("comp(R, S, T) & dom(T, D) & dom(R, E) implies subset(D, E)", cli.UNKNOWN,
-     "Unknown.\n"),
+    # A comp over variables whose third argument lists a pair is decided, so
+    # the lemma is refuted instead of ending in an ungroundable residue.
+    ("comp(R, S, T) & dom(T, D) & dom(R, E) implies subset(D, E)", cli.OK,
+     "Theorem.\n"),
     ("X in A implies X in B", cli.REFUTED, "Counterexample.\nA = {X/_N1}, X nin B\n"),
 ])
 def test_prove_calls_only_a_grounded_answer_a_counterexample(capsys, goal, code, out):
     assert cli.main(["prove", "-e", goal]) == code
     assert capsys.readouterr().out == out
+
+
+def test_prove_says_why_it_does_not_know(capsys, monkeypatch):
+    goal = "X in A implies X in B"
+    assert cli.main(["prove", "--budget", "1", "-e", goal]) == cli.UNKNOWN
+    assert capsys.readouterr().out == "Unknown (budget).\n"
+    monkeypatch.setattr(cli, "ground_complete", lambda sol, hints=None: None)
+    assert cli.main(["prove", "-e", goal]) == cli.UNKNOWN
+    assert capsys.readouterr().out == "Unknown (ungroundable).\n"
+
+    def timed_out(*args, **kw):
+        raise cli._Timeout()
+
+    monkeypatch.setattr(cli, "solve", timed_out)
+    assert cli.main(["prove", "--timeout", "5", "-e", goal]) == cli.UNKNOWN
+    assert capsys.readouterr().out == "Unknown (timeout).\n"
 
 
 def test_verify_po_checks_one_obligation(capsys):

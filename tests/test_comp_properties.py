@@ -1,0 +1,67 @@
+"""Property test: conjunctions of ``comp``, ``dom`` and ``ran`` over two or
+three atoms get sound answers.  A Sat answer must ground to a model the
+oracle accepts, an Unsat answer must leave the oracle's bounded search with
+nothing to find, and no answer may keep a ``comp`` whose third argument
+lists a pair."""
+from itertools import combinations
+
+from conftest import certify
+from hypothesis import HealthCheck, given, settings, strategies as st
+from oracle import search_model, subsets
+from setsolve.engine import solve
+from setsolve.formulas import formula_vars
+from setsolve.parser import parse_formula
+from setsolve.terms import ExtSet
+
+ATOMS = ("a", "b", "c")
+RELATIONS = ("R", "S")  # variables that stand for relations
+SETS = ("D",)           # variables that stand for sets of atoms
+
+
+@st.composite
+def goals(draw):
+    """A conjunction of one to three constraints, each argument a variable
+    or a listed relation or set over the first two or three atoms."""
+    atoms = ATOMS[:draw(st.integers(2, 3))]
+    pair = st.tuples(st.sampled_from(atoms), st.sampled_from(atoms))
+    listed_rel = st.lists(pair, max_size=2, unique=True).map(
+        lambda ps: "{" + ", ".join(f"[{x}, {y}]" for x, y in ps) + "}")
+    listed_set = st.lists(st.sampled_from(atoms), max_size=2, unique=True).map(
+        lambda xs: "{" + ", ".join(xs) + "}")
+    rel = st.one_of(st.sampled_from(RELATIONS), listed_rel)
+    dset = st.one_of(st.sampled_from(SETS), listed_set)
+    constraint = st.one_of(
+        st.tuples(rel, rel, rel).map(lambda a: "comp({}, {}, {})".format(*a)),
+        st.tuples(rel, dset).map(lambda a: "dom({}, {})".format(*a)),
+        st.tuples(rel, dset).map(lambda a: "ran({}, {})".format(*a)),
+    )
+    parts = draw(st.lists(constraint, min_size=1, max_size=3))
+    return " & ".join(parts), atoms
+
+
+def _pools(names, atoms):
+    """Relations of at most two pairs, and every set, over ``atoms``."""
+    elems = ["a:" + x for x in atoms]
+    pairs = [(x, y) for x in elems for y in elems]
+    rels = [frozenset(c) for n in range(3) for c in combinations(pairs, n)]
+    return [rels if name in RELATIONS else subsets(elems) for name in names]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(goals())
+def test_comp_dom_ran_answers_are_sound(goal):
+    text, atoms = goal
+    f = parse_formula(text)
+    # Running out of budget may only give Unknown, which checks nothing; a
+    # decided example needs at most a few hundred steps.
+    res = solve(f, budget=1_000)
+    if res.solutions:
+        for c in res.solutions[0].residual:
+            assert not (c.kind == "comp" and isinstance(c.args[2], ExtSet)), \
+                f"{text} keeps {c}"
+        certify(f, res)
+    elif res.unsat:
+        names = sorted(formula_vars(f))
+        assert search_model(f, names, _pools(names, atoms)) is None, \
+            f"{text} reported Unsat"

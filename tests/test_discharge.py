@@ -72,3 +72,22 @@ def test_a_carrier_dependent_invariant_is_proved_with_the_carrier_pinned(monkeyp
     r = verifier.discharge(po, hints=verifier._hints(m))
     assert (r.status, r.hyps_used, r.iterations) == ("Proved", (), 1)
     assert answers == ["sat", "unsat"]
+
+
+def test_an_unknown_says_why():
+    m = parse_machine(_SEEN)
+    po = next(p for p in verifier.generate_pos(m) if p.kind == "INV")
+    r = verifier.discharge(po, budget=1, hints=verifier._hints(m))
+    assert (r.status, r.cause, r.note) == ("Unknown", "budget", "search budget exhausted")
+    assert verifier.discharge(po, hints=verifier._hints(m)).cause == ""
+
+
+def test_an_answer_that_does_not_ground_is_unknown_for_that_cause(monkeypatch):
+    m = parse_machine(_SEEN.replace("then\n    act1: seen := positionsdg",
+                                    "then\n    act1: seen := {}"))
+    po = next(p for p in verifier.generate_pos(m) if p.kind == "INV")
+    assert verifier.discharge(po, hints=verifier._hints(m)).status == "Disproved"
+    monkeypatch.setattr(verifier, "ground_complete", lambda sol, hints=None: None)
+    r = verifier.discharge(po, hints=verifier._hints(m))
+    assert (r.status, r.cause, r.note) == ("Unknown", "ungroundable",
+                                          "answer could not be grounded")

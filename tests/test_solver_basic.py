@@ -125,6 +125,17 @@ def test_composition(run):
     unsat(run, "comp({[1,2]}, {[2,5]}, {[1,5],[2,2]})")
     sat(run, "ncomp({[1,2]}, {[2,5]}, {})")
     unsat(run, "ncomp({[1,2]}, {[2,5]}, {[1,5]})")
+    # A comp over a variable whose third argument lists a pair is decided,
+    # not parked: each listed pair asks for a witness in both relations.
+    sat(run, "comp(R, S, {[a, b]})")
+    sat(run, "comp(R, S, {[a, b], [c, d]})")
+    unsat(run, "comp(R, {[u, v]}, {[a, b]})")
+    sat(run, "comp({[a, b]}, S, {[a, d]})")
+    unsat(run, "comp({[a, b]}, S, {[c, d]})")
+    # The same variable on both sides: R = {[a,N], [N,b]} with N not a or b.
+    assert sat(run, "comp(R, R, {[a, b]})").steps == 25
+    unsat(run, "neg(comp(R, S, T) & dom(T, D) & dom(R, E) implies subset(D, E))")
+    sat(run, "neg(comp(R, S, T) & dom(T, D) & dom(R, E) implies subset(D, EE))")
 
 
 def test_inverse(run):
