@@ -38,15 +38,29 @@ becomes, for fresh ``ni``:
   [L, Z] in s)``, so that ``t'`` stays inside ``comp(r, s)``.
 
 ``r`` and ``s`` may be the same variable: both memberships then list the
-same set.  So the irreducible ``comp`` forms are ``comp(R, S, T)``,
+same set.
+
+An empty composition ``comp(r, s, {})`` ("no pair of ``r`` chains into
+``s``") splits per listed pair without branching, because ``comp``
+distributes over union in each argument: a listed ``r`` or ``s`` of two or
+more pairs becomes one ``comp`` per listed pair, and ``comp({[x, y]},
+{[u, v] / s'}, {})`` becomes ``y neq u & comp({[x, y]}, s', {})``.  That
+fails when ``y`` and ``u`` are the same term, and drops the ``neq`` when
+both are atoms, integers or strings, which then differ.  Other terms that
+differ may still be equal (``{x, y}`` and ``{y, x}``), so they keep it.
+The split terminates, because every ``comp`` it emits has a strictly
+shorter listed argument.
+
+So the irreducible ``comp`` forms are ``comp(R, S, T)``,
 ``comp(R, {[u, v]}, T)`` and ``comp({[x, y]}, S, T)``, with ``R`` and ``S``
 variables and ``T`` not a listed set: a variable, ``{}``, or a product or
-interval that is not ground.  Each holds when ``R``, ``S`` and ``T`` are
-empty.
+interval that is not ground.  Among them is ``comp(R, S, {})``.  Each
+holds when ``R``, ``S`` and ``T`` are empty.
 
-Why the rewrite terminates: it emits no ``comp``, so it cannot feed itself;
-it adds ``k`` pairs to ``r`` and ``s``; and each ``foreach`` instantiates
-once per listed element of its domain and parks on a variable one.  With
+Why the rewrite of a listed third argument terminates: it emits no
+``comp``, so it cannot feed itself; it adds ``k`` pairs to ``r`` and ``s``;
+and each ``foreach`` instantiates once per listed element of its domain and
+parks on a variable one.  With
 ``t' = {}`` the quantifier bodies only test listed pairs of ``r`` and ``s``
 against the closed list ``t``, so nothing grows ``r``, ``s`` or ``t``.  With
 a variable ``t'``, a ``[X, Z] in t`` that lists a new element of ``t'``
@@ -65,8 +79,8 @@ from .formulas import (
     subst_formula,
 )
 from .terms import (
-    CP, NON_SETS, EMPTY, EmptySet, ExtSet, IllSorted, Int, Interval, Pair, Term,
-    Var, is_ground, mkset, set_parts, term_vars,
+    CP, NON_SETS, EMPTY, Atom, EmptySet, ExtSet, IllSorted, Int, Interval, Pair,
+    Str, Term, Var, is_ground, mkset, set_parts, term_vars,
 )
 from .unify import concretize, unify
 
@@ -81,6 +95,9 @@ Branchs = list  # list of branches; branch = list of emissions
 # What a branch's constraints have shown about a variable, as bits of
 # ``Store.facts``: an integer, a set, and a set asserted ``pfun``.
 INT, SET, FUN = 1, 2, 4
+
+# Constants that equal only themselves: two of them that differ are distinct.
+ATOMIC = (Atom, Int, Str)
 
 
 def _bind(delta: dict[str, Term]) -> Bind:
@@ -582,6 +599,8 @@ def _rule_comp(store, r, s, t):
         if pre:
             return [pre + [C("comp", r, s, t)]]
         if not isinstance(r.tail, EmptySet):
+            if isinstance(t, EmptySet):
+                return [[C("comp", mkset([h]), s, t), C("comp", r.tail, s, t)]]
             g = store.gen
             t1, t2 = g.fresh(), g.fresh()
             return [[
@@ -608,6 +627,8 @@ def _rule_comp(store, r, s, t):
         if pre:
             return [pre + [C("comp", r, s, t)]]
         if not isinstance(s.tail, EmptySet):
+            if isinstance(t, EmptySet):
+                return [[C("comp", r, mkset([h]), t), C("comp", r, s.tail, t)]]
             g = store.gen
             t1, t2 = g.fresh(), g.fresh()
             return [[
@@ -639,6 +660,13 @@ def _comp_single(store, p: Pair, s, t):
         if pre:
             return [pre + [C("comp", mkset([p]), s, t)]]
         u, v = q.first, q.second
+        if isinstance(t, EmptySet):
+            if y == u:
+                return []
+            rest = C("comp", mkset([p]), s.tail, t)
+            if isinstance(y, ATOMIC) and isinstance(u, ATOMIC):
+                return [[rest]]
+            return [[C("neq", y, u), rest]]
         t1 = store.gen.fresh()
         return [
             [C("eq", y, u), C("comp", mkset([p]), s.tail, t1),

@@ -1,8 +1,8 @@
 """Property test: conjunctions of ``comp``, ``dom`` and ``ran`` over two or
-three atoms get sound answers.  A Sat answer must ground to a model the
-oracle accepts, an Unsat answer must leave the oracle's bounded search with
-nothing to find, and no answer may keep a ``comp`` whose third argument
-lists a pair."""
+three atoms and an element variable get sound answers.  A Sat answer must
+ground to a model the oracle accepts, an Unsat answer must leave the
+oracle's bounded search with nothing to find, and no answer may keep a
+``comp`` whose third argument lists a pair."""
 from itertools import combinations
 
 from conftest import certify
@@ -16,22 +16,28 @@ from setsolve.terms import ExtSet
 ATOMS = ("a", "b", "c")
 RELATIONS = ("R", "S")  # variables that stand for relations
 SETS = ("D",)           # variables that stand for sets of atoms
+ELEMENT = "X"           # a variable that stands for one atom
 
 
 @st.composite
 def goals(draw):
     """A conjunction of one to three constraints, each argument a variable
-    or a listed relation or set over the first two or three atoms."""
+    or a listed relation or set over the first two or three atoms.  A pair
+    component or a set element may also be the element variable, so that
+    two listed pairs can meet at terms the solver cannot yet tell apart."""
     atoms = ATOMS[:draw(st.integers(2, 3))]
-    pair = st.tuples(st.sampled_from(atoms), st.sampled_from(atoms))
+    component = st.sampled_from(atoms + (ELEMENT,))
+    pair = st.tuples(component, component)
     listed_rel = st.lists(pair, max_size=2, unique=True).map(
         lambda ps: "{" + ", ".join(f"[{x}, {y}]" for x, y in ps) + "}")
-    listed_set = st.lists(st.sampled_from(atoms), max_size=2, unique=True).map(
+    listed_set = st.lists(component, max_size=2, unique=True).map(
         lambda xs: "{" + ", ".join(xs) + "}")
     rel = st.one_of(st.sampled_from(RELATIONS), listed_rel)
     dset = st.one_of(st.sampled_from(SETS), listed_set)
     constraint = st.one_of(
-        st.tuples(rel, rel, rel).map(lambda a: "comp({}, {}, {})".format(*a)),
+        # ``comp(r, s, {})`` is how the machines say "x is not in dom(F)".
+        st.tuples(rel, rel, st.one_of(st.just("{}"), rel)).map(
+            lambda a: "comp({}, {}, {})".format(*a)),
         st.tuples(rel, dset).map(lambda a: "dom({}, {})".format(*a)),
         st.tuples(rel, dset).map(lambda a: "ran({}, {})".format(*a)),
     )
@@ -40,11 +46,13 @@ def goals(draw):
 
 
 def _pools(names, atoms):
-    """Relations of at most two pairs, and every set, over ``atoms``."""
+    """Relations of at most two pairs, every set, and every atom, over
+    ``atoms``."""
     elems = ["a:" + x for x in atoms]
     pairs = [(x, y) for x in elems for y in elems]
     rels = [frozenset(c) for n in range(3) for c in combinations(pairs, n)]
-    return [rels if name in RELATIONS else subsets(elems) for name in names]
+    return [rels if name in RELATIONS else elems if name == ELEMENT
+            else subsets(elems) for name in names]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None,

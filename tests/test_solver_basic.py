@@ -138,6 +138,23 @@ def test_composition(run):
     sat(run, "neg(comp(R, S, T) & dom(T, D) & dom(R, E) implies subset(D, EE))")
 
 
+def test_an_empty_comp_is_decided_without_branching(run):
+    # comp(r, s, {}) splits over each listed pair of r and of s, and one
+    # pair against one pair is a single disequality, so no store is cloned.
+    res = sat(run, "comp({[X, X]}, {[a, b], [c, d]}, {})")
+    assert (res.steps, res.clones) == (6, 0)
+    res = run("comp({[X, X]}, {[Y, b], [c, d]}, {}) & X = Y")
+    assert res.unsat and res.steps == 2
+    res = run("comp(R, S, {}) & [a, b] in R & [b, c] in S")
+    assert res.unsat and res.steps == 6
+    res = run("comp(R, {[a, b], [c, d]}, {}) & [x, a] in R")
+    assert res.unsat and res.steps == 6
+    # X is still free when the comp is split, so its neq must be kept.
+    unsat(run, "comp({[X, X]}, {[a, b]}, {}) & dom({[X, b]}, {a})")
+    # Terms that differ in structure may still be equal: {x, y} = {y, x}.
+    unsat(run, "comp({[a, {x, y}]}, {[{y, x}, c] / S}, {})")
+
+
 def test_inverse(run):
     sat(run, "inv({[1,2],[3,4]}, {[2,1],[4,3]})")
     sat(run, "inv({[1,2]}, X)")
@@ -178,7 +195,7 @@ def test_pfun_follows_a_bind_to_another_variable(run):
     # pfun(F) is shown of F; after F = G the listed domain of G is peeled
     # one pair per element, so there is exactly one answer.
     res = sat(run, "pfun(F) & F = G & dom(G, {a, b})", max_solutions=100)
-    assert res.complete and len(res.solutions) == 1 and res.steps == 23
+    assert res.complete and len(res.solutions) == 1 and res.steps == 19
     # Without pfun, dom takes the general path: one answer per multiplicity.
     assert len(run("F = G & dom(G, {a, b})", max_solutions=2).solutions) == 2
 

@@ -24,15 +24,15 @@ PO_STEPS = {
     "gears_intermediate/INIT/inv1": [15],
     "gears_intermediate/INIT/inv2": [28],
     "gears/INIT/inv1": [9],
-    "gears/make_GearExtended/inv1/INV": [1374],
-    "gears/make_GearExtended/grd1/wd1/WD": [7, 192],
-    "gears/start_GearRetract/inv1/INV": [1374],
-    "gears/start_GearRetract/grd1/wd1/WD": [7, 192],
+    "gears/make_GearExtended/inv1/INV": [700],
+    "gears/make_GearExtended/grd1/wd1/WD": [7, 112],
+    "gears/start_GearRetract/inv1/INV": [700],
+    "gears/start_GearRetract/grd1/wd1/WD": [7, 112],
     "doors/INIT/inv1": [21],
     "doors/INIT/inv2": [6],
-    "doors/start_GearExtend/inv1/INV": [1376],
+    "doors/start_GearExtend/inv1/INV": [702],
     "doors/start_GearExtend/inv2/INV": [4],
-    "doors/start_GearExtend/grd2/wd1/WD": [9, 288],
+    "doors/start_GearExtend/grd2/wd1/WD": [9, 180],
 }
 
 
@@ -79,8 +79,8 @@ def test_gears_inv_steps_do_not_depend_on_the_carrier(cases, monkeypatch, member
         "positionsdg = {front, right, left}", f"positionsdg = {{{members}}}")
     got = _po_steps(parse_machine(text), monkeypatch)
     assert {k: v for k, v in got.items() if k.endswith("/INV")} == {
-        "gears/make_GearExtended/inv1/INV": [1374],
-        "gears/start_GearRetract/inv1/INV": [1374],
+        "gears/make_GearExtended/inv1/INV": [700],
+        "gears/start_GearRetract/inv1/INV": [700],
     }
 
 
