@@ -2,8 +2,12 @@
 
 Solving works on a stack of stores (depth-first over the branch points the
 rules produce).  Each store keeps a substitution, priority queues of pending
-goals, a list of parked irreducible constraints, and a linear-arithmetic
+goals, the parked residue of irreducible constraints, and a linear-arithmetic
 store.  Binding a variable wakes any parked constraint that mentions it.
+The residue holds each constraint once: parked constraints are normal under
+the substitution (see below), so one equal to a parked one is the same
+constraint, and since ``C & C`` is ``C``, dropping it loses no solution.
+Kept, the copy would wake, re-split and show up in answers with the other.
 
 The queue has four levels, and a pop takes the front item of the lowest
 non-empty one: 0 holds equalities, which bind; 1 the filters (``in``,
@@ -207,7 +211,12 @@ class Store:
         return None
 
     def park(self, c: Constraint) -> None:
-        self.parked.append((frozenset(formula_vars(c)), c))
+        # The residue is a set (see the module docstring).  A scan is cheaper
+        # here than hashing the constraint, and comparing whole entries
+        # compares the variable sets first, which rules most entries out.
+        entry = (frozenset(formula_vars(c)), c)
+        if entry not in self.parked:
+            self.parked.append(entry)
 
     def apply_bind(self, delta: dict[str, Term]) -> None:
         self.subst = compose(self.subst, delta)

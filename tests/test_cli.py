@@ -53,6 +53,15 @@ def test_jobs_option_is_gone(machine_file, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+def test_solve_lists_each_residual_constraint_once(capsys):
+    # pfun, applyTo and foplus each post "x is not in the domain of _N3".
+    goal = "pfun(F) & applyTo(F, x, b) & foplus(F, x, c, G)"
+    assert cli.main(["solve", "-e", goal]) == cli.OK
+    line = capsys.readouterr().out.strip()
+    assert line.count("comp({[x,x]},_N3,{})") == 1, line
+    assert line.count("[x,b] nin _N3") == 1, line
+
+
 def test_stray_character_is_a_usage_error(machine_file, capsys):
     assert cli.main(["verify", machine_file("n >= 0 $")]) == cli.USAGE
     assert "unexpected character '$'" in capsys.readouterr().err

@@ -2,7 +2,9 @@
 three atoms and an element variable get sound answers.  A Sat answer must
 ground to a model the oracle accepts, an Unsat answer must leave the
 oracle's bounded search with nothing to find, and no answer may keep a
-``comp`` whose third argument lists a pair."""
+``comp`` whose third argument lists a pair.  A differential test over the
+same generator pins ``C & C`` = ``C``: a goal posted twice gets the verdict
+of the goal posted once, and no answer lists a residual constraint twice."""
 from itertools import combinations
 
 from conftest import certify
@@ -55,8 +57,11 @@ def _pools(names, atoms):
             else subsets(elems) for name in names]
 
 
-@settings(derandomize=True, max_examples=60, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@SETTINGS
 @given(goals())
 def test_comp_dom_ran_answers_are_sound(goal):
     text, atoms = goal
@@ -73,3 +78,23 @@ def test_comp_dom_ran_answers_are_sound(goal):
         names = sorted(formula_vars(f))
         assert search_model(f, names, _pools(names, atoms)) is None, \
             f"{text} reported Unsat"
+
+
+def _verdict(res):
+    """Sat, Unsat, or None when the search ran out of budget undecided."""
+    return "Sat" if res.solutions else "Unsat" if res.unsat else None
+
+
+@SETTINGS
+@given(goals())
+def test_a_goal_posted_twice_is_solved_as_once(goal):
+    text, _ = goal
+    once = solve(parse_formula(text), budget=1_000)
+    twice = solve(parse_formula(f"{text} & {text}"), budget=1_000)
+    if _verdict(once) and _verdict(twice):
+        assert _verdict(once) == _verdict(twice), text
+    for res in (once, twice):
+        for sol in res.solutions:
+            rest = sol.residual
+            assert all(c not in rest[:i] for i, c in enumerate(rest)), \
+                f"{text} lists a residual constraint twice: {rest}"

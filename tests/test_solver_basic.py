@@ -208,6 +208,12 @@ def test_a_sort_shown_in_one_branch_stays_out_of_its_sibling(run):
     assert cli._answer_line(res.solutions[0]) == "Z = 2, X neq Y"
 
 
+def test_a_repeated_constraint_is_parked_once(run):
+    res = run("X neq Y & X neq Y & [a, b] nin S & [a, b] nin S")
+    assert res.complete and len(res.solutions) == 1
+    assert cli._answer_line(res.solutions[0]) == "X neq Y, [a,b] nin S"
+
+
 def test_range(run):
     sat(run, "ran({[1,2],[3,4]}, {2,4})")
     sat(run, "ran(F, {1})")

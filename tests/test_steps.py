@@ -6,6 +6,12 @@ as it is; a change to the search order moves them on purpose, and re-pins
 them here to exact values.  Each INV obligation of the corpus is proved by
 one query per group of goal conjuncts with the carriers left free, so its
 count does not grow with the carrier.
+
+The store parks each residual constraint once: ``pfun``, ``applyTo`` and
+``foplus`` each post the same "x is not in the domain" constraint, and a
+copy equal to a parked one is dropped instead of being woken and re-solved
+on every bind.  That took each carrier-free INV search from 700 steps to
+384 (``doors`` 702 to 386); the INIT and WD counts did not move.
 """
 import pytest
 from setsolve import verifier
@@ -24,13 +30,13 @@ PO_STEPS = {
     "gears_intermediate/INIT/inv1": [15],
     "gears_intermediate/INIT/inv2": [28],
     "gears/INIT/inv1": [9],
-    "gears/make_GearExtended/inv1/INV": [700],
+    "gears/make_GearExtended/inv1/INV": [384],
     "gears/make_GearExtended/grd1/wd1/WD": [7, 112],
-    "gears/start_GearRetract/inv1/INV": [700],
+    "gears/start_GearRetract/inv1/INV": [384],
     "gears/start_GearRetract/grd1/wd1/WD": [7, 112],
     "doors/INIT/inv1": [21],
     "doors/INIT/inv2": [6],
-    "doors/start_GearExtend/inv1/INV": [702],
+    "doors/start_GearExtend/inv1/INV": [386],
     "doors/start_GearExtend/inv2/INV": [4],
     "doors/start_GearExtend/grd2/wd1/WD": [9, 180],
 }
@@ -79,8 +85,8 @@ def test_gears_inv_steps_do_not_depend_on_the_carrier(cases, monkeypatch, member
         "positionsdg = {front, right, left}", f"positionsdg = {{{members}}}")
     got = _po_steps(parse_machine(text), monkeypatch)
     assert {k: v for k, v in got.items() if k.endswith("/INV")} == {
-        "gears/make_GearExtended/inv1/INV": [700],
-        "gears/start_GearRetract/inv1/INV": [700],
+        "gears/make_GearExtended/inv1/INV": [384],
+        "gears/start_GearRetract/inv1/INV": [384],
     }
 
 
@@ -146,6 +152,14 @@ def test_a_comp_whose_middle_stays_a_variable_keeps_its_place():
     # Filed under the new middle, it still moves when that one is listed.
     store.apply_bind({"S2": LISTED})
     assert _levels(store)[1:3] == [[comp], [first, last]]
+
+
+def test_park_keeps_one_of_two_equal_constraints():
+    store = Store(VarGen())
+    store.park(C("nin", LISTED, S))
+    store.park(C("nin", mkset([Pair(Atom("a"), Atom("b"))]), Var("S")))
+    store.park(C("nin", LISTED, T))
+    assert [c for _, c in store.parked] == [C("nin", LISTED, S), C("nin", LISTED, T)]
 
 
 def test_a_clone_cannot_move_or_drop_another_branchs_items():
