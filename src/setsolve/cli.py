@@ -62,13 +62,17 @@ def _with_timeout(seconds: Optional[float], thunk):
         signal.signal(signal.SIGALRM, old)
 
 
-def _stderr_trace(kind, **kw):
+def _stderr_trace(kind, step, **kw):
+    """One JSON object per rewrite step: its number, the kind, the printed
+    constraint, and the result, ``"park"`` or a branch count (for ``or``,
+    the count of alternatives left)."""
+    event = {"step": step, "kind": kind}
     if kind == "or":
-        print(f"  or << {kw['alts']} branches", file=sys.stderr)
+        event["result"] = kw["alts"]
     else:
-        r = kw.get("result")
-        tail = "parked" if r == "park" else f"{r} branches"
-        print(f"  {kind} << {tail}", file=sys.stderr)
+        event["constraint"] = pp_formula(kw["constraint"])
+        event["result"] = kw["result"]
+    print(json.dumps(event), file=sys.stderr)
 
 
 def _parse_file(path: str, parse):
@@ -284,7 +288,7 @@ def _common_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=200_000,
                    help="rewrite step budget (default 200000)")
     p.add_argument("--trace", action="store_true",
-                   help="log every rewrite step to stderr")
+                   help="log every rewrite step to stderr, one JSON object a line")
     p.add_argument("--timeout", type=float, default=None, metavar="S",
                    help="wall clock limit in seconds")
 

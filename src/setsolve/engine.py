@@ -18,6 +18,12 @@ not a variable runs at level 1: with the pairs of ``s`` listed it only
 walks them and splits on equality of points, so it filters, and running it
 before ``pfun``, ``dom``, ``foplus`` or ``applyTo`` kills doomed branches
 before they grow.  A ``comp`` over a variable ``s`` stays at level 2.
+One exception to the front item: at level 2 a pop takes the first ``disj``
+or ``subset`` that the substitution has made a one-branch check with no
+fresh variable (``_settled``), so that it can fail a branch before an older
+``un`` splits it.  This is sound, because a store's items form a
+conjunction: the order decides how soon a doomed branch dies, not which
+answers there are; no item is dropped and no branch skipped.
 
 A level is read under the current substitution, not the one an item was
 queued under.  The store files each level-2 ``comp`` under the variable its
@@ -71,8 +77,8 @@ from .formulas import (
 from .negate import nnf
 from .rules import FUN, INT, SET, Bind, rewrite
 from .terms import (
-    CP, Atom, EMPTY, ExtSet, IllSorted, Int, Interval, Pair, Term, Var,
-    VarGen, compose, is_ground, mkset, subst_term, term_vars,
+    CP, Atom, EMPTY, EmptySet, ExtSet, IllSorted, Int, Interval, Pair, Term,
+    Var, VarGen, compose, is_ground, mkset, subst_term, term_vars,
 )
 
 
@@ -105,6 +111,18 @@ def _prio(item: QItem, subst: dict[str, Term] = {}) -> int:
     if item.kind == "comp":
         return 2 if isinstance(_middle(item, subst), Var) else 1
     return PRIO.get(item.kind, 2)
+
+
+def _settled(item: QItem, subst: dict[str, Term]) -> bool:
+    """A ``disj`` or ``subset`` that ``subst`` (idempotent) leaves with one
+    branch and no fresh variable: ``disj`` with a ``{}`` or listed side,
+    ``subset`` with a ``{}`` or listed left side or a ``{}`` right side."""
+    if isinstance(item, Or) or item.kind not in ("disj", "subset"):
+        return False
+    a, b = (subst.get(x.name, x) if isinstance(x, Var) else x for x in item.args)
+    if isinstance(a, (EmptySet, ExtSet)):
+        return True
+    return isinstance(b, EmptySet) or (item.kind == "disj" and isinstance(b, ExtSet))
 
 
 def items_of(f: Formula) -> Optional[list[QItem]]:
@@ -197,6 +215,11 @@ class Store:
     def pop(self) -> Optional[tuple[int, QItem]]:
         for q in self.queues:
             if q:
+                if q is self.queues[2]:
+                    for i, entry in enumerate(q):
+                        if _settled(entry[1], self.subst):
+                            del q[i]
+                            return entry
                 entry = q.popleft()
                 if self.waiting and q is self.queues[2]:
                     item = entry[1]
@@ -336,7 +359,9 @@ def prepare(formula: Formula, program: Optional[Program], gen: VarGen) -> Formul
     if program is not None:
         # Clause bodies may carry implications and negations of their own.
         f = nnf(expand_calls(f, program, gen), gen, program)
-    gen.bump_past(all_var_names(f))
+        # Clause bodies keep their bound names; without a program, ``nnf``
+        # draws every new name from ``gen``, so the walk is not needed.
+        gen.bump_past(all_var_names(f))
     return f
 
 
@@ -386,7 +411,7 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
                     if sub is not None:
                         branches.append(sub)
                 if trace:
-                    trace("or", alts=len(branches))
+                    trace("or", step=steps, alts=len(branches))
                 if not branches:
                     dead = True
                     break
@@ -418,7 +443,7 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
                 dead = True
                 break
             if trace:
-                trace(c.kind, constraint=c,
+                trace(c.kind, step=steps, constraint=c,
                       result=("park" if out is None else len(out)))
             if out is None:
                 store.park(c)

@@ -62,6 +62,18 @@ def test_solve_lists_each_residual_constraint_once(capsys):
     assert line.count("[x,b] nin _N3") == 1, line
 
 
+def test_trace_writes_one_json_object_per_step(capsys):
+    goal = "un(A, B, C) & disj(A, B) & 1 in A & 1 in B"
+    assert cli.main(["solve", "-e", goal, "--trace"]) == cli.REFUTED
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [e["step"] for e in events] == list(range(1, len(events) + 1))
+    kinds = [e["kind"] for e in events]
+    # Once the memberships list A and B, the disj fails before the un splits.
+    assert "un" not in kinds[:kinds.index("disj")]
+    assert events[kinds.index("disj")] == {
+        "step": 5, "kind": "disj", "constraint": "disj({1/_N1},{1/_N2})", "result": 1}
+
+
 def test_stray_character_is_a_usage_error(machine_file, capsys):
     assert cli.main(["verify", machine_file("n >= 0 $")]) == cli.USAGE
     assert "unexpected character '$'" in capsys.readouterr().err

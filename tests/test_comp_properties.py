@@ -1,5 +1,6 @@
-"""Property test: conjunctions of ``comp``, ``dom`` and ``ran`` over two or
-three atoms and an element variable get sound answers.  A Sat answer must
+"""Property test: conjunctions of ``comp``, ``dom`` and ``ran``, and of
+``un``, ``disj`` and ``subset`` over sets, over two or three atoms and an
+element variable get sound answers.  A Sat answer must
 ground to a model the oracle accepts, an Unsat answer must leave the
 oracle's bounded search with nothing to find, and no answer may keep a
 ``comp`` whose third argument lists a pair.  A differential test over the
@@ -17,7 +18,7 @@ from setsolve.terms import ExtSet
 
 ATOMS = ("a", "b", "c")
 RELATIONS = ("R", "S")  # variables that stand for relations
-SETS = ("D",)           # variables that stand for sets of atoms
+SETS = ("D", "E")       # variables that stand for sets of atoms
 ELEMENT = "X"           # a variable that stands for one atom
 
 
@@ -42,6 +43,9 @@ def goals(draw):
             lambda a: "comp({}, {}, {})".format(*a)),
         st.tuples(rel, dset).map(lambda a: "dom({}, {})".format(*a)),
         st.tuples(rel, dset).map(lambda a: "ran({}, {})".format(*a)),
+        st.tuples(dset, dset, dset).map(lambda a: "un({}, {}, {})".format(*a)),
+        st.tuples(dset, dset).map(lambda a: "disj({}, {})".format(*a)),
+        st.tuples(dset, dset).map(lambda a: "subset({}, {})".format(*a)),
     )
     parts = draw(st.lists(constraint, min_size=1, max_size=3))
     return " & ".join(parts), atoms

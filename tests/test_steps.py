@@ -12,6 +12,11 @@ The store parks each residual constraint once: ``pfun``, ``applyTo`` and
 copy equal to a parked one is dropped instead of being woken and re-solved
 on every bind.  That took each carrier-free INV search from 700 steps to
 384 (``doors`` 702 to 386); the INIT and WD counts did not move.
+
+A ``disj`` or ``subset`` that the substitution has made a one-branch check
+pops ahead of older generators.  That moved the counts in ``SET_GOAL_STEPS``
+on purpose: each one used to split a ``un`` before the check that kills the
+branch (309, 164, 61 and 18 steps before).
 """
 import pytest
 from setsolve import verifier
@@ -50,6 +55,23 @@ def cases():
 def test_example_query_steps(cases):
     program = cases["examples.slog"].parsed
     assert [solve(q, program=program).steps for q in program.queries] == EXAMPLE_STEPS
+
+
+SET_GOAL_STEPS = {
+    "un(H, K, T) & subset(H, {1, 2, 3}) & 1 in T & disj(K, {3}) & disj(H, K)"
+    " & 1 in H & 1 in K": 13,
+    "un(F, R, W) & subset(F, {1, 2, 3}) & 3 in W & disj(R, {1, 2})"
+    " & subset(F, R) & 3 in F & 3 nin R": 17,
+    "un(A, B, C) & disj(A, B) & 1 in A & 1 in B": 7,
+    "neg(subset(F, Q) & subset(Q, F) implies F = Q)": 17,
+}
+
+
+@pytest.mark.parametrize("goal, steps", SET_GOAL_STEPS.items())
+def test_a_settled_disj_or_subset_fails_before_the_un_splits(goal, steps):
+    res = solve(parse_formula(goal))
+    assert res.unsat
+    assert res.steps == steps
 
 
 def _po_steps(machine, monkeypatch) -> dict[str, list[int]]:
@@ -176,3 +198,22 @@ def test_a_clone_cannot_move_or_drop_another_branchs_items():
     assert _levels(b)[1:3] == [[other, comp], []]
     a.apply_bind({"U": LISTED})
     assert _levels(a)[1:3] == [[other], []]
+
+
+def test_a_disj_over_a_listed_set_pops_ahead_of_an_older_un():
+    store = Store(VarGen())
+    un, disj = C("un", R, S, T), C("disj", Var("A"), Var("B"))
+    for it in (un, disj):
+        store.enqueue(it)
+    store.apply_bind({"B": LISTED})
+    assert store.pop()[1] == disj
+    assert store.pop()[1] == un
+
+
+def test_a_disj_or_subset_over_variables_keeps_its_fifo_place():
+    store = Store(VarGen())
+    un, disj = C("un", R, S, T), C("disj", Var("A"), Var("B"))
+    subset = C("subset", Var("A"), LISTED)
+    for it in (un, disj, subset):
+        store.enqueue(it)
+    assert [store.pop()[1] for _ in range(3)] == [un, disj, subset]
