@@ -64,8 +64,8 @@ def _with_timeout(seconds: Optional[float], thunk):
 
 def _stderr_trace(kind, step, **kw):
     """One JSON object per rewrite step: its number, the kind, the printed
-    constraint, and the result, ``"park"`` or a branch count (for ``or``,
-    the count of alternatives left)."""
+    constraint, and the result, ``"park"``, ``"ill_sorted"`` or a branch
+    count (for ``or``, the count of alternatives left)."""
     event = {"step": step, "kind": kind}
     if kind == "or":
         event["result"] = kw["alts"]

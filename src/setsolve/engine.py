@@ -32,6 +32,10 @@ level 1, ahead of the constraints the same bind woke, and a woken ``comp``
 is queued by its middle after the bind.  Binds that touch no such middle
 leave the queues as they are.
 
+A rewrite never returns a branch that holds a constraint false on sight
+(see ``rules``), so no branch is cloned or queued only to fail at its first
+filter.
+
 A quiescent store is an answer: the substitution plus the parked residue.
 Unsatisfiability is only reported when every branch failed within budget;
 running out of budget degrades the verdict, never flips it.
@@ -191,7 +195,13 @@ class Store:
         if item.q is not None:
             self._show(item.q.domain, SET)
         for i, bits in SHOWS.get(item.kind, ()):
-            self._show(item.args[i], bits)
+            a = item.args[i]
+            if type(a) is Var:
+                a = self.subst.get(a.name, a)
+                if type(a) is Var:
+                    self.facts[a.name] = self.facts.get(a.name, 0) | bits
+                    continue
+            self._show(a, bits)
         if level == 2 and item.kind == "comp":
             self._wait(_middle(item, self.subst).name, entry)
 
@@ -428,15 +438,16 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
             # A bind can leave a term of this item ill-sorted: then the store
             # has no solution, unless the item is a foreach, which still
             # holds over an empty domain.
+            c = item
             try:
-                if stamp == store.binds and item.q is None:
-                    c = item
-                else:
+                if stamp != store.binds or item.q is not None:
                     c = subst_formula(store.subst, item, store.gen,
                                       store.sort_cuts)
                 out = rewrite(c, store)
             except IllSorted as e:
                 store.sort_cuts.append(str(e))
+                if trace:
+                    trace(c.kind, step=steps, constraint=c, result="ill_sorted")
                 if item.kind == "foreach":
                     store.enqueue(C("eq", item.q.domain, EMPTY))
                     continue

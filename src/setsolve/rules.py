@@ -14,6 +14,15 @@ case-split discipline: membership drives elements into variable sets,
 negative constraints introduce fresh witnesses, and union-style constraints
 peel one listed element per step so every chain of descendants shrinks.
 
+``rewrite`` drops each branch that holds a constraint false on sight, and
+returns ``[]`` when none is left: ``t neq t``, ``x nin {x / _}`` and
+``x in {}``, exactly the forms whose own rule fails from syntax alone.  Each
+is false under every substitution, so the branch has no solution, and
+dropping it before it is cloned and queued loses none.  That holds as well
+for a branch that also binds a variable to an ill-sorted term: it would die
+with a recorded cut, but it has no solution whatever the sorts, so its
+loss needs no cut to flag it.  The other branches are explored as before.
+
 Sorts follow one rule, read from ``formulas.SIG``: an atom, integer, string
 or pair in a set position or a quantifier domain, or a leaf other than an
 integer or a variable in an integer position, raises ``IllSorted``.
@@ -114,7 +123,7 @@ def rewrite(c: Constraint, store):
     if k == "dec":
         return [[]]
     if k in ("foreach", "exists"):
-        return _rule_quant(c, store)
+        return _live(_rule_quant(c, store))
     if k == "eq":
         return _rule_eq(c, store)  # eq relates terms of any sort
     args = c.args
@@ -127,26 +136,52 @@ def rewrite(c: Constraint, store):
         return _rule_arith(c, store)
 
     # Expand ground products/intervals in argument position.
-    args = list(args)
-    changed = False
-    for i, a in enumerate(args):
-        g = concretize(a)
-        if g is not None:
-            args[i] = g
-            changed = True
-    if changed:
-        return [[C(k, *args)]]
+    if any(type(a) in (CP, Interval) for a in args):
+        args = list(args)
+        changed = False
+        for i, a in enumerate(args):
+            g = concretize(a)
+            if g is not None:
+                args[i] = g
+                changed = True
+        if changed:
+            return _live([[C(k, *args)]])
 
     if all(is_ground(a) for a in args):
         return [[]] if groundeval.eval_constraint(c) else []
 
-    return _RULES[k](store, *args)
+    return _live(_RULES[k](store, *args))
+
+
+def _false_on_sight(e) -> bool:
+    """``t neq t``, ``x nin {x / _}`` or ``x in {}``."""
+    if type(e) is not Constraint:
+        return False
+    k = e.kind
+    if k == "neq":
+        return e.args[0] == e.args[1]
+    if k == "nin":
+        s = e.args[1]
+        return type(s) is ExtSet and s.head == e.args[0]
+    return k == "in" and type(e.args[1]) is EmptySet
+
+
+def _live(out):
+    """The branches of ``out`` that hold no constraint false on sight."""
+    if not out:
+        return out
+    return [b for b in out if not any(map(_false_on_sight, b))]
 
 
 # --- equality / disequality ---------------------------------------------
 
 def _rule_eq(c: Constraint, store):
     a, b = c.args
+    # A variable that does not occur in the other side binds to it, as in
+    # ``unify``: the variable side, and the first one if both are.
+    x, t = (a, b) if type(a) is Var else (b, a)
+    if type(x) is Var and x.name not in term_vars(t):
+        return [[Bind(((x.name, t),))]]
     if a == b:
         return [[]]
     # A product or interval equal to the empty set constrains its parts

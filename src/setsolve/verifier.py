@@ -488,6 +488,7 @@ def report_json(m: Machine, results: list[POResult]) -> dict:
             "hypotheses_used": list(r.hyps_used),
             "iterations": r.iterations,
             "time_ms": round(r.time_ms, 3),
+            "stats": {"steps": r.steps, "iterations": r.iterations},
         }
         if r.counterexample is not None:
             row["counterexample"] = {k: pp_term(v)

@@ -68,10 +68,19 @@ def test_trace_writes_one_json_object_per_step(capsys):
     events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert [e["step"] for e in events] == list(range(1, len(events) + 1))
     kinds = [e["kind"] for e in events]
-    # Once the memberships list A and B, the disj fails before the un splits.
+    # Once the memberships list A and B, the disj fails before the un splits:
+    # its one branch holds ``1 nin {1/_N2}``, which is false on sight.
     assert "un" not in kinds[:kinds.index("disj")]
     assert events[kinds.index("disj")] == {
-        "step": 5, "kind": "disj", "constraint": "disj({1/_N1},{1/_N2})", "result": 1}
+        "step": 5, "kind": "disj", "constraint": "disj({1/_N1},{1/_N2})", "result": 0}
+
+
+def test_trace_shows_the_step_an_ill_sorted_term_cuts(capsys):
+    assert cli.main(["solve", "-e", "X = a & 1 in X", "--trace"]) == cli.REFUTED
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [e["step"] for e in events] == [1, 2]
+    assert events[1] == {
+        "step": 2, "kind": "in", "constraint": "1 in a", "result": "ill_sorted"}
 
 
 def test_stray_character_is_a_usage_error(machine_file, capsys):

@@ -5,21 +5,41 @@ ground to a model the oracle accepts, an Unsat answer must leave the
 oracle's bounded search with nothing to find, and no answer may keep a
 ``comp`` whose third argument lists a pair.  A differential test over the
 same generator pins ``C & C`` = ``C``: a goal posted twice gets the verdict
-of the goal posted once, and no answer lists a residual constraint twice."""
+of the goal posted once, and no answer lists a residual constraint twice.
+Over the same terms, the ``eq`` rule's direct bind of a variable gives the
+branches that set unification gives."""
 from itertools import combinations
 
 from conftest import certify
 from hypothesis import HealthCheck, given, settings, strategies as st
 from oracle import search_model, subsets
-from setsolve.engine import solve
+from setsolve.engine import Store, solve
 from setsolve.formulas import formula_vars
 from setsolve.parser import parse_formula
-from setsolve.terms import ExtSet
+from setsolve.rules import Bind, rewrite
+from setsolve.terms import ExtSet, VarGen
+from setsolve.unify import unify
 
 ATOMS = ("a", "b", "c")
 RELATIONS = ("R", "S")  # variables that stand for relations
 SETS = ("D", "E")       # variables that stand for sets of atoms
 ELEMENT = "X"           # a variable that stands for one atom
+
+
+def _terms(atoms):
+    """Strategies for the printed terms over ``atoms``: a pair component (an
+    atom or the element variable), a relation (a relation variable or at
+    most two listed pairs) and a set (a set variable or at most two listed
+    components)."""
+    component = st.sampled_from(atoms + (ELEMENT,))
+    pair = st.tuples(component, component)
+    listed_rel = st.lists(pair, max_size=2, unique=True).map(
+        lambda ps: "{" + ", ".join(f"[{x}, {y}]" for x, y in ps) + "}")
+    listed_set = st.lists(component, max_size=2, unique=True).map(
+        lambda xs: "{" + ", ".join(xs) + "}")
+    rel = st.one_of(st.sampled_from(RELATIONS), listed_rel)
+    dset = st.one_of(st.sampled_from(SETS), listed_set)
+    return component, rel, dset
 
 
 @st.composite
@@ -29,14 +49,7 @@ def goals(draw):
     component or a set element may also be the element variable, so that
     two listed pairs can meet at terms the solver cannot yet tell apart."""
     atoms = ATOMS[:draw(st.integers(2, 3))]
-    component = st.sampled_from(atoms + (ELEMENT,))
-    pair = st.tuples(component, component)
-    listed_rel = st.lists(pair, max_size=2, unique=True).map(
-        lambda ps: "{" + ", ".join(f"[{x}, {y}]" for x, y in ps) + "}")
-    listed_set = st.lists(component, max_size=2, unique=True).map(
-        lambda xs: "{" + ", ".join(xs) + "}")
-    rel = st.one_of(st.sampled_from(RELATIONS), listed_rel)
-    dset = st.one_of(st.sampled_from(SETS), listed_set)
+    _, rel, dset = _terms(atoms)
     constraint = st.one_of(
         # ``comp(r, s, {})`` is how the machines say "x is not in dom(F)".
         st.tuples(rel, rel, st.one_of(st.just("{}"), rel)).map(
@@ -102,3 +115,20 @@ def test_a_goal_posted_twice_is_solved_as_once(goal):
             rest = sol.residual
             assert all(c not in rest[:i] for i, c in enumerate(rest)), \
                 f"{text} lists a residual constraint twice: {rest}"
+
+
+@st.composite
+def equations(draw):
+    """``s = t`` with each side an element, a relation or a set of
+    ``goals``, so that a variable side may occur in the other side."""
+    term = st.one_of(*_terms(ATOMS[:draw(st.integers(2, 3))]))
+    return f"{draw(term)} = {draw(term)}"
+
+
+@SETTINGS
+@given(equations())
+def test_the_eq_rule_gives_the_branches_of_unify(text):
+    c = parse_formula(text)
+    want = [([Bind(tuple(sorted(delta.items())))] if delta else []) + deferred
+            for delta, deferred in unify(*c.args, VarGen(), [])]
+    assert rewrite(c, Store(VarGen())) == want, text

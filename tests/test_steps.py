@@ -17,6 +17,18 @@ A ``disj`` or ``subset`` that the substitution has made a one-branch check
 pops ahead of older generators.  That moved the counts in ``SET_GOAL_STEPS``
 on purpose: each one used to split a ``un`` before the check that kills the
 branch (309, 164, 61 and 18 steps before).
+
+A rewrite drops each branch that holds ``t neq t``, ``x nin {x / _}`` or
+``x in {}``, and fails when none is left, instead of cloning the branch and
+failing it when that constraint pops.  That moved every count below on
+purpose.  Union commutativity (``EXAMPLE_STEPS``' first query) went from
+618 steps to 242, since each ``x nin {x / _}`` that the ``un`` splits post
+fails on the spot.  ``SET_GOAL_STEPS`` went from 13, 17, 7 and 17 steps to
+11, 14, 5 and 15.  Each carrier-free INV search went from 384 steps to 378
+(``doors`` 386 to 380), where seven ``x nin {x / _}`` now fail at once.
+``doors/INIT/inv2`` went from 6 to 5 (two equal products are not unequal)
+and each WD's last round lost one step and one clone (``po in {left}``
+keeps only its ``po = left`` branch).
 """
 import pytest
 from setsolve import verifier
@@ -27,7 +39,7 @@ from setsolve.machines import parse_machine
 from setsolve.parser import parse_formula
 from setsolve.terms import EMPTY, Atom, Pair, Var, VarGen, mkset
 
-EXAMPLE_STEPS = [618, 117, 84, 12, 4]
+EXAMPLE_STEPS = [242, 59, 48, 12, 4]
 
 # Steps of every solve call in a PO's discharge: one per carrier-free goal
 # group of an INV obligation, then one per hypothesis round.
@@ -35,15 +47,15 @@ PO_STEPS = {
     "gears_intermediate/INIT/inv1": [15],
     "gears_intermediate/INIT/inv2": [28],
     "gears/INIT/inv1": [9],
-    "gears/make_GearExtended/inv1/INV": [384],
-    "gears/make_GearExtended/grd1/wd1/WD": [7, 112],
-    "gears/start_GearRetract/inv1/INV": [384],
-    "gears/start_GearRetract/grd1/wd1/WD": [7, 112],
+    "gears/make_GearExtended/inv1/INV": [378],
+    "gears/make_GearExtended/grd1/wd1/WD": [7, 111],
+    "gears/start_GearRetract/inv1/INV": [378],
+    "gears/start_GearRetract/grd1/wd1/WD": [7, 111],
     "doors/INIT/inv1": [21],
-    "doors/INIT/inv2": [6],
-    "doors/start_GearExtend/inv1/INV": [386],
+    "doors/INIT/inv2": [5],
+    "doors/start_GearExtend/inv1/INV": [380],
     "doors/start_GearExtend/inv2/INV": [4],
-    "doors/start_GearExtend/grd2/wd1/WD": [9, 180],
+    "doors/start_GearExtend/grd2/wd1/WD": [9, 179],
 }
 
 
@@ -59,11 +71,11 @@ def test_example_query_steps(cases):
 
 SET_GOAL_STEPS = {
     "un(H, K, T) & subset(H, {1, 2, 3}) & 1 in T & disj(K, {3}) & disj(H, K)"
-    " & 1 in H & 1 in K": 13,
+    " & 1 in H & 1 in K": 11,
     "un(F, R, W) & subset(F, {1, 2, 3}) & 3 in W & disj(R, {1, 2})"
-    " & subset(F, R) & 3 in F & 3 nin R": 17,
-    "un(A, B, C) & disj(A, B) & 1 in A & 1 in B": 7,
-    "neg(subset(F, Q) & subset(Q, F) implies F = Q)": 17,
+    " & subset(F, R) & 3 in F & 3 nin R": 14,
+    "un(A, B, C) & disj(A, B) & 1 in A & 1 in B": 5,
+    "neg(subset(F, Q) & subset(Q, F) implies F = Q)": 15,
 }
 
 
@@ -72,6 +84,24 @@ def test_a_settled_disj_or_subset_fails_before_the_un_splits(goal, steps):
     res = solve(parse_formula(goal))
     assert res.unsat
     assert res.steps == steps
+
+
+def test_a_member_of_its_own_listed_set_fails_in_one_step():
+    res = solve(parse_formula("X nin {X / T}"))
+    assert res.unsat
+    assert res.steps == 1
+
+
+def test_union_commutativity_fails_each_branch_that_lists_an_element_twice():
+    res = solve(parse_formula("neg(un(M, P, T) & un(P, M, W) implies T = W)"))
+    assert res.unsat
+    assert (res.steps, res.clones) == (242, 63)
+
+
+def test_a_neq_of_two_pairs_drops_the_component_that_is_equal():
+    res = solve(parse_formula("[a, X] neq [a, Y] & X = b"), max_solutions=2)
+    assert res.clones == 0
+    assert [s.residual for s in res.solutions] == [[C("neq", Atom("b"), Var("Y"))]]
 
 
 def _po_steps(machine, monkeypatch) -> dict[str, list[int]]:
@@ -107,8 +137,8 @@ def test_gears_inv_steps_do_not_depend_on_the_carrier(cases, monkeypatch, member
         "positionsdg = {front, right, left}", f"positionsdg = {{{members}}}")
     got = _po_steps(parse_machine(text), monkeypatch)
     assert {k: v for k, v in got.items() if k.endswith("/INV")} == {
-        "gears/make_GearExtended/inv1/INV": [384],
-        "gears/start_GearRetract/inv1/INV": [384],
+        "gears/make_GearExtended/inv1/INV": [378],
+        "gears/start_GearRetract/inv1/INV": [378],
     }
 
 
@@ -116,6 +146,13 @@ def test_gears_inv_steps_do_not_depend_on_the_carrier(cases, monkeypatch, member
 def test_a_po_result_counts_the_steps_of_its_whole_discharge(cases, name):
     for r in verifier.verify_machine(cases[name].parsed):
         assert r.steps == sum(PO_STEPS[r.po.po_id])
+
+
+def test_the_json_report_counts_the_steps_of_each_discharge(cases):
+    results = verifier.verify_machine(cases["gears_intermediate.smch"].parsed)
+    doc = verifier.report_json(cases["gears_intermediate.smch"].parsed, results)
+    assert {r["id"]: r["stats"]["steps"] for r in doc["pos"]} == {
+        k: sum(v) for k, v in PO_STEPS.items() if k.startswith("gears_intermediate/")}
 
 
 def test_a_result_counts_its_branch_stores(monkeypatch):
