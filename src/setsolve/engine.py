@@ -8,29 +8,34 @@ The residue holds each constraint once: parked constraints are normal under
 the substitution (see below), so one equal to a parked one is the same
 constraint, and since ``C & C`` is ``C``, dropping it loses no solution.
 Kept, the copy would wake, re-split and show up in answers with the other.
+For the same reason ``solve`` queues a root item equal to an earlier one
+only once.
 
-The queue has four levels, and a pop takes the front item of the lowest
-non-empty one: 0 holds equalities, which bind; 1 the filters (``in``,
-``nin``, ``neq``, ``npair``, ``is``, ``le``, ``lt``); 2 the generators
-(every other constraint and each disjunction), which grow sets with fresh
-variables; 3 the quantifiers.  A ``comp(r, s, t)`` whose middle ``s`` is
-not a variable runs at level 1: with the pairs of ``s`` listed it only
-walks them and splits on equality of points, so it filters, and running it
-before ``pfun``, ``dom``, ``foplus`` or ``applyTo`` kills doomed branches
-before they grow.  A ``comp`` over a variable ``s`` stays at level 2.
-One exception to the front item: at level 2 a pop takes the first ``disj``
-or ``subset`` that the substitution has made a one-branch check with no
-fresh variable (``_settled``), so that it can fail a branch before an older
-``un`` splits it.  This is sound, because a store's items form a
-conjunction: the order decides how soon a doomed branch dies, not which
-answers there are; no item is dropped and no branch skipped.
+The queue has five levels, and a pop takes the front item of the lowest
+non-empty one.  ``_prio`` gives an item's level under the current
+substitution: 0 for an equality, which binds; 1 for the filters (``in``,
+``nin``, ``neq``, ``npair``, ``is``, ``le``, ``lt``) and for a
+``comp(r, s, t)`` whose middle ``s`` is not a variable; 2 for a ``disj`` or
+``subset`` that the substitution has made a one-branch check with no fresh
+variable (``_settled``); 3 (``GEN``) for every other generator and each
+disjunction, which grow sets with fresh variables; 4 for the quantifiers.
+It is first-fail: what cannot branch runs before what can.  A ``comp``
+over a listed middle only walks its pairs and splits on equality of
+points, so running it before ``pfun``, ``dom``, ``foplus`` or ``applyTo``
+kills doomed branches before they grow, and a settled ``disj`` or
+``subset`` can fail a branch before an older ``un`` splits it.  This is
+sound, because a store's items form a conjunction: the order decides how
+soon a doomed branch dies, not which answers there are; no item is dropped
+and no branch skipped.
 
-A level is read under the current substitution, not the one an item was
-queued under.  The store files each level-2 ``comp`` under the variable its
-middle is; a bind that lists that middle moves the ``comp`` to the front of
-level 1, ahead of the constraints the same bind woke, and a woken ``comp``
-is queued by its middle after the bind.  Binds that touch no such middle
-leave the queues as they are.
+A level is read when an item is queued, and again at each bind, the only
+thing that can change it.  A bind only lowers a level: the substitution
+only grows, and a term it puts for a variable keeps its kind under later
+binds (a listed set stays listed, ``{}`` stays ``{}``).  Nothing below
+``GEN`` or at the quantifier level can fall, so after waking the parked
+constraints that it touches, a bind re-reads the level of each entry at
+``GEN``.  An entry it lowers moves to the front of its new level, in
+queue order and ahead of the constraints the same bind woke.
 
 A rewrite never returns a branch that holds a constraint false on sight
 (see ``rules``), so no branch is cloned or queued only to fail at its first
@@ -89,12 +94,13 @@ from .terms import (
 QItem = object  # Constraint | Or
 STALE = -1  # the stamp of a queued item that may not be normal
 
+GEN = 3  # the level of a generator
 PRIO = {
     "eq": 0,
     "in": 1, "nin": 1, "neq": 1, "npair": 1, "is": 1, "le": 1, "lt": 1,
-    "foreach": 3, "exists": 3,
+    "foreach": 4, "exists": 4,
 }
-N_PRIO = 4
+N_PRIO = 5
 
 # The bits each kind shows of the variable at an argument position.
 SHOWS = {k: tuple([(i, (SET | FUN) if k == "pfun" else SET) for i in SET_POS[k]]
@@ -102,27 +108,25 @@ SHOWS = {k: tuple([(i, (SET | FUN) if k == "pfun" else SET) for i in SET_POS[k]]
          for k in SET_POS}
 
 
-def _middle(c: Constraint, subst: dict[str, Term]) -> Term:
-    """The middle of a ``comp`` under ``subst``, which is idempotent."""
-    m = c.args[1]
-    return subst.get(m.name, m) if isinstance(m, Var) else m
-
-
 def _prio(item: QItem, subst: dict[str, Term] = {}) -> int:
-    """The level of ``item`` under ``subst`` (read, never written)."""
+    """The level of ``item`` under ``subst``, which is idempotent (read,
+    never written)."""
     if isinstance(item, Or):
-        return 2
+        return GEN
     if item.kind == "comp":
-        return 2 if isinstance(_middle(item, subst), Var) else 1
-    return PRIO.get(item.kind, 2)
+        m = item.args[1]
+        if isinstance(m, Var):
+            m = subst.get(m.name, m)
+        return GEN if isinstance(m, Var) else 1
+    if item.kind in ("disj", "subset"):
+        return 2 if _settled(item, subst) else GEN
+    return PRIO.get(item.kind, GEN)
 
 
-def _settled(item: QItem, subst: dict[str, Term]) -> bool:
+def _settled(item: Constraint, subst: dict[str, Term]) -> bool:
     """A ``disj`` or ``subset`` that ``subst`` (idempotent) leaves with one
     branch and no fresh variable: ``disj`` with a ``{}`` or listed side,
     ``subset`` with a ``{}`` or listed left side or a ``{}`` right side."""
-    if isinstance(item, Or) or item.kind not in ("disj", "subset"):
-        return False
     a, b = (subst.get(x.name, x) if isinstance(x, Var) else x for x in item.args)
     if isinstance(a, (EmptySet, ExtSet)):
         return True
@@ -151,17 +155,13 @@ def items_of(f: Formula) -> Optional[list[QItem]]:
 
 
 class Store:
-    __slots__ = ("subst", "binds", "queues", "waiting", "parked", "facts",
-                 "arith", "gen", "sort_cuts")
+    __slots__ = ("subst", "binds", "queues", "parked", "facts", "arith",
+                 "gen", "sort_cuts")
 
     def __init__(self, gen: VarGen):
         self.subst: dict[str, Term] = {}
         self.binds = 0  # number of apply_bind calls, the stamp of new items
         self.queues: list[deque] = [deque() for _ in range(N_PRIO)]  # (stamp, item)
-        # The level-2 ``comp`` entries by the variable their middle is under
-        # the substitution.  Values are tuples, replaced and never mutated,
-        # so a clone copies only the dict.
-        self.waiting: dict[str, tuple] = {}
         self.parked: list[tuple[frozenset, Constraint]] = []
         self.facts: dict[str, int] = {}  # sort bits by variable, see above
         self.arith = ArithStore()
@@ -175,7 +175,6 @@ class Store:
         s.subst = self.subst  # apply_bind replaces it, nothing mutates it
         s.binds = self.binds
         s.queues = [deque(q) for q in self.queues]
-        s.waiting = dict(self.waiting)
         s.parked = list(self.parked)
         s.facts = dict(self.facts)
         s.arith = self.arith.copy()
@@ -184,12 +183,11 @@ class Store:
         return s
 
     def enqueue(self, item: QItem, stamp: int = STALE, front: bool = False) -> None:
-        entry = (stamp, item)
-        level = _prio(item, self.subst)
+        q = self.queues[_prio(item, self.subst)]
         if front:
-            self.queues[level].appendleft(entry)
+            q.appendleft((stamp, item))
         else:
-            self.queues[level].append(entry)
+            q.append((stamp, item))
         if isinstance(item, Or):
             return
         if item.q is not None:
@@ -202,8 +200,6 @@ class Store:
                     self.facts[a.name] = self.facts.get(a.name, 0) | bits
                     continue
             self._show(a, bits)
-        if level == 2 and item.kind == "comp":
-            self._wait(_middle(item, self.subst).name, entry)
 
     def _show(self, a, bits: int) -> None:
         """Add ``bits`` to the facts of ``a`` if it is a variable, and INT to
@@ -219,28 +215,10 @@ class Store:
             for n in arg_vars(a):
                 self._show(Var(n), INT)
 
-    def _wait(self, name: str, entry: tuple[int, QItem]) -> None:
-        self.waiting[name] = self.waiting.get(name, ()) + (entry,)
-
     def pop(self) -> Optional[tuple[int, QItem]]:
         for q in self.queues:
             if q:
-                if q is self.queues[2]:
-                    for i, entry in enumerate(q):
-                        if _settled(entry[1], self.subst):
-                            del q[i]
-                            return entry
-                entry = q.popleft()
-                if self.waiting and q is self.queues[2]:
-                    item = entry[1]
-                    if not isinstance(item, Or) and item.kind == "comp":
-                        name = _middle(item, self.subst).name
-                        rest = tuple(e for e in self.waiting[name] if e is not entry)
-                        if rest:
-                            self.waiting[name] = rest
-                        else:
-                            del self.waiting[name]
-                return entry
+                return q.popleft()
         return None
 
     def park(self, c: Constraint) -> None:
@@ -271,22 +249,15 @@ class Store:
             else:
                 kept.append((vs, c))
         self.parked = kept
-        # A level-2 ``comp`` whose middle the bind lists turns into a filter
-        # (see ``_prio``) and moves to the front of level 1, ahead of the
-        # woken constraints, keeping its order; one whose middle is bound to
-        # a variable is filed under that variable.
-        moved = set()
-        for name in delta:
-            for e in self.waiting.pop(name, ()):
-                m = _middle(e[1], self.subst)
-                if isinstance(m, Var):
-                    self._wait(m.name, e)
-                else:
-                    moved.add(id(e))
-        if moved:
-            q2 = self.queues[2]
-            self.queues[2] = deque(e for e in q2 if id(e) not in moved)
-            self.queues[1].extendleft(reversed([e for e in q2 if id(e) in moved]))
+        # A generator the bind lowers (see ``_prio``) moves to the front of
+        # its new level, ahead of the woken constraints, keeping its order.
+        gens, subst = self.queues[GEN], self.subst
+        levels = [_prio(item, subst) for _, item in gens]
+        if min(levels, default=GEN) < GEN:
+            self.queues[GEN] = deque(e for e, lv in zip(gens, levels) if lv == GEN)
+            for e, lv in zip(reversed(gens), reversed(levels)):
+                if lv < GEN:
+                    self.queues[lv].appendleft(e)
         # Asserting an equation below adds only variables the substitution
         # leaves unbound, never a name of delta, so one scan serves them all.
         int_vars = self.arith.vars()
@@ -385,8 +356,9 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
     steps = 0
     if init is None:
         return Result([], True, False, steps)
-    for it in init:
-        root.enqueue(it)
+    for i, it in enumerate(init):
+        if it not in init[:i]:  # ``C & C`` is ``C``
+            root.enqueue(it)
 
     stack: list[Store] = [root]
     sols: list[Solution] = []

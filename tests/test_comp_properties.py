@@ -4,12 +4,14 @@ element variable get sound answers.  A Sat answer must
 ground to a model the oracle accepts, an Unsat answer must leave the
 oracle's bounded search with nothing to find, and no answer may keep a
 ``comp`` whose third argument lists a pair.  A differential test over the
-same generator pins ``C & C`` = ``C``: a goal posted twice gets the verdict
-of the goal posted once, and no answer lists a residual constraint twice.
+same generator pins ``C & C`` = ``C``: a goal posted twice gets the steps
+and the verdict of the goal posted once, and no answer lists a residual
+constraint twice.
 Over the same terms, the ``eq`` rule's direct bind of a variable gives the
 branches that set unification gives."""
 from itertools import combinations
 
+import pytest
 from conftest import certify
 from hypothesis import HealthCheck, given, settings, strategies as st
 from oracle import search_model, subsets
@@ -108,13 +110,22 @@ def test_a_goal_posted_twice_is_solved_as_once(goal):
     text, _ = goal
     once = solve(parse_formula(text), budget=1_000)
     twice = solve(parse_formula(f"{text} & {text}"), budget=1_000)
-    if _verdict(once) and _verdict(twice):
-        assert _verdict(once) == _verdict(twice), text
+    assert (twice.steps, _verdict(twice)) == (once.steps, _verdict(once)), text
     for res in (once, twice):
         for sol in res.solutions:
             rest = sol.residual
             assert all(c not in rest[:i] for i, c in enumerate(rest)), \
                 f"{text} lists a residual constraint twice: {rest}"
+
+
+@pytest.mark.parametrize("text, steps", [
+    ("comp(R, R, {[a, c]})", 25),
+    ("dom({[a, b], [b, b]}, D) & ran(S, D) & dom({[c, b]}, {c, X})", 43),
+])
+def test_a_goal_posted_twice_takes_the_steps_of_the_goal_posted_once(text, steps):
+    for goal in (text, f"{text} & {text}"):
+        res = solve(parse_formula(goal), budget=1_000)
+        assert (res.steps, _verdict(res)) == (steps, "Sat"), goal
 
 
 @st.composite

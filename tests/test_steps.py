@@ -29,11 +29,20 @@ fails on the spot.  ``SET_GOAL_STEPS`` went from 13, 17, 7 and 17 steps to
 ``doors/INIT/inv2`` went from 6 to 5 (two equal products are not unequal)
 and each WD's last round lost one step and one clone (``po in {left}``
 keeps only its ``po = left`` branch).
+
+A bind re-reads the level of every queued generator, so a ``disj`` or
+``subset`` that a bind settles moves to the front of its level, ahead of
+older settled ones and of the constraints the same bind woke, as a
+``comp`` whose middle a bind lists already did.  Before, a pop took the
+first settled one in queue order.  That moved two ``SET_GOAL_STEPS`` counts
+on purpose, 11 to 9 and 14 to 11: in the first, ``disj(H, K)``, settled by
+the bind of ``H``, now fails the branch before ``disj(K, {3})``, which was
+settled when it was queued, runs.
 """
 import pytest
 from setsolve import verifier
 from setsolve.corpus import load_corpus
-from setsolve.engine import Store, _prio, solve
+from setsolve.engine import GEN, Store, _prio, solve
 from setsolve.formulas import C
 from setsolve.machines import parse_machine
 from setsolve.parser import parse_formula
@@ -71,9 +80,9 @@ def test_example_query_steps(cases):
 
 SET_GOAL_STEPS = {
     "un(H, K, T) & subset(H, {1, 2, 3}) & 1 in T & disj(K, {3}) & disj(H, K)"
-    " & 1 in H & 1 in K": 11,
+    " & 1 in H & 1 in K": 9,
     "un(F, R, W) & subset(F, {1, 2, 3}) & 3 in W & disj(R, {1, 2})"
-    " & subset(F, R) & 3 in F & 3 nin R": 14,
+    " & subset(F, R) & 3 in F & 3 nin R": 11,
     "un(A, B, C) & disj(A, B) & 1 in A & 1 in B": 5,
     "neg(subset(F, Q) & subset(Q, F) implies F = Q)": 15,
 }
@@ -165,27 +174,39 @@ def test_a_result_counts_its_branch_stores(monkeypatch):
     assert res.max_depth == 2
 
 
-def test_a_comp_over_a_known_relation_is_queued_with_the_filters():
-    a, b = Atom("a"), Atom("b")
-    r = mkset([Pair(a, a)])
-    assert _prio(C("comp", r, mkset([Pair(a, b)]), EMPTY)) == _prio(C("in", a, Var("S"))) == 1
-    assert _prio(C("comp", r, Var("F"), EMPTY)) == _prio(C("pfun", Var("F"))) == 2
-
-
 R, S, T = Var("R"), Var("S"), Var("T")
 LISTED = mkset([Pair(Atom("a"), Atom("b"))])
 
 
-def _levels(store: Store) -> list[list]:
-    return [[item for _, item in q] for q in store.queues]
+def _drain(store: Store) -> list:
+    """Pop every item of ``store``, in order."""
+    return [item for _, item in iter(store.pop, None)]
+
+
+def _order(store: Store) -> list:
+    """The items ``store`` would pop from here on, read off a clone."""
+    return _drain(store.clone())
+
+
+def test_a_comp_over_a_known_relation_is_queued_with_the_filters():
+    a, b = Atom("a"), Atom("b")
+    r = mkset([Pair(a, a)])
+    gen, filt = C("pfun", Var("F")), C("in", a, Var("S"))
+    over_var, over_listed = C("comp", r, Var("F"), EMPTY), C("comp", r, mkset([Pair(a, b)]), EMPTY)
+    store = Store(VarGen())
+    for it in (gen, filt, over_var, over_listed):
+        store.enqueue(it)
+    assert _order(store) == [filt, over_listed, gen, over_var]
 
 
 def test_a_woken_comp_over_a_now_listed_middle_lands_at_the_front_of_level_1():
-    store, comp, older = Store(VarGen()), C("comp", R, S, T), C("in", Atom("a"), Var("X"))
+    store, comp = Store(VarGen()), C("comp", R, S, T)
+    gen, older = C("pfun", Var("F")), C("in", Atom("a"), Var("X"))
+    store.enqueue(gen)
     store.enqueue(older)
     store.park(comp)
     store.apply_bind({"S": LISTED})
-    assert _levels(store)[1] == [comp, older]
+    assert _order(store) == [comp, older, gen]
 
 
 def test_a_queued_comp_whose_middle_a_bind_lists_moves_ahead_of_older_filters():
@@ -195,9 +216,9 @@ def test_a_queued_comp_whose_middle_a_bind_lists_moves_ahead_of_older_filters():
     for it in (gen, comp, older):
         store.enqueue(it)
     store.park(woken)
-    assert _levels(store)[1:3] == [[older], [gen, comp]]
+    assert _order(store) == [older, gen, comp]
     store.apply_bind({"S": LISTED})
-    assert _levels(store)[1:3] == [[comp, woken, older], [gen]]
+    assert _order(store) == [comp, woken, older, gen]
     assert store.pop()[1] == comp
 
 
@@ -207,10 +228,10 @@ def test_a_comp_whose_middle_stays_a_variable_keeps_its_place():
     for it in (first, comp, last):
         store.enqueue(it)
     store.apply_bind({"S": Var("S2")})
-    assert _levels(store)[2] == [first, comp, last]
-    # Filed under the new middle, it still moves when that one is listed.
+    assert _order(store) == [first, comp, last]
+    # Its middle is now ``S2``: it still moves when that one is listed.
     store.apply_bind({"S2": LISTED})
-    assert _levels(store)[1:3] == [[comp], [first, last]]
+    assert _order(store) == [comp, first, last]
 
 
 def test_park_keeps_one_of_two_equal_constraints():
@@ -223,18 +244,18 @@ def test_park_keeps_one_of_two_equal_constraints():
 
 def test_a_clone_cannot_move_or_drop_another_branchs_items():
     a = Store(VarGen())
-    comp, other = C("comp", R, S, T), C("comp", R, Var("U"), T)
-    a.enqueue(comp)
-    a.enqueue(other)
+    gen, comp, other = C("pfun", Var("F")), C("comp", R, S, T), C("comp", R, Var("U"), T)
+    for it in (gen, comp, other):
+        a.enqueue(it)
     b = a.clone()
     b.apply_bind({"S": LISTED})
-    assert _levels(b)[1:3] == [[comp], [other]]
-    assert _levels(a)[1:3] == [[], [comp, other]]
-    assert a.pop()[1] == comp  # leaves ``b``'s index alone
+    assert _order(b) == [comp, gen, other]
+    assert _order(a) == [gen, comp, other]
+    assert a.pop()[1] == gen  # leaves ``b``'s queue alone
     b.apply_bind({"U": LISTED})
-    assert _levels(b)[1:3] == [[other, comp], []]
+    assert _drain(b) == [other, comp, gen]
     a.apply_bind({"U": LISTED})
-    assert _levels(a)[1:3] == [[other], []]
+    assert _drain(a) == [other, comp]
 
 
 def test_a_disj_over_a_listed_set_pops_ahead_of_an_older_un():
@@ -254,3 +275,41 @@ def test_a_disj_or_subset_over_variables_keeps_its_fifo_place():
     for it in (un, disj, subset):
         store.enqueue(it)
     assert [store.pop()[1] for _ in range(3)] == [un, disj, subset]
+
+
+def test_a_bind_settled_subset_pops_ahead_of_older_settled_ones_and_the_woken():
+    store = Store(VarGen())
+    un, older = C("un", R, S, T), C("disj", Var("A"), LISTED)
+    subset, woken = C("subset", Var("B"), Var("E")), C("subset", Var("B"), Var("G"))
+    for it in (un, older, subset):
+        store.enqueue(it)
+    store.park(woken)
+    assert _order(store) == [older, un, subset]
+    store.apply_bind({"B": LISTED})
+    assert _drain(store) == [subset, woken, older, un]
+
+
+def test_each_bind_leaves_only_generators_at_the_generator_level(cases, monkeypatch):
+    """After every bind of the corpus and ``examples.slog``, the generator
+    level holds only items whose level is still ``GEN``, and no other item
+    is queued ahead of its level."""
+    binds = []
+    apply_bind = Store.apply_bind
+
+    def checked(store, delta):
+        apply_bind(store, delta)
+        binds.append(1)
+        for level, q in enumerate(store.queues):
+            for _, item in q:
+                if level == GEN:
+                    assert _prio(item, store.subst) == GEN, item
+                else:
+                    assert _prio(item, store.subst) <= level, item
+
+    monkeypatch.setattr(Store, "apply_bind", checked)
+    for name in ("gears_intermediate.smch", "gears.smch", "doors.smch"):
+        assert all(r.status == "Proved" for r in verifier.verify_machine(cases[name].parsed))
+    program = cases["examples.slog"].parsed
+    for q in program.queries:
+        solve(q, program=program)
+    assert binds
