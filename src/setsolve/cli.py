@@ -62,16 +62,12 @@ def _with_timeout(seconds: Optional[float], thunk):
         signal.signal(signal.SIGALRM, old)
 
 
-def _stderr_trace(kind, step, **kw):
+def _stderr_trace(kind, step, constraint, result):
     """One JSON object per rewrite step: its number, the kind, the printed
     constraint, and the result, ``"park"``, ``"ill_sorted"`` or a branch
-    count (for ``or``, the count of alternatives left)."""
-    event = {"step": step, "kind": kind}
-    if kind == "or":
-        event["result"] = kw["alts"]
-    else:
-        event["constraint"] = pp_formula(kw["constraint"])
-        event["result"] = kw["result"]
+    count."""
+    event = {"step": step, "kind": kind, "constraint": pp_formula(constraint),
+             "result": result}
     print(json.dumps(event), file=sys.stderr)
 
 

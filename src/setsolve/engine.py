@@ -2,7 +2,7 @@
 
 Solving works on a stack of stores (depth-first over the branch points the
 rules produce).  Each store keeps a substitution, priority queues of pending
-goals, the parked residue of irreducible constraints, and a linear-arithmetic
+items, the parked residue of irreducible constraints, and a linear-arithmetic
 store.  Binding a variable wakes any parked constraint that mentions it.
 The residue holds each constraint once: parked constraints are normal under
 the substitution (see below), so one equal to a parked one is the same
@@ -10,6 +10,10 @@ constraint, and since ``C & C`` is ``C``, dropping it loses no solution.
 Kept, the copy would wake, re-split and show up in answers with the other.
 For the same reason ``solve`` queues a root item equal to an earlier one
 only once.
+
+Queue items are constraints and ``or``s, and ``rules.rewrite`` decides
+every one the loop pops (an ``or`` gives one branch per alternative), so
+the loop has one path for all of them.
 
 The queue has five levels, and a pop takes the front item of the lowest
 non-empty one.  ``_prio`` gives an item's level under the current
@@ -51,9 +55,11 @@ again.  Parked constraints are normal: a bind that touches one wakes it.
 Queued items carry a stamp, the store's bind count when the rule that
 emitted them ran; an item whose stamp equals the current bind count was
 built from an already substituted constraint and fresh variables, and no
-bind has happened since.  Woken, root and disjunct items and whole formula
-emissions are queued stale, and quantifier items are substituted at every
-pop, because that renames their bound names away from the incoming terms.
+bind has happened since.  An ``or`` was substituted when it was popped, so
+an alternative that is a single constraint is queued with the current
+stamp.  Woken and root items and the parts of an emitted conjunction are
+queued stale, and quantifier items are substituted at every pop, because
+that renames their bound names away from the incoming terms.
 
 Each store keeps ``facts``: the bits ``INT``, ``SET`` and ``FUN`` (a set
 asserted ``pfun``) that the constraints of its branch have shown of each
@@ -64,9 +70,11 @@ copies it, since one ``or`` alternative says nothing of its sibling.
 
 Sorts follow one rule, read from ``formulas.SIG`` (see ``rules``): a
 non-set where a set belongs, or a non-integer where an integer belongs, is
-ill-sorted (``IllSorted``).  Such a term kills the store that holds it, and
-drops the alternative or instance that would hold it; a ``foreach`` whose
-body turns ill-sorted still holds over an empty domain.  Each cut is
+ill-sorted (``IllSorted``).  Such a term cuts the smallest part that holds
+it: an ``or`` alternative, ``exists`` instance or unification alternative
+becomes false, and a ``foreach`` body empties the domain, since a
+``foreach`` still holds over an empty one (``formulas.subst_formula``,
+``rules``, ``unify``).  With no such part, it kills the store.  Each cut is
 recorded, because an ill-sorted formula and its negation can both come out
 unsat: an unsat result with a cut refutes nothing.
 """
@@ -79,9 +87,9 @@ from typing import Optional
 from . import arith, groundeval
 from .arith import ArithStore
 from .formulas import (
-    INT_POS, SET_POS, And, C, Constraint, FalseF, Formula, IllFormed, Implies,
-    Neg, Or, PredCall, Program, TrueF, arg_vars, expand_calls, formula_vars,
-    subst_formula,
+    INT_POS, SET_POS, And, Constraint, FalseF, Formula, IllFormed, Implies, Neg,
+    PredCall, Program, TrueF, all_var_names, arg_vars, expand_calls,
+    formula_vars, subst_formula,
 )
 from .negate import nnf
 from .rules import FUN, INT, SET, Bind, rewrite
@@ -111,8 +119,6 @@ SHOWS = {k: tuple([(i, (SET | FUN) if k == "pfun" else SET) for i in SET_POS[k]]
 def _prio(item: QItem, subst: dict[str, Term] = {}) -> int:
     """The level of ``item`` under ``subst``, which is idempotent (read,
     never written)."""
-    if isinstance(item, Or):
-        return GEN
     if item.kind == "comp":
         m = item.args[1]
         if isinstance(m, Var):
@@ -134,13 +140,12 @@ def _settled(item: Constraint, subst: dict[str, Term]) -> bool:
 
 
 def items_of(f: Formula) -> Optional[list[QItem]]:
-    """Flatten a negation-free formula into queue items; None means false."""
+    """Flatten a negation-free formula into queue items, the constraints and
+    ``or``s of its conjunction; None means false."""
     if isinstance(f, TrueF):
         return []
     if isinstance(f, FalseF):
         return None
-    if isinstance(f, (Constraint, Or)):
-        return [f]
     if isinstance(f, And):
         out: list[QItem] = []
         for p in f.parts:
@@ -151,7 +156,9 @@ def items_of(f: Formula) -> Optional[list[QItem]]:
         return out
     if isinstance(f, PredCall):
         raise IllFormed(f"unknown predicate {f.name}/{len(f.args)}")
-    raise IllFormed(f"unexpected {type(f).__name__} after preprocessing")
+    if isinstance(f, (Neg, Implies)):
+        raise IllFormed(f"unexpected {type(f).__name__} after preprocessing")
+    return [f]
 
 
 class Store:
@@ -188,8 +195,6 @@ class Store:
             q.appendleft((stamp, item))
         else:
             q.append((stamp, item))
-        if isinstance(item, Or):
-            return
         if item.q is not None:
             self._show(item.q.domain, SET)
         for i, bits in SHOWS.get(item.kind, ()):
@@ -303,37 +308,6 @@ class Result:
         return self.complete and not self.solutions
 
 
-def all_var_names(f: Formula) -> set[str]:
-    """Every variable name occurring anywhere, bound or free."""
-    out: set[str] = set()
-
-    def walk(g: Formula) -> None:
-        if isinstance(g, Constraint):
-            for a in g.args:
-                out.update(arg_vars(a))
-            if g.q is not None:
-                out.update(term_vars(g.q.binder))
-                out.update(term_vars(g.q.domain))
-                out.update(g.q.locals)
-                walk(g.q.body)
-                if g.q.funcs is not None:
-                    walk(g.q.funcs)
-        elif isinstance(g, (And, Or)):
-            for p in g.parts:
-                walk(p)
-        elif isinstance(g, Neg):
-            walk(g.body)
-        elif isinstance(g, Implies):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, PredCall):
-            for a in g.args:
-                out.update(arg_vars(a))
-
-    walk(f)
-    return out
-
-
 def prepare(formula: Formula, program: Optional[Program], gen: VarGen) -> Formula:
     gen.bump_past(all_var_names(formula))
     f = nnf(formula, gen, program)
@@ -380,36 +354,9 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
                 break
             stamp, item = popped
             steps += 1
-            if isinstance(item, Or):
-                branches = []
-                for alt in item.parts:
-                    try:
-                        g = subst_formula(store.subst, alt, store.gen,
-                                          store.sort_cuts)
-                    except IllSorted as e:
-                        store.sort_cuts.append(str(e))
-                        continue
-                    sub = items_of(g)
-                    if sub is not None:
-                        branches.append(sub)
-                if trace:
-                    trace("or", step=steps, alts=len(branches))
-                if not branches:
-                    dead = True
-                    break
-                for sub in reversed(branches[1:]):
-                    s2 = store.clone()
-                    for it in sub:
-                        s2.enqueue(it)
-                    stack.append(s2)
-                clones += len(branches) - 1
-                max_depth = max(max_depth, len(stack))
-                for it in branches[0]:
-                    store.enqueue(it)
-                continue
-            # A bind can leave a term of this item ill-sorted: then the store
-            # has no solution, unless the item is a foreach, which still
-            # holds over an empty domain.
+            # A bind can leave a term of this item ill-sorted.  Substituting
+            # cuts an ``or`` alternative or empties a ``foreach`` that holds
+            # it; a term held by neither kills the store.
             c = item
             try:
                 if stamp != store.binds or item.q is not None:
@@ -420,9 +367,6 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
                 store.sort_cuts.append(str(e))
                 if trace:
                     trace(c.kind, step=steps, constraint=c, result="ill_sorted")
-                if item.kind == "foreach":
-                    store.enqueue(C("eq", item.q.domain, EMPTY))
-                    continue
                 dead = True
                 break
             if trace:
@@ -467,14 +411,12 @@ def _apply_branch(store: Store, branch: list, stamp: int) -> bool:
                 return False
         elif isinstance(em, Constraint):
             store.enqueue(em, stamp)
-        elif isinstance(em, (And, Or, TrueF, FalseF)):
+        else:
             sub = items_of(em)
             if sub is None:
                 return False
             for it in sub:
                 store.enqueue(it)
-        else:
-            raise IllFormed(f"bad emission {type(em).__name__}")
     if store.arith.failed:
         return False
     return True

@@ -114,6 +114,9 @@ class And(Formula):
 @dataclass(frozen=True, slots=True)
 class Or(Formula):
     parts: tuple[Formula, ...]
+    # A queue item: ``rules.rewrite`` decides it like a constraint.
+    kind = "or"
+    q = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,6 +234,37 @@ def formula_vars(f: Formula) -> set[str]:
     return set()
 
 
+def all_var_names(f: Formula) -> set[str]:
+    """Every variable name occurring anywhere, bound or free."""
+    out: set[str] = set()
+
+    def walk(g: Formula) -> None:
+        if isinstance(g, Constraint):
+            for a in g.args:
+                out.update(arg_vars(a))
+            if g.q is not None:
+                out.update(term_vars(g.q.binder))
+                out.update(term_vars(g.q.domain))
+                out.update(g.q.locals)
+                walk(g.q.body)
+                if g.q.funcs is not None:
+                    walk(g.q.funcs)
+        elif isinstance(g, (And, Or)):
+            for p in g.parts:
+                walk(p)
+        elif isinstance(g, Neg):
+            walk(g.body)
+        elif isinstance(g, Implies):
+            walk(g.left)
+            walk(g.right)
+        elif isinstance(g, PredCall):
+            for a in g.args:
+                out.update(arg_vars(a))
+
+    walk(f)
+    return out
+
+
 def arg_vars(a) -> set[str]:
     """Variables of a constraint argument: a term or an integer expression."""
     if isinstance(a, Term):
@@ -247,9 +281,11 @@ def subst_formula(s: dict[str, Term], f: Formula, gen: VarGen,
     """Capture-avoiding substitution into a formula.  A formula the
     substitution does not change is returned as the same object.
 
-    With ``cuts``, a ``foreach`` whose body the substitution leaves
-    ill-sorted holds only over an empty domain: it becomes ``D = {}`` and
-    the ill-sorted term is appended to ``cuts``.  Without, it raises."""
+    With ``cuts``, an ``or`` alternative that the substitution leaves
+    ill-sorted becomes ``false``; failing that, a ``foreach`` whose body it
+    leaves ill-sorted holds only over an empty domain and becomes
+    ``D = {}``.  Each cut appends the ill-sorted term to ``cuts``.  Without
+    ``cuts``, or with the term in neither, it raises."""
     if not s:
         return f
     cls = type(f)
@@ -260,9 +296,20 @@ def subst_formula(s: dict[str, Term], f: Formula, gen: VarGen,
         if all(map(operator.is_, args, f.args)):
             return f
         return Constraint(f.kind, args)
-    if cls is And or cls is Or:
+    if cls is And:
         parts = tuple([subst_formula(s, p, gen, cuts) for p in f.parts])
         return f if all(map(operator.is_, parts, f.parts)) else cls(parts)
+    if cls is Or:
+        parts = []
+        for p in f.parts:
+            try:
+                parts.append(subst_formula(s, p, gen, cuts))
+            except IllSorted as e:
+                if cuts is None:
+                    raise
+                cuts.append(str(e))
+                parts.append(FALSE)
+        return f if all(map(operator.is_, parts, f.parts)) else Or(tuple(parts))
     if cls is Neg:
         body = subst_formula(s, f.body, gen, cuts)
         return f if body is f.body else Neg(body)

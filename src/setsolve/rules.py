@@ -1,7 +1,7 @@
 """Rewrite rules for the primitive constraints.
 
-``rewrite`` maps a constraint (with the store's substitution already applied)
-to one of:
+``rewrite`` maps a constraint or an ``or`` (with the store's substitution
+already applied) to one of:
 
 * ``None``      -- irreducible: park it as a residual constraint,
 * ``[]``        -- unsatisfiable: fail this branch,
@@ -9,15 +9,18 @@ to one of:
 
 Each branch is a list of emissions: constraints, whole sub-formulas (from
 quantifier bodies), or ``Bind`` substitution deltas produced by unification.
+An ``or`` gives one branch per alternative, which is its one emission.
 Ground constraints short-circuit through the evaluator.  Rules follow a
 case-split discipline: membership drives elements into variable sets,
 negative constraints introduce fresh witnesses, and union-style constraints
 peel one listed element per step so every chain of descendants shrinks.
 
-``rewrite`` drops each branch that holds a constraint false on sight, and
-returns ``[]`` when none is left: ``t neq t``, ``x nin {x / _}`` and
-``x in {}``, exactly the forms whose own rule fails from syntax alone.  Each
-is false under every substitution, so the branch has no solution, and
+``rewrite`` drops each branch that holds ``false`` or a constraint false on
+sight, and returns ``[]`` when none is left: ``t neq t``, ``x nin {x / _}``
+and ``x in {}``, exactly the forms whose own rule fails from syntax alone.
+``false`` is an ``or`` alternative as written, or one that substitution
+left ill-sorted (``formulas.subst_formula`` records that cut).  Each is
+false under every substitution, so the branch has no solution, and
 dropping it before it is cloned and queued loses none.  That holds as well
 for a branch that also binds a variable to an ill-sorted term: it would die
 with a recorded cut, but it has no solution whatever the sorts, so its
@@ -84,8 +87,8 @@ from dataclasses import dataclass
 
 from . import arith, groundeval
 from .formulas import (
-    INT_POS, SET_POS, And, C, Constraint, Or, QPayload, binder_names, conj,
-    subst_formula,
+    INT_POS, SET_POS, And, C, Constraint, FalseF, Or, QPayload, binder_names,
+    conj, subst_formula,
 )
 from .terms import (
     CP, NON_SETS, EMPTY, Atom, EmptySet, ExtSet, IllSorted, Int, Interval, Pair,
@@ -120,6 +123,8 @@ def _sym_setlike(t: Term) -> bool:
 
 def rewrite(c: Constraint, store):
     k = c.kind
+    if k == "or":
+        return _live([[p] for p in c.parts])
     if k == "dec":
         return [[]]
     if k in ("foreach", "exists"):
@@ -154,9 +159,9 @@ def rewrite(c: Constraint, store):
 
 
 def _false_on_sight(e) -> bool:
-    """``t neq t``, ``x nin {x / _}`` or ``x in {}``."""
+    """``false``, ``t neq t``, ``x nin {x / _}`` or ``x in {}``."""
     if type(e) is not Constraint:
-        return False
+        return type(e) is FalseF
     k = e.kind
     if k == "neq":
         return e.args[0] == e.args[1]
@@ -167,7 +172,8 @@ def _false_on_sight(e) -> bool:
 
 
 def _live(out):
-    """The branches of ``out`` that hold no constraint false on sight."""
+    """The branches of ``out`` that hold neither ``false`` nor a constraint
+    false on sight."""
     if not out:
         return out
     return [b for b in out if not any(map(_false_on_sight, b))]

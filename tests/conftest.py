@@ -5,8 +5,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import pytest
-from oracle import holds
+from oracle import holds, search_model
 from setsolve.engine import ground_complete, solve
+from setsolve.formulas import formula_vars
 from setsolve.parser import parse_formula
 
 
@@ -27,3 +28,13 @@ def certify(formula, result, hints=None):
         assert g is not None, f"cannot ground {sol.bindings}"
         assert holds(formula, g), f"oracle rejects {g}"
     return True
+
+
+def certify_unsat(formula, result, pools):
+    """An Unsat answer must leave the oracle's bounded search, which draws
+    each free variable from ``pools[name]``, with nothing to find."""
+    assert result.unsat, "expected unsatisfiable"
+    names = sorted(pools)
+    assert names == sorted(formula_vars(formula))
+    model = search_model(formula, names, [pools[n] for n in names])
+    assert model is None, f"oracle finds {model}"

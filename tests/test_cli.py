@@ -83,6 +83,14 @@ def test_trace_shows_the_step_an_ill_sorted_term_cuts(capsys):
         "step": 2, "kind": "in", "constraint": "1 in a", "result": "ill_sorted"}
 
 
+def test_trace_shows_an_or_step_like_any_other(capsys):
+    assert cli.main(["solve", "-e", "X = a & (X = b or X = a)", "--trace"]) == cli.OK
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert events[1] == {
+        "step": 2, "kind": "or", "constraint": "a = b or a = a", "result": 2}
+    assert all(list(e) == ["step", "kind", "constraint", "result"] for e in events)
+
+
 def test_stray_character_is_a_usage_error(machine_file, capsys):
     assert cli.main(["verify", machine_file("n >= 0 $")]) == cli.USAGE
     assert "unexpected character '$'" in capsys.readouterr().err

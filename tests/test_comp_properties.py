@@ -119,10 +119,13 @@ def test_a_goal_posted_twice_is_solved_as_once(goal):
 
 
 @pytest.mark.parametrize("text, steps", [
-    ("comp(R, R, {[a, c]})", 25),
+    ("comp(R, R, {[a, c]})", 24),
     ("dom({[a, b], [b, b]}, D) & ran(S, D) & dom({[c, b]}, {c, X})", 43),
 ])
 def test_a_goal_posted_twice_takes_the_steps_of_the_goal_posted_once(text, steps):
+    """``comp(R, R, {[a, c]})`` takes 24 steps: an instance of the cover's
+    ``N neq M or [X, Z] in T`` with ``N`` and ``M`` the same term loses its
+    ``t neq t`` alternative in ``rewrite``, before the store is cloned."""
     for goal in (text, f"{text} & {text}"):
         res = solve(parse_formula(goal), budget=1_000)
         assert (res.steps, _verdict(res)) == (steps, "Sat"), goal

@@ -1,5 +1,7 @@
 """Bounded quantification through the solver."""
-from conftest import certify
+import pytest
+from conftest import certify, certify_unsat
+from oracle import subsets
 from setsolve.engine import ground_complete, solve
 from setsolve.formulas import C, Constraint, Neg, QPayload
 from setsolve.parser import parse_formula
@@ -42,6 +44,24 @@ def test_quantifier_over_interval(run):
     assert run("foreach(X in int(1,4), X >= 1)").solutions
     assert run("exists(X in int(1,4), X = 3)").solutions
     assert run("foreach(X in int(1,4), X < 4)").unsat
+
+
+@pytest.mark.parametrize("text, pools", [
+    ("exists(X in D, X = a)", None),
+    ("exists(X in D, X = a) & a nin D", {"D": subsets(["a:a", "a:b"])}),
+    ("exists(X in cp(A, {2}), X = [1, 2])", None),
+    ("exists(X in cp(A, {2}), X = [1, 2]) & 1 nin A", {"A": subsets([1, 2])}),
+    ("exists(X in int(1, N), X = 3) & N < 5", None),
+    ("exists(X in int(1, N), X = 3) & N < 3", {"N": list(range(-1, 6))}),
+])
+def test_existential_over_an_open_domain(run, text, pools):
+    """A variable, product or interval domain gets a witness; Unsat answers
+    (those given ``pools``) are checked by the oracle's bounded search."""
+    f = parse_formula(text)
+    if pools is None:
+        certify(f, run(f))
+    else:
+        certify_unsat(f, run(f), pools)
 
 
 def test_nested_quantifiers(run):

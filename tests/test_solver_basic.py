@@ -1,6 +1,7 @@
 """Every constraint kind through the solver, answers certified by the oracle."""
 import pytest
-from conftest import certify
+from conftest import certify, certify_unsat
+from oracle import subsets
 from setsolve import cli
 from setsolve.engine import ground_complete, solve
 from setsolve.formulas import C
@@ -19,6 +20,17 @@ def sat(run, text, **kw):
 def unsat(run, text, **kw):
     res = run(text, **kw)
     assert res.unsat, f"{text} should be unsatisfiable"
+
+
+# Sets of the pairs [a, a] and [a, b] and the non-pair a, for the oracle's
+# bounded search.
+RELS = subsets([("a:a", "a:a"), ("a:a", "a:b"), "a:a"])
+
+
+def refuted(run, text, pools):
+    """``text`` is Unsat, and the oracle finds no model over ``pools``."""
+    f = parse_formula(text)
+    certify_unsat(f, run(f), pools)
 
 
 def test_equality(run):
@@ -118,6 +130,10 @@ def test_inclusion(run):
 
 
 def test_composition(run):
+    """``comp(R, R, {[a, b]})`` takes 24 steps: the inner ``foreach`` of the
+    cover instantiates ``N neq M or [X, Z] in T`` with ``N`` and ``M`` the
+    same term, and ``rewrite`` drops that ``t neq t`` alternative before the
+    store is cloned, one step sooner than when it was queued to fail."""
     sat(run, "comp({[1,2]}, {[2,5]}, {[1,5]})")
     sat(run, "comp({[1,2]}, {[3,5]}, {})")
     sat(run, "comp({[1,2],[2,2]}, {[2,7]}, X)")
@@ -125,6 +141,10 @@ def test_composition(run):
     unsat(run, "comp({[1,2]}, {[2,5]}, {[1,5],[2,2]})")
     sat(run, "ncomp({[1,2]}, {[2,5]}, {})")
     unsat(run, "ncomp({[1,2]}, {[2,5]}, {[1,5]})")
+    # Over variables, ncomp is rewritten, not evaluated.
+    sat(run, "ncomp(R, S, T)")
+    refuted(run, "ncomp(R, S, T) & R = {} & T = {} & pfun(S)",
+            {"R": RELS, "S": RELS, "T": RELS})
     # A comp over a variable whose third argument lists a pair is decided,
     # not parked: each listed pair asks for a witness in both relations.
     sat(run, "comp(R, S, {[a, b]})")
@@ -133,7 +153,7 @@ def test_composition(run):
     sat(run, "comp({[a, b]}, S, {[a, d]})")
     unsat(run, "comp({[a, b]}, S, {[c, d]})")
     # The same variable on both sides: R = {[a,N], [N,b]} with N not a or b.
-    assert sat(run, "comp(R, R, {[a, b]})").steps == 25
+    assert sat(run, "comp(R, R, {[a, b]})").steps == 24
     unsat(run, "neg(comp(R, S, T) & dom(T, D) & dom(R, E) implies subset(D, E))")
     sat(run, "neg(comp(R, S, T) & dom(T, D) & dom(R, E) implies subset(D, EE))")
 
@@ -162,6 +182,8 @@ def test_inverse(run):
     unsat(run, "inv({[1,2]}, {[1,2]})")
     sat(run, "ninv({[1,2]}, {[1,2]})")
     unsat(run, "ninv({[1,2]}, {[2,1]})")
+    sat(run, "ninv(R, {[1, 2]})")
+    refuted(run, "ninv(R, {}) & disj(R, R)", {"R": RELS})
 
 
 def test_identity(run):
@@ -171,6 +193,8 @@ def test_identity(run):
     unsat(run, "id({1}, {[1,2]})")
     sat(run, "nid({1}, {[1,2]})")
     unsat(run, "nid({1}, {[1,1]})")
+    sat(run, "nid(A, {[1, 1]})")
+    refuted(run, "nid(A, {}) & disj(A, A)", {"A": subsets([1, 2, (1, 1)])})
 
 
 def test_partial_function(run):
@@ -316,6 +340,9 @@ def test_well_sorted_unsat_records_no_cut(run, text):
     ("Y = 1 & (X = {a/Y} or X = b)", Atom("b")),
     ("exists(Z in {1, {b}}, X = {a/Z})", mkset([Atom("a"), Atom("b")])),
     ("Y = 1 & foreach(Z in X, W = {a/Y})", EMPTY),  # holds over an empty domain
+    # The smallest ``or`` alternative that holds the term is the one cut.
+    ("Y = 1 & ((X = {a/Y} or X = c) & W = d or X = b)", Atom("c")),
+    ("Y = 1 & foreach(Z in {c}, X = {a/Y} or X = b)", Atom("b")),
 ])
 def test_only_the_branch_with_the_ill_sorted_term_dies(run, text, x):
     # The oracle has no verdict on an ill-sorted term, even in a disjunct or
