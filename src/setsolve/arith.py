@@ -22,14 +22,14 @@ class NonLinear(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ABin:
     op: str  # '+', '-', '*'
     left: "AExpr"
     right: "AExpr"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ANeg:
     body: "AExpr"
 

@@ -60,12 +60,12 @@ class Formula:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FalseF(Formula):
     pass
 
@@ -74,7 +74,7 @@ TRUE = TrueF()
 FALSE = FalseF()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class QPayload:
     """Quantifier payload: binder pattern, domain, locals, body, let-part.
 
@@ -90,7 +90,7 @@ class QPayload:
     funcs: Optional[Formula] = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Constraint(Formula):
     kind: str
     args: tuple = ()
@@ -106,12 +106,12 @@ class Constraint(Formula):
             raise ValueError(f"{self.kind} expects {ARITY[self.kind]} args")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class And(Formula):
     parts: tuple[Formula, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Or(Formula):
     parts: tuple[Formula, ...]
     # A queue item: ``rules.rewrite`` decides it like a constraint.
@@ -119,18 +119,18 @@ class Or(Formula):
     q = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Neg(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PredCall(Formula):
     """Call to a user-defined predicate; expanded by inlining its clause."""
 
@@ -138,14 +138,14 @@ class PredCall(Formula):
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Clause:
     name: str
     params: tuple[str, ...]
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Program:
     """Clause database plus the typing directives collected from a file."""
 
@@ -282,10 +282,11 @@ def subst_formula(s: dict[str, Term], f: Formula, gen: VarGen,
     substitution does not change is returned as the same object.
 
     With ``cuts``, an ``or`` alternative that the substitution leaves
-    ill-sorted becomes ``false``; failing that, a ``foreach`` whose body it
-    leaves ill-sorted holds only over an empty domain and becomes
-    ``D = {}``.  Each cut appends the ill-sorted term to ``cuts``.  Without
-    ``cuts``, or with the term in neither, it raises."""
+    ill-sorted becomes ``false``, unless every alternative is, when the
+    ``or`` itself is the part cut by what encloses it; failing that, a
+    ``foreach`` whose body it leaves ill-sorted holds only over an empty
+    domain and becomes ``D = {}``.  Each cut appends the ill-sorted term to
+    ``cuts``.  Without ``cuts``, or with the term in neither, it raises."""
     if not s:
         return f
     cls = type(f)
@@ -300,15 +301,19 @@ def subst_formula(s: dict[str, Term], f: Formula, gen: VarGen,
         parts = tuple([subst_formula(s, p, gen, cuts) for p in f.parts])
         return f if all(map(operator.is_, parts, f.parts)) else cls(parts)
     if cls is Or:
-        parts = []
+        parts, cut = [], []
         for p in f.parts:
             try:
                 parts.append(subst_formula(s, p, gen, cuts))
             except IllSorted as e:
                 if cuts is None:
                     raise
-                cuts.append(str(e))
+                cut.append(e)
                 parts.append(FALSE)
+        if cut:
+            if len(cut) == len(parts):
+                raise cut[0]
+            cuts.extend(map(str, cut))
         return f if all(map(operator.is_, parts, f.parts)) else Or(tuple(parts))
     if cls is Neg:
         body = subst_formula(s, f.body, gen, cuts)

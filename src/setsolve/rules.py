@@ -97,7 +97,7 @@ from .terms import (
 from .unify import concretize, unify
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Bind:
     delta: tuple  # tuple of (name, term)
 

@@ -1,7 +1,10 @@
 """Core term language for the finite-set constraint solver.
 
-Terms are immutable dataclasses, so structural sharing is safe everywhere.
-Extensional sets follow the element/tail discipline: ``ExtSet(h, t)`` denotes
+Terms are slotted dataclasses that compare and hash by value, and are shared
+structurally everywhere.  They are not frozen, because a frozen ``__init__``
+costs more than twice as much; they are immutable because no code assigns to
+a field of a built node, which ``tests/test_nodes.py`` checks by reading every
+module.  Extensional sets follow the element/tail discipline: ``ExtSet(h, t)`` denotes
 ``{h} | t`` where the tail is itself a set term (EmptySet, ExtSet or a
 variable standing for the "rest" of the set).
 """
@@ -18,27 +21,27 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Atom(Term):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Int(Term):
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Str(Term):
     value: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Pair(Term):
     """Ordered pair ``[x, y]``.  Pairs are ur-elements, not sets."""
 
@@ -46,7 +49,7 @@ class Pair(Term):
     second: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EmptySet(Term):
     pass
 
@@ -64,7 +67,7 @@ class IllSorted(ValueError):
     solver then drops the branch that holds the term."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ExtSet(Term):
     """``{head / tail}``: the set ``{head}`` united with ``tail``."""
 
@@ -76,7 +79,7 @@ class ExtSet(Term):
             raise IllSorted(f"invalid set tail: {self.tail!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CP(Term):
     """Cartesian product of two sets, kept symbolic until expanded."""
 
@@ -89,7 +92,7 @@ class CP(Term):
                 raise IllSorted(f"invalid product factor: {s!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Interval(Term):
     """Integer interval ``int(lo, hi)``; bounds are Int or Var."""
 

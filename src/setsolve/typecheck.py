@@ -20,22 +20,22 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TInt:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TStr:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TBasic:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TEnum:
     members: tuple[str, ...]
 
@@ -44,7 +44,7 @@ class TEnum:
             raise ValueError("enumerated type needs at least two members")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TProd:
     parts: tuple
 
@@ -53,18 +53,18 @@ class TProd:
             raise ValueError("product type needs at least two components")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TSet:
     elem: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TV:
     """Inference variable; only appears while checking."""
     id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TNameVar:
     """A named type variable written in a declaration, e.g. dec(F,stype([X,Y]))."""
     name: str

@@ -345,3 +345,21 @@ def test_verify_po_rejects_an_unknown_name_before_discharging(capsys, monkeypatc
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "no obligation named 'gears/no_such/INV'\n"
+
+
+@pytest.mark.parametrize("name", ["gears.smch", "examples.slog"])
+def test_typecheck_accepts_the_bundled_inputs(capsys, name):
+    path = str(resources.files("setsolve") / "data" / "corpus" / name)
+    assert cli.main(["typecheck", path]) == cli.OK
+    assert capsys.readouterr().out == "ok\n"
+
+
+def test_typecheck_rejects_atoms_where_an_int_belongs(machine_file, capsys):
+    assert cli.main(["typecheck", machine_file("n in {a, b}")]) == cli.USAGE
+    assert "in: atom a used where int expected\n" in capsys.readouterr().out
+
+
+def test_solve_out_of_budget_is_unknown(capsys):
+    goal = "X in {a,b} & Y in {c,d} & X neq Y"
+    assert cli.main(["solve", "--budget", "1", "-e", goal]) == cli.UNKNOWN
+    assert capsys.readouterr().out == "Unknown.\n"

@@ -353,6 +353,15 @@ def test_only_the_branch_with_the_ill_sorted_term_dies(run, text, x):
     assert res.ill_sorted, "the cut branch is recorded"
 
 
+def test_an_or_with_every_alternative_cut_takes_the_enclosing_alternative(run):
+    # The outer alternative dies at the substitution, before it is cloned
+    # and queued, so the inner ``false or false`` is never popped.
+    res = run("Y = 1 & ((X = {a/Y} or X = {b/Y}) & W = d or X = b)")
+    assert [s.bindings for s in res.solutions] == [{"X": Atom("b"), "Y": Int(1)}]
+    assert res.ill_sorted == "invalid set tail: Int(value=1)"
+    assert (res.steps, res.clones) == (3, 0)
+
+
 @pytest.mark.parametrize("text", [
     "Y = 1 & (foreach(Z in D, X = {a/Y}) or W = 1) & W = 2",
     "Y = 1 & exists(V in {c}, foreach(Z in D, X = {a/Y}))",
