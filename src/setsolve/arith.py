@@ -1,18 +1,28 @@
-"""Linear integer arithmetic over exact rationals.
+"""Linear integer arithmetic over integer rows.
 
 Expressions stay symbolic (``ABin``/``ANeg`` over Var/Int leaves) until a
-constraint is asserted; lowering to a linear form raises ``NonLinear`` when
-two non-constant factors are multiplied.  The store decides consistency with
-Gaussian elimination on equalities, Fourier-Motzkin projection over the
-rationals, and a bounded branch-and-bound for integrality.  A definite answer
-is exact; when the bound runs out the store reports "unknown", never a
-spurious "consistent".
+constraint is asserted; lowering to a linear form with ``int`` coefficients
+raises ``NonLinear`` when two non-constant factors are multiplied.
+
+The store keeps equations ``e = 0`` and rows ``e =< 0`` over the integers.
+Every row is tight, as in Pugh's Omega test: its coefficients have gcd 1 and
+its constant is rounded up, so a strict ``e < 0`` is stored as
+``e + 1 =< 0``.  The Gaussian step rejects an equation whose coefficient gcd
+does not divide its constant, and pivots only on a variable with coefficient
+±1, so it never divides; an equation without one becomes two rows.
+Fourier-Motzkin combines rows with positive integer multipliers and
+tightens the result.  Every derived row holds at every integer point of the
+store, and a bounded search over integer values finishes the job.
+
+``consistent()`` answers True when the search found an integer point (which
+``model()`` returns), False when the store has no integer point, and None
+when the search ran out of budget or of a capped range of an unbounded
+variable before finding one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Union
 
 from .terms import IllSorted, Int, Term, Var
@@ -38,25 +48,24 @@ AExpr = Union[Term, ABin, ANeg]
 
 
 class LinExpr:
-    """Sum of rational-coefficient variables plus a constant."""
+    """Sum of integer-coefficient variables plus an integer constant."""
 
     __slots__ = ("coeffs", "const")
 
-    def __init__(self, coeffs: Optional[dict[str, Fraction]] = None,
-                 const: Fraction = Fraction(0)):
+    def __init__(self, coeffs: Optional[dict[str, int]] = None, const: int = 0):
         self.coeffs = {k: v for k, v in (coeffs or {}).items() if v != 0}
-        self.const = Fraction(const)
+        self.const = const
 
     def __add__(self, other: "LinExpr") -> "LinExpr":
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return LinExpr(out, self.const + other.const)
 
     def __sub__(self, other: "LinExpr") -> "LinExpr":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
-    def scale(self, c: Fraction) -> "LinExpr":
+    def scale(self, c: int) -> "LinExpr":
         return LinExpr({k: v * c for k, v in self.coeffs.items()}, self.const * c)
 
     def is_const(self) -> bool:
@@ -73,11 +82,11 @@ def lower(e: AExpr) -> LinExpr:
     """Lower an expression to linear form.  Raises NonLinear on products of
     two non-constant subexpressions, and TypeError on non-integer leaves."""
     if isinstance(e, Int):
-        return LinExpr({}, Fraction(e.value))
+        return LinExpr({}, e.value)
     if isinstance(e, Var):
-        return LinExpr({e.name: Fraction(1)})
+        return LinExpr({e.name: 1})
     if isinstance(e, ANeg):
-        return lower(e.body).scale(Fraction(-1))
+        return lower(e.body).scale(-1)
     if isinstance(e, ABin):
         a, b = lower(e.left), lower(e.right)
         if e.op == "+":
@@ -121,13 +130,16 @@ def eval_ground(e: AExpr) -> int:
     le = lower(e)
     if not le.is_const():
         raise ValueError(f"expression not ground: {e!r}")
-    if le.const.denominator != 1:
-        raise ValueError("non-integer value")
-    return int(le.const)
+    return le.const
 
 
-# A row is (expr, strict): expr <= 0, or expr < 0 when strict.
-Row = tuple[LinExpr, bool]
+def _tight(e: LinExpr) -> LinExpr:
+    """The row ``e =< 0`` divided by its coefficients' gcd, with the
+    constant rounded up: the same integer points, and tight."""
+    g = math.gcd(*e.coeffs.values())
+    if g <= 1:
+        return e
+    return LinExpr({k: v // g for k, v in e.coeffs.items()}, -(-e.const // g))
 
 
 class ArithStore:
@@ -135,7 +147,7 @@ class ArithStore:
 
     def __init__(self) -> None:
         self.eqs: list[LinExpr] = []     # expr = 0
-        self.ineqs: list[Row] = []       # expr <= 0 / expr < 0
+        self.ineqs: list[LinExpr] = []   # tight rows, expr =< 0
         self.failed = False
 
     def copy(self) -> "ArithStore":
@@ -149,7 +161,7 @@ class ArithStore:
         out: set[str] = set()
         for e in self.eqs:
             out |= e.free()
-        for e, _ in self.ineqs:
+        for e in self.ineqs:
             out |= e.free()
         return out
 
@@ -161,12 +173,13 @@ class ArithStore:
         self.eqs.append(e)
 
     def assert_le(self, e: LinExpr, strict: bool = False) -> None:
+        if strict:
+            e = LinExpr(e.coeffs, e.const + 1)
         if e.is_const():
-            bad = e.const >= 0 if strict else e.const > 0
-            if bad:
+            if e.const > 0:
                 self.failed = True
             return
-        self.ineqs.append((e, strict))
+        self.ineqs.append(_tight(e))
 
     def consistent(self, budget: int = 4096) -> Optional[bool]:
         """True / False when decided; None when the integer search ran out."""
@@ -181,94 +194,99 @@ class ArithStore:
         for pivot_var, expr in reversed(pivots):
             val = expr.const
             for k, c in expr.coeffs.items():
-                val += c * Fraction(model.get(k, 0))
-            if val.denominator != 1:
-                return None
-            model[pivot_var] = int(val)
+                val += c * model.setdefault(k, 0)
+            model[pivot_var] = val
         return model
 
     def _search(self, budget: int):
         """(verdict, equality pivots, integer model of the remaining
-        variables): Gaussian elimination, then Fourier-Motzkin over the
-        rationals, then the bounded integer search."""
+        variables): the Gaussian step, then the bounded integer search,
+        which runs Fourier-Motzkin at every node."""
         if self.failed:
             return False, [], {}
-        pivots, ineqs = _gauss(self.eqs, self.ineqs)
+        pivots, rows = _gauss(self.eqs, self.ineqs)
         if pivots is None:
             return False, [], {}
-        rows = _drop_redundant(ineqs)
-        if not _rational_feasible(rows):
-            return False, [], {}
-        ok, model = _int_feasible(rows, budget)
+        ok, model = _int_feasible(_drop_redundant(rows), budget)
         return ok, pivots, model
 
 
-def _gauss(eqs: list[LinExpr], ineqs: list[Row]):
-    """Eliminate equality pivots; returns (pivots, rewritten ineqs) or
-    (None, _) on contradiction.  Each pivot is (var, rhs-expression)."""
+def _gauss(eqs: list[LinExpr], rows: list[LinExpr]):
+    """Eliminate unit pivots; returns (pivots, rewritten tight rows) or
+    (None, _) when an equation has no integer solution.  Each pivot is
+    (var, rhs-expression)."""
     pivots: list[tuple[str, LinExpr]] = []
     work = list(eqs)
-    out_ineqs = list(ineqs)
+    rows = list(rows)
     while work:
         e = work.pop()
-        if e.is_const():
-            if e.const != 0:
+        g = math.gcd(*e.coeffs.values())
+        if g == 0:        # no variable left
+            if e.const:
                 return None, []
             continue
-        var = sorted(e.coeffs)[0]
+        if e.const % g:   # the gcd test
+            return None, []
+        if g > 1:
+            e = LinExpr({k: v // g for k, v in e.coeffs.items()}, e.const // g)
+        var = next((k for k in sorted(e.coeffs) if e.coeffs[k] in (1, -1)), None)
+        if var is None:
+            rows += [e, e.scale(-1)]
+            continue
         c = e.coeffs[var]
-        # var = rhs
-        rhs_coeffs = {k: -v / c for k, v in e.coeffs.items() if k != var}
-        rhs = LinExpr(rhs_coeffs, -e.const / c)
-        pivots.append((var, rhs))
-        work = [_elim(x, var, rhs) for x in work]
-        out_ineqs = [(_elim(x, var, rhs), s) for x, s in out_ineqs]
-    return pivots, out_ineqs
+        # var = -c * (e - c * var), and x - a*c*e has no var.
+        pivots.append((var, LinExpr({k: -c * v for k, v in e.coeffs.items() if k != var},
+                                    -c * e.const)))
+        work = [_elim(x, var, c, e) for x in work]
+        rows = [_tight(_elim(x, var, c, e)) for x in rows]
+    return pivots, rows
 
 
-def _elim(e: LinExpr, var: str, rhs: LinExpr) -> LinExpr:
-    c = e.coeffs.get(var)
-    if not c:
-        return e
-    rest = LinExpr({k: v for k, v in e.coeffs.items() if k != var}, e.const)
-    return rest + rhs.scale(c)
+def _elim(x: LinExpr, var: str, c: int, e: LinExpr) -> LinExpr:
+    a = x.coeffs.get(var)
+    if not a:
+        return x
+    return x + e.scale(-a * c)
 
 
-def _drop_redundant(rows: list[Row]) -> list[Row]:
-    seen = {}
-    for e, s in rows:
-        key = (tuple(sorted(e.coeffs.items())), e.const)
-        if key not in seen or (s and not seen[key][1]):
-            seen[key] = (e, s)
-    return list(seen.values())
+def _drop_redundant(rows: list[LinExpr]) -> list[LinExpr]:
+    """Keep one row per coefficient vector: the one with the largest
+    constant, which implies the others."""
+    best: dict[tuple, LinExpr] = {}
+    for e in rows:
+        key = tuple(sorted(e.coeffs.items()))
+        old = best.get(key)
+        if old is None or e.const > old.const:
+            best[key] = e
+    return list(best.values())
 
 
-def _eliminate(rows: list[Row], v: str) -> list[Row]:
+def _eliminate(rows: list[LinExpr], v: str) -> list[LinExpr]:
     """One Fourier-Motzkin step: project v out of the rows."""
     lower_rows, upper_rows, out = [], [], []
-    for e, s in rows:
-        c = e.coeffs.get(v, Fraction(0))
+    for e in rows:
+        c = e.coeffs.get(v, 0)
         if c > 0:
-            upper_rows.append((e, s, c))
+            upper_rows.append((e, c))
         elif c < 0:
-            lower_rows.append((e, s, c))
+            lower_rows.append((e, c))
         else:
-            out.append((e, s))
-    for eu, su, cu in upper_rows:
-        for el, sl, cl in lower_rows:
-            out.append((eu.scale(-cl) + el.scale(cu), su or sl))
+            out.append(e)
+    for eu, cu in upper_rows:
+        for el, cl in lower_rows:
+            out.append(_tight(eu.scale(-cl) + el.scale(cu)))
     return _drop_redundant(out)
 
 
-def _rational_feasible(rows: list[Row]) -> bool:
-    """Fourier-Motzkin elimination; exact over the rationals."""
+def _fm_feasible(rows: list[LinExpr]) -> bool:
+    """Fourier-Motzkin elimination over tight rows.  False is exact: the
+    store has no integer point.  True may still have none."""
     while True:
-        for e, s in rows:
-            if e.is_const():
-                if (e.const > 0) or (s and e.const == 0):
-                    return False
+        for e in rows:
+            if e.is_const() and e.const > 0:
+                return False
         varset: set[str] = set()
-        for e, _ in rows:
+        for e in rows:
             varset |= e.free()
         if not varset:
             return True
@@ -279,87 +297,69 @@ def _rational_feasible(rows: list[Row]) -> bool:
             return True
 
 
-def _var_bounds(rows: list[Row], v: str):
-    """Rational bounds (with strictness) for v after eliminating the rest."""
+def _var_bounds(rows: list[LinExpr], v: str) -> tuple[Optional[int], Optional[int]]:
+    """Integer bounds for v after eliminating the rest."""
     others: set[str] = set()
-    for e, _ in rows:
+    for e in rows:
         others |= e.free()
     others.discard(v)
     for u in sorted(others):
         rows = _eliminate(rows, u)
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    lo_strict = hi_strict = False
-    for e, s in rows:
-        c = e.coeffs.get(v, Fraction(0))
-        if c == 0:
-            continue
-        bound = -e.const / c
-        if c > 0:  # v <= bound / v < bound
-            if hi is None or bound < hi or (bound == hi and s):
-                hi, hi_strict = bound, s
-        else:      # v >= bound / v > bound
-            if lo is None or bound > lo or (bound == lo and s):
-                lo, lo_strict = bound, s
-    return lo, lo_strict, hi, hi_strict
+    lo: Optional[int] = None
+    hi: Optional[int] = None
+    for e in rows:
+        c = e.coeffs.get(v, 0)
+        if c > 0:    # v =< floor(-const / c)
+            bound = -e.const // c
+            if hi is None or bound < hi:
+                hi = bound
+        elif c < 0:  # v >= ceil(-const / c)
+            bound = -(e.const // c)
+            if lo is None or bound > lo:
+                lo = bound
+    return lo, hi
 
 
-def _int_floor(hi: Fraction, strict: bool) -> int:
-    if strict and hi.denominator == 1:
-        return int(hi) - 1
-    return math.floor(hi)
-
-
-def _int_ceil(lo: Fraction, strict: bool) -> int:
-    if strict and lo.denominator == 1:
-        return int(lo) + 1
-    return math.ceil(lo)
-
-
-def _int_feasible(rows: list[Row], budget: int) -> tuple[Optional[bool], dict[str, int]]:
+def _int_feasible(rows: list[LinExpr], budget: int) -> tuple[Optional[bool], dict[str, int]]:
     """Bounded branch-and-bound search for an integer point."""
     state = {"budget": budget}
 
-    def rec(rows: list[Row], acc: dict[str, int]):
+    def rec(rows: list[LinExpr], acc: dict[str, int]):
         if state["budget"] <= 0:
             return None, acc
         state["budget"] -= 1
-        for e, s in rows:
-            if e.is_const():
-                if (e.const > 0) or (s and e.const == 0):
-                    return False, acc
+        for e in rows:
+            if e.is_const() and e.const > 0:
+                return False, acc
         varset: set[str] = set()
-        for e, _ in rows:
+        for e in rows:
             varset |= e.free()
         if not varset:
             return True, acc
-        if not _rational_feasible(rows):
+        if not _fm_feasible(rows):
             return False, acc
         v = sorted(varset)[0]
-        lo, lo_s, hi, hi_s = _var_bounds(rows, v)
+        lo, hi = _var_bounds(rows, v)
         capped = False
         if lo is None and hi is None:
             candidates = list(range(0, 33)) + list(range(-1, -33, -1))
             capped = True
         elif lo is None:
-            top = _int_floor(hi, hi_s)
-            candidates = list(range(top, top - 64, -1))
+            candidates = list(range(hi, hi - 64, -1))
             capped = True
         elif hi is None:
-            bot = _int_ceil(lo, lo_s)
-            candidates = list(range(bot, bot + 64))
+            candidates = list(range(lo, lo + 64))
             capped = True
         else:
-            ilo, ihi = _int_ceil(lo, lo_s), _int_floor(hi, hi_s)
-            if ilo > ihi:
+            if lo > hi:
                 return False, acc
-            if ihi - ilo > 256:
-                ihi = ilo + 256  # cap the scan; failure past it -> unknown
+            if hi - lo > 256:
+                hi = lo + 256  # cap the scan; failure past it -> unknown
                 capped = True
-            candidates = list(range(ilo, ihi + 1))
+            candidates = list(range(lo, hi + 1))
         saw_unknown = False
         for val in candidates:
-            sub = [(_assign(e, v, val), s) for e, s in rows]
+            sub = [_assign(e, v, val) for e in rows]
             ok, model = rec(_drop_redundant(sub), {**acc, v: val})
             if ok:
                 return True, model
@@ -377,5 +377,4 @@ def _assign(e: LinExpr, v: str, val: int) -> LinExpr:
     c = e.coeffs.get(v)
     if not c:
         return e
-    return LinExpr({k: x for k, x in e.coeffs.items() if k != v},
-                   e.const + c * Fraction(val))
+    return _tight(LinExpr({k: x for k, x in e.coeffs.items() if k != v}, e.const + c * val))

@@ -1,6 +1,10 @@
 """Linear integer arithmetic: the store and its solver integration."""
+from itertools import product
+
 import pytest
-from setsolve.arith import ABin, ANeg, ArithStore, NonLinear, eval_ground, lower
+from conftest import certify
+from hypothesis import given, settings, strategies as st
+from setsolve.arith import ABin, ANeg, ArithStore, LinExpr, NonLinear, eval_ground, lower
 from setsolve.engine import solve
 from setsolve.parser import parse_formula
 from setsolve.terms import Int, Var
@@ -78,3 +82,67 @@ def test_interval_membership_bridges_to_arith(run):
     assert run("X in int(1, 3) & X = 5").unsat
     assert run("int(1, 0) = {}").solutions
     assert run("int(1, 2) = {1, 2}").solutions
+
+
+@pytest.mark.parametrize("goal", [
+    "X is Y * 2 & X = 5",             # the gcd test on an equation
+    "X is 2 * Y & X is 2 * Z + 1",    # even and odd at once
+    "X < Y & Y < X + 1",              # no integer strictly between
+])
+def test_goals_without_an_integer_point_are_unsat(run, goal):
+    assert run(goal).unsat
+
+
+@pytest.mark.parametrize("goal", [
+    "X is 3 * Y + 5 * Z & X = 1",     # no unit pivot
+    "X is 4 * Y + 2 & X is 6 * Z",
+])
+def test_goals_without_a_unit_pivot_ground(run, goal):
+    certify(parse_formula(goal), run(goal))
+
+
+BOX = 4  # every variable ranges over -BOX..BOX
+
+
+@st.composite
+def boxed_systems(draw):
+    """One to three variables boxed to -BOX..BOX, and one to four rows
+    ``sum(c * v) + k  op  0`` with op one of =, =< and <."""
+    names = ("A", "B", "C")[:draw(st.integers(1, 3))]
+    row = st.tuples(st.sampled_from(("eq", "le", "lt")),
+                    st.lists(st.integers(-3, 3), min_size=len(names), max_size=len(names)),
+                    st.integers(-6, 6))
+    return names, draw(st.lists(row, min_size=1, max_size=4))
+
+
+def _holds(kind, value):
+    return value == 0 if kind == "eq" else value <= 0 if kind == "le" else value < 0
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(boxed_systems())
+def test_store_agrees_with_enumeration(system):
+    names, rows = system
+    store = ArithStore()
+    for v in names:
+        store.assert_le(LinExpr({v: 1}, -BOX))
+        store.assert_le(LinExpr({v: -1}, -BOX))
+    for kind, coeffs, const in rows:
+        e = LinExpr(dict(zip(names, coeffs)), const)
+        if kind == "eq":
+            store.assert_eq(e)
+        else:
+            store.assert_le(e, strict=(kind == "lt"))
+
+    def sat(point):
+        return all(_holds(kind, sum(c * point[v] for v, c in zip(names, coeffs)) + const)
+                   for kind, coeffs, const in rows)
+
+    points = (dict(zip(names, p)) for p in product(range(-BOX, BOX + 1), repeat=len(names)))
+    expected = any(sat(p) for p in points)
+    assert store.consistent() is expected
+    model = store.model()
+    assert (model is not None) is expected
+    if model is not None:
+        assert all(-BOX <= model[v] <= BOX for v in names), model
+        assert sat(model), model

@@ -1,6 +1,10 @@
 """Exit codes of the command line front end on small machine files."""
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -363,3 +367,17 @@ def test_solve_out_of_budget_is_unknown(capsys):
     goal = "X in {a,b} & Y in {c,d} & X neq Y"
     assert cli.main(["solve", "--budget", "1", "-e", goal]) == cli.UNKNOWN
     assert capsys.readouterr().out == "Unknown.\n"
+
+
+def test_solve_refutes_a_goal_with_no_integer_point(capsys):
+    assert cli.main(["solve", "-e", "X is Y * 2 & X = 5"]) == cli.REFUTED
+    assert capsys.readouterr().out == "Unsat.\n"
+
+
+def test_package_runs_as_a_module():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "setsolve", "solve", "-e", "X = a"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "X = a\n"
