@@ -101,8 +101,6 @@ def eval_constraint(c: Constraint) -> bool:
             return term_value(c.args[0]) == _eval_aexpr(c.args[1])
         x, y = _eval_aexpr(c.args[0]), _eval_aexpr(c.args[1])
         return x <= y if k == "le" else x < y
-    if k == "dec":
-        return True
     args = [term_value(a) for a in c.args]
     if k == "eq":
         return args[0] == args[1]

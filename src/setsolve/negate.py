@@ -102,7 +102,11 @@ def _negate_quant(c: Constraint, gen: VarGen) -> Formula:
 
 
 def nnf(f: Formula, gen: VarGen, program: Program | None = None) -> Formula:
-    """Push negations inward until none remain."""
+    """Push negations inward until none remain.
+
+    A declaration ``dec(X, T)`` is for the typechecker, which reads it from
+    the formula before this: here it is true, as its negation is false, so
+    no declaration reaches the solver."""
     if isinstance(f, And):
         return conj([nnf(p, gen, program) for p in f.parts])
     if isinstance(f, Or):
@@ -112,6 +116,8 @@ def nnf(f: Formula, gen: VarGen, program: Program | None = None) -> Formula:
     if isinstance(f, Implies):
         return disj([nnf(negate(f.left, gen, program), gen, program),
                      nnf(f.right, gen, program)])
+    if isinstance(f, Constraint) and f.kind == "dec":
+        return TrueF()
     if isinstance(f, Constraint) and f.q is not None:
         q = f.q
         body = nnf(q.body, gen, program)

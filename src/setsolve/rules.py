@@ -125,8 +125,6 @@ def rewrite(c: Constraint, store):
     k = c.kind
     if k == "or":
         return _live([[p] for p in c.parts])
-    if k == "dec":
-        return [[]]
     if k in ("foreach", "exists"):
         return _live(_rule_quant(c, store))
     if k == "eq":

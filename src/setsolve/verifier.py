@@ -11,8 +11,10 @@ Three kinds of obligation are generated:
 An obligation is discharged by refuting its negation: the solver runs on
 ``hypotheses & neg(goal)``.  An unsatisfiable query proves the obligation;
 a satisfiable one is only reported as disproved when the witness can be
-completed to a well-typed ground state on which the whole query evaluates
-to true.
+completed to a well-typed ground state on which the whole query and every
+invariant evaluate to true.  Declared types are data of the obligation
+(``PO.types``), not constraints of the query: they check the witness, and
+a declared variable the query leaves free takes its first candidate value.
 
 An INV obligation is discharged in this order:
 
@@ -31,8 +33,9 @@ An INV obligation is discharged in this order:
      members.  Hypotheses start minimal: only the invariant being preserved
      and the event itself.  When that fails, further invariants are pulled
      in one at a time, preferring those the candidate counterexample
-     violates, then those sharing variables with the goal.  Only this stage
-     yields counterexamples and the causes of an Unknown.
+     falsifies or cannot evaluate, then those sharing variables with the
+     goal.  Only this stage yields counterexamples and the causes of an
+     Unknown.
 
 INIT and WD obligations go straight to stage 3.
 """
@@ -70,7 +73,7 @@ class PO:
     goal: Formula              # what must follow
     neg_goal: Formula          # refutation query part (Neg(goal) or bespoke)
     pool: tuple[tuple[str, Formula], ...]  # candidate extra hypotheses
-    decs: tuple[Constraint, ...]
+    types: tuple[tuple[str, object], ...]  # declared type of each variable
     show_vars: tuple[str, ...]  # variables worth reporting in a counterexample
     carriers: tuple[Carrier, ...]  # pinned by ``fixed``, left free in stage 2
 
@@ -102,13 +105,12 @@ def _conjuncts(f: Formula) -> list[Formula]:
     return [] if isinstance(f, TrueF) else [f]
 
 
-def _decs(m: Machine, primed: set[str]) -> tuple[Constraint, ...]:
+def _types(m: Machine, primed: set[str]) -> tuple[tuple[str, object], ...]:
+    """The declared variables and carriers with their types, and the primed
+    copies of those in ``primed``."""
     tys = machine_var_types(m)
-    out = [Constraint("dec", (Var(n), t)) for n, t in tys.items()]
-    for n in sorted(primed):
-        if n in tys:
-            out.append(Constraint("dec", (Var(n + "_"), tys[n])))
-    return tuple(out)
+    return tuple(tys.items()) + tuple(
+        (n + "_", tys[n]) for n in sorted(primed) if n in tys)
 
 
 def _fresh_names(m: Machine, base: str, k: int) -> list[str]:
@@ -160,7 +162,7 @@ def generate_pos(m: Machine) -> list[PO]:
             goal=inv.formula,
             neg_goal=Neg(inv.formula),
             pool=(),
-            decs=_decs(m, set()),
+            types=_types(m, set()),
             show_vars=statevars + carriers,
             carriers=m.carriers,
         ))
@@ -185,7 +187,7 @@ def generate_pos(m: Machine) -> list[PO]:
                 neg_goal=Neg(conj([g for g in _conjuncts(goal) if g not in stated])),
                 pool=tuple((o.label, o.formula) for o in m.invariants
                            if o.label != inv.label),
-                decs=_decs(m, written),
+                types=_types(m, written),
                 show_vars=show,
                 carriers=m.carriers,
             ))
@@ -209,7 +211,7 @@ def generate_pos(m: Machine) -> list[PO]:
                 goal=goal,
                 neg_goal=neg,
                 pool=tuple((o.label, o.formula) for o in m.invariants),
-                decs=_decs(m, set()),
+                types=_types(m, set()),
                 show_vars=show,
                 carriers=m.carriers,
             ))
@@ -225,8 +227,8 @@ def _type_env(carriers: tuple[Carrier, ...]) -> TypeEnv:
 def typecheck_machine(m: Machine) -> list[str]:
     """Check every formula of the machine in one shared context."""
     env = _type_env(m.carriers)
-    parts: list[Formula] = list(_decs(m, set(m.var_names())))
-    parts += [inv.formula for inv in m.invariants]
+    env.vars.update(_types(m, set(m.var_names())))
+    parts: list[Formula] = [inv.formula for inv in m.invariants]
     parts += [a.formula for a in m.init]
     for ev in m.events:
         parts.append(event_formula(m, ev, frames=False))
@@ -292,10 +294,6 @@ def _rank_pool(po: PO, used: set[str]) -> list[tuple[str, Formula]]:
     return [(label, f) for _, _, label, f in scored]
 
 
-def _query(po: PO, hyps: list[Formula]) -> Formula:
-    return conj(list(po.decs) + [po.fixed] + hyps + [po.neg_goal])
-
-
 def _groups(parts: list[Formula], free: set[str]) -> list[tuple[set[str], list[Formula]]]:
     """``parts`` split into groups linked by shared variables outside
     ``free``, each with those variables; order within a group is kept."""
@@ -334,7 +332,7 @@ def _proved_carrier_free(po: PO, budget: int) -> tuple[bool, int]:
     steps = 0
     for vs, group in _groups(_conjuncts(po.neg_goal.body), carriers):
         sliced = _connected(fixed, vs, carriers)
-        res = solve(conj(list(po.decs) + sliced + [Neg(conj(group))]), budget=budget)
+        res = solve(conj(sliced + [Neg(conj(group))]), budget=budget)
         steps += res.steps
         if not res.unsat or res.ill_sorted:
             return False, steps
@@ -360,23 +358,20 @@ def _typed_hints(po: PO, sol: Solution,
             walk(t.first, ty.parts[0])
             walk(t.second, ty.parts[1])
 
-    for d in po.decs:
-        v, ty = d.args
-        if v.name in sol.bindings:
-            walk(sol.bindings[v.name], ty)
+    for name, ty in po.types:
+        if name in sol.bindings:
+            walk(sol.bindings[name], ty)
     return out
 
 
-def _validate(po: PO, hyps: list[Formula], witness: dict[str, Term]) -> bool:
+def _validate(po: PO, query: Formula, witness: dict[str, Term]) -> bool:
     """A counterexample must fit the declared types and make the whole
     query true on the ground."""
     env = _type_env(po.carriers)
-    for d in po.decs:
-        v, ty = d.args
-        if v.name in witness and not inhabits(witness[v.name], ty, env):
+    for name, ty in po.types:
+        if name in witness and not inhabits(witness[name], ty, env):
             return False
-    f = conj([po.fixed] + hyps + [po.neg_goal])
-    g = subst_formula(witness, f, VarGen())
+    g = subst_formula(witness, query, VarGen())
     try:
         return eval_formula(g)
     except NotGround:
@@ -384,7 +379,8 @@ def _validate(po: PO, hyps: list[Formula], witness: dict[str, Term]) -> bool:
 
 
 def _violated(po: PO, used: set[str], witness: dict[str, Term]) -> list[str]:
-    """Pool hypotheses the ground witness falsifies (when evaluable)."""
+    """Pool hypotheses the ground witness falsifies or cannot evaluate: a
+    counterexample must be shown to satisfy every invariant."""
     out = []
     for label, f in po.pool:
         if label in used:
@@ -394,7 +390,7 @@ def _violated(po: PO, used: set[str], witness: dict[str, Term]) -> list[str]:
             if not eval_formula(g):
                 out.append(label)
         except NotGround:
-            pass
+            out.append(label)
     return out
 
 
@@ -418,8 +414,8 @@ def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
 
     while True:
         iterations += 1
-        hyps = [by_label[l] for l in used]
-        res = solve(_query(po, hyps), budget=budget, max_solutions=1)
+        query = conj([po.fixed] + [by_label[l] for l in used] + [po.neg_goal])
+        res = solve(query, budget=budget, max_solutions=1)
         steps += res.steps
 
         if res.unsat:
@@ -431,10 +427,17 @@ def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
         witness: Optional[dict[str, Term]] = None
         if res.solutions:
             sol = res.solutions[0]
-            witness = ground_complete(sol, hints=_typed_hints(po, sol, hints))
-            if witness is not None and not _validate(po, hyps, witness):
-                witness = None
-                note = "witness failed ground validation"
+            typed = _typed_hints(po, sol, hints)
+            witness = ground_complete(sol, hints=typed)
+            if witness is not None:
+                # A declared variable the query leaves free takes its first
+                # candidate, so the invariants over it can be evaluated.
+                for name, _ in po.types:
+                    if name not in witness and typed.get(name):
+                        witness[name] = typed[name][0]
+                if not _validate(po, query, witness):
+                    witness = None
+                    note = "witness failed ground validation"
 
         if witness is not None:
             bad = _violated(po, set(used), witness)

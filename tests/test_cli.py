@@ -176,6 +176,24 @@ def test_bad_goal_is_a_one_line_usage_error(capsys, argv, message):
     assert out.err.count("\n") == 1 and message in out.err
 
 
+@pytest.mark.parametrize("cmd", ["solve", "prove"])
+@pytest.mark.parametrize("source, message", [
+    ([], "give a program file or -e EXPR"),
+    ([GEARS], "machines are verified or animated, not solved"),
+    (["clauses.slog"], "clauses.slog: no queries"),
+])
+def test_a_goal_source_with_no_goals_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                      cmd, source, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "clauses.slog").write_text("p(X) :- X = a.\n")
+    with pytest.raises(SystemExit) as ei:
+        cli.main([cmd] + source)
+    assert ei.value.code == cli.USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == message + "\n"
+
+
 def test_undefined_predicate_in_a_clause_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "undef.slog"
     path.write_text("p(X) :- q(X).\n?- p(a).\n")

@@ -9,6 +9,7 @@ from importlib import resources
 from setsolve import verifier
 from setsolve.formulas import And, formula_vars
 from setsolve.machines import parse_machine
+from setsolve.printer import pp_term
 
 CORPUS = resources.files("setsolve") / "data" / "corpus"
 
@@ -91,3 +92,98 @@ def test_an_answer_that_does_not_ground_is_unknown_for_that_cause(monkeypatch):
     r = verifier.discharge(po, hints=verifier._hints(m))
     assert (r.status, r.cause, r.note) == ("Unknown", "ungroundable",
                                           "answer could not be grounded")
+
+
+# ``d`` has no declared type, so only the invariants say what it is: with
+# both, ``f`` is total on ``pos`` and every application of it is defined.
+_UNTYPED = """\
+machine partial
+context
+  pos = {a, b}
+end
+variables
+  f : stype([pos, bool])
+  d
+end
+invariants
+  inv1: pfun(f) & dom(f, d)
+  inv2: d = pos
+end
+init
+  act1: f := cp(pos, {true})
+  act2: d := pos
+end
+event e
+  any p
+  where
+    grd1: p in pos
+    grd2: f(p) = true
+end
+"""
+
+# ``clear`` breaks inv1 and touches none of t1..t5.
+_CLEARING = """\
+machine clearing
+context
+  pos = {a, b}
+end
+variables
+  s : stype(pos)
+%s  t1 : stype(pos)
+  t2 : stype(pos)
+  t3 : stype(pos)
+  t4 : stype(pos)
+  t5 : stype(pos)
+end
+invariants
+  inv1: s neq {}
+%s  sub1: subset(t1, pos)
+  sub2: subset(t2, pos)
+  sub3: subset(t3, pos)
+  sub4: subset(t4, pos)
+  sub5: subset(t5, pos)
+end
+init
+  act1: s := pos
+%s  act2: t1 := {}
+  act3: t2 := {}
+  act4: t3 := {}
+  act5: t4 := {}
+  act6: t5 := {}
+end
+event clear
+  then
+    act1: s := {}
+end
+"""
+
+
+def _result(text: str, po_id: str):
+    results = {r.po.po_id: r for r in verifier.verify_machine(parse_machine(text))}
+    return results[po_id]
+
+
+def test_an_invariant_the_witness_cannot_evaluate_is_assumed_before_a_disproof():
+    # With f = {} the application has no image, but no d satisfies both
+    # invariants then; an invariant over the untyped d cannot be evaluated
+    # on a witness that leaves d out, so it is pulled in, not passed over.
+    r = _result(_UNTYPED, "partial/e/grd2/wd1/WD")
+    assert (r.status, r.hyps_used) == ("Proved", ("inv1", "inv2"))
+
+
+def test_invariants_over_variables_the_po_never_mentions_hold_on_the_witness():
+    # Each declared variable the query leaves free takes its first candidate,
+    # on which every subset invariant holds, so none is pulled in.
+    r = _result(_CLEARING % ("", "", ""), "clearing/clear/inv1/INV")
+    assert (r.status, r.hyps_used) == ("Disproved", ())
+    assert pp_term(r.counterexample["s_"]) == "{}"
+    assert all(pp_term(r.counterexample[f"t{i}"]) == "{a,b}" for i in range(1, 6))
+
+
+def test_a_free_integer_variable_takes_its_value_from_the_invariant_over_it():
+    # n has no candidate: inv2 cannot be evaluated, is pulled in, and the
+    # arithmetic model gives n a value that satisfies it.
+    text = _CLEARING % ("  n : int\n", "  inv2: n >= 0\n", "  act7: n := 0\n")
+    r = _result(text, "clearing/clear/inv1/INV")
+    assert (r.status, r.hyps_used) == ("Disproved", ("inv2",))
+    assert pp_term(r.counterexample["n"]) == "0"

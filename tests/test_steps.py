@@ -38,6 +38,19 @@ first settled one in queue order.  That moved two ``SET_GOAL_STEPS`` counts
 on purpose, 11 to 9 and 14 to 11: in the first, ``disj(H, K)``, settled by
 the bind of ``H``, now fails the branch before ``disj(K, {3})``, which was
 settled when it was queued, runs.
+
+A PO's declared types are data of the PO, not ``dec`` constraints of its
+queries, and ``nnf`` makes a ``dec`` of a ``.slog`` formula true, so no
+search pops a declaration.  Each count below lost its ``dec`` pops on
+purpose: a ``dec`` was popped once in every branch still alive when it was
+reached.  ``gears_intermediate``'s INIT counts lost 3 decs in one branch
+(15 to 12, 28 to 25), ``gears/INIT/inv1`` 2 (9 to 7) and ``doors/INIT/inv1``
+4 (21 to 17).  Each carrier-free INV search lost its decs in one branch:
+3 for ``gears`` (378 to 375, for every carrier) and 5 for ``doors`` (380 to
+375).  Each WD lost its decs once in its first round and in 3 branches in
+its second: ``gears`` 2 decs (7 to 5, 111 to 105) and ``doors`` 4 (9 to 5,
+179 to 167).  ``doors/INIT/inv2`` and ``doors/start_GearExtend/inv2/INV``
+fail every branch before a ``dec`` is reached and keep 5 and 4.
 """
 import pytest
 from setsolve import verifier
@@ -53,18 +66,18 @@ EXAMPLE_STEPS = [242, 59, 48, 12, 4]
 # Steps of every solve call in a PO's discharge: one per carrier-free goal
 # group of an INV obligation, then one per hypothesis round.
 PO_STEPS = {
-    "gears_intermediate/INIT/inv1": [15],
-    "gears_intermediate/INIT/inv2": [28],
-    "gears/INIT/inv1": [9],
-    "gears/make_GearExtended/inv1/INV": [378],
-    "gears/make_GearExtended/grd1/wd1/WD": [7, 111],
-    "gears/start_GearRetract/inv1/INV": [378],
-    "gears/start_GearRetract/grd1/wd1/WD": [7, 111],
-    "doors/INIT/inv1": [21],
+    "gears_intermediate/INIT/inv1": [12],
+    "gears_intermediate/INIT/inv2": [25],
+    "gears/INIT/inv1": [7],
+    "gears/make_GearExtended/inv1/INV": [375],
+    "gears/make_GearExtended/grd1/wd1/WD": [5, 105],
+    "gears/start_GearRetract/inv1/INV": [375],
+    "gears/start_GearRetract/grd1/wd1/WD": [5, 105],
+    "doors/INIT/inv1": [17],
     "doors/INIT/inv2": [5],
-    "doors/start_GearExtend/inv1/INV": [380],
+    "doors/start_GearExtend/inv1/INV": [375],
     "doors/start_GearExtend/inv2/INV": [4],
-    "doors/start_GearExtend/grd2/wd1/WD": [9, 179],
+    "doors/start_GearExtend/grd2/wd1/WD": [5, 167],
 }
 
 
@@ -93,6 +106,10 @@ def test_a_settled_disj_or_subset_fails_before_the_un_splits(goal, steps):
     res = solve(parse_formula(goal))
     assert res.unsat
     assert res.steps == steps
+
+
+def test_a_declaration_takes_no_step():
+    assert solve(parse_formula("dec(X, stype(int)) & X = {1,2}")).steps == 1
 
 
 def test_a_member_of_its_own_listed_set_fails_in_one_step():
@@ -146,8 +163,8 @@ def test_gears_inv_steps_do_not_depend_on_the_carrier(cases, monkeypatch, member
         "positionsdg = {front, right, left}", f"positionsdg = {{{members}}}")
     got = _po_steps(parse_machine(text), monkeypatch)
     assert {k: v for k, v in got.items() if k.endswith("/INV")} == {
-        "gears/make_GearExtended/inv1/INV": [378],
-        "gears/start_GearRetract/inv1/INV": [378],
+        "gears/make_GearExtended/inv1/INV": [375],
+        "gears/start_GearRetract/inv1/INV": [375],
     }
 
 
