@@ -207,12 +207,16 @@ class Store:
             self._show(a, bits)
 
     def _show(self, a, bits: int) -> None:
-        """Add ``bits`` to the facts of ``a`` if it is a variable, and INT to
-        the variables of an interval's bounds or an integer expression."""
+        """Add ``bits`` to the facts of ``a`` if it is a variable, SET to the
+        variables of a product's factors, and INT to those of an interval's
+        bounds or an integer expression."""
         if isinstance(a, Var):
             a = self.subst.get(a.name, a)
         if isinstance(a, Var):
             self.facts[a.name] = self.facts.get(a.name, 0) | bits
+        elif isinstance(a, CP):
+            self._show(a.left, SET)
+            self._show(a.right, SET)
         elif isinstance(a, Interval):
             self._show(a.lo, INT)
             self._show(a.hi, INT)
@@ -379,7 +383,8 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
                 dead = True
                 break
             # Emissions are normal until the next bind, even one in their
-            # own branch: unify can defer an equation on the variable it binds.
+            # own branch: unify can leave a residual constraint on the variable
+            # it binds.
             stamp = store.binds
             if len(out) > 1:
                 for branch in reversed(out[1:]):

@@ -174,6 +174,13 @@ def conj(parts: Iterable[Formula]) -> Formula:
     return And(tuple(flat))
 
 
+def conjuncts(f: Formula) -> list[Formula]:
+    """The conjuncts of ``f`` under nested ``And``, in order, without ``true``."""
+    if isinstance(f, And):
+        return [c for p in f.parts for c in conjuncts(p)]
+    return [] if isinstance(f, TrueF) else [f]
+
+
 def disj(parts: Iterable[Formula]) -> Formula:
     flat: list[Formula] = []
     for p in parts:

@@ -12,7 +12,7 @@ from typing import Optional
 from . import arith
 from .formulas import (
     COMPLEMENT, And, Constraint, FalseF, Formula, Implies, Neg, Or, PredCall, TrueF,
-    binder_names, subst_formula,
+    binder_names, conjuncts, subst_formula,
 )
 from .terms import (
     CP, Atom, EmptySet, ExtSet, Int, Interval, Pair, Str, Term, Var, VarGen,
@@ -217,7 +217,7 @@ def _eval_with_locals(inner: Formula, s: dict[str, Term], locals_: tuple[str, ..
 
 def _local_defs(f: Formula, pending: set[str]):
     out = []
-    for c in _conjuncts(f):
+    for c in conjuncts(f):
         if not isinstance(c, Constraint):
             continue
         if c.kind == "applyTo":
@@ -239,14 +239,6 @@ def _local_defs(f: Formula, pending: set[str]):
             elif isinstance(b, Var) and b.name in pending and is_ground(a):
                 out.append((b.name, a))
     return out
-
-
-def _conjuncts(f: Formula):
-    if isinstance(f, And):
-        for p in f.parts:
-            yield from _conjuncts(p)
-    else:
-        yield f
 
 
 def eval_formula(f: Formula) -> bool:

@@ -116,11 +116,6 @@ def _bind(delta: dict[str, Term]) -> Bind:
     return Bind(tuple(sorted(delta.items())))
 
 
-def _sym_setlike(t: Term) -> bool:
-    """A product/interval that cannot be expanded yet."""
-    return isinstance(t, (CP, Interval)) and not is_ground(t)
-
-
 def rewrite(c: Constraint, store):
     k = c.kind
     if k == "or":
@@ -188,27 +183,14 @@ def _rule_eq(c: Constraint, store):
         return [[Bind(((x.name, t),))]]
     if a == b:
         return [[]]
-    # A product or interval equal to the empty set constrains its parts
-    # directly; routing through subset would bounce back here.
-    for x, y in ((a, b), (b, a)):
-        if isinstance(y, EmptySet):
-            if isinstance(x, CP):
-                return [[C("eq", x.left, EMPTY)], [C("eq", x.right, EMPTY)]]
-            if isinstance(x, Interval):
-                return [[C("lt", x.hi, x.lo)]]
-    # Symbolic product against an extensional set: decompose through mutual
-    # inclusion; the subset rules take it from there.
-    if (_sym_setlike(a) and isinstance(b, (ExtSet, EmptySet))) or \
-       (_sym_setlike(b) and isinstance(a, (ExtSet, EmptySet))) or \
-       (isinstance(a, CP) and isinstance(b, Interval)) or \
-       (isinstance(a, Interval) and isinstance(b, CP)):
-        return [[C("subset", a, b), C("subset", b, a)]]
+    # Every other equation is decided by ``unify``: products and intervals
+    # included, so no equation comes back to this rule.
     out = []
-    for delta, deferred in unify(a, b, store.gen, store.sort_cuts):
+    for delta, residual in unify(a, b, store.gen, store.sort_cuts):
         branch: list = []
         if delta:
             branch.append(_bind(delta))
-        branch.extend(deferred)
+        branch.extend(residual)
         out.append(branch)
     return out
 
@@ -222,15 +204,12 @@ def _rule_neq(store, a, b):
         return []
     if isinstance(a, Pair) and isinstance(b, Pair):
         return [[C("neq", a.first, b.first)], [C("neq", a.second, b.second)]]
-    if _definite_set(a) and _definite_set(b):
-        n = store.gen.fresh()
-        return [[C("in", n, a), C("nin", n, b)], [C("in", n, b), C("nin", n, a)]]
     if (_definite_set(a) and isinstance(b, NON_SETS)) or \
        (_definite_set(b) and isinstance(a, NON_SETS)):
         return [[]]  # a set is never equal to an ur-element
     if isinstance(a, NON_SETS) and isinstance(b, NON_SETS) and type(a) is not type(b):
         return [[]]
-    # At least one side is a variable.
+    # Both sides are definite sets, or at least one is a variable.
     va = a.name if isinstance(a, Var) else None
     vb = b.name if isinstance(b, Var) else None
     other = b if va else a
@@ -419,13 +398,13 @@ def _rule_nsubset(store, a, b):
 
 # --- partial functions and relational constraints --------------------------
 
-def _pair_force(store, t: Term):
-    """Branch prefix forcing t to be a pair, or None when impossible."""
-    if isinstance(t, Pair):
-        return []
+def _make_pair(store, t: Term, again):
+    """The branches for a listed element ``t`` of a relation that is not a
+    pair: for a variable, ``t = [n1, n2]`` and ``again``, the constraint
+    that listed it; for anything else, none."""
     if isinstance(t, Var):
-        return [C("eq", t, Pair(store.gen.fresh(), store.gen.fresh()))]
-    return None
+        return [[C("eq", t, Pair(store.gen.fresh(), store.gen.fresh())), again]]
+    return []
 
 
 def _rule_pfun(store, f):
@@ -435,13 +414,10 @@ def _rule_pfun(store, f):
         return None
     if isinstance(f, ExtSet):
         t = f.head
-        if isinstance(t, Pair):
-            fst = t.first
-            return [[C("pfun", f.tail), C("comp", mkset([Pair(fst, fst)]), f.tail, EMPTY)]]
-        pre = _pair_force(store, t)
-        if pre is None:
-            return []
-        return [pre + [C("pfun", f)]]
+        if not isinstance(t, Pair):
+            return _make_pair(store, t, C("pfun", f))
+        fst = t.first
+        return [[C("pfun", f.tail), C("comp", mkset([Pair(fst, fst)]), f.tail, EMPTY)]]
     if isinstance(f, CP):
         return [
             [C("eq", f.left, EMPTY)],
@@ -465,13 +441,10 @@ def _rule_dom(store, r, d):
         return [[C("eq", d, EMPTY)]]
     if isinstance(r, ExtSet):
         t = r.head
-        if isinstance(t, Pair):
-            m = store.gen.fresh()
-            return [[C("dom", r.tail, m), C("eq", d, ExtSet(t.first, m))]]
-        pre = _pair_force(store, t)
-        if pre is None:
-            return []
-        return [pre + [C("dom", r, d)]]
+        if not isinstance(t, Pair):
+            return _make_pair(store, t, C("dom", r, d))
+        m = store.gen.fresh()
+        return [[C("dom", r.tail, m), C("eq", d, ExtSet(t.first, m))]]
     if isinstance(r, CP):
         n = store.gen.fresh()
         return [
@@ -522,13 +495,10 @@ def _rule_ran(store, r, t):
         return [[C("eq", t, EMPTY)]]
     if isinstance(r, ExtSet):
         h = r.head
-        if isinstance(h, Pair):
-            m = store.gen.fresh()
-            return [[C("ran", r.tail, m), C("eq", t, ExtSet(h.second, m))]]
-        pre = _pair_force(store, h)
-        if pre is None:
-            return []
-        return [pre + [C("ran", r, t)]]
+        if not isinstance(h, Pair):
+            return _make_pair(store, h, C("ran", r, t))
+        m = store.gen.fresh()
+        return [[C("ran", r.tail, m), C("eq", t, ExtSet(h.second, m))]]
     if isinstance(r, CP):
         n = store.gen.fresh()
         return [
@@ -566,13 +536,10 @@ def _rule_inv(store, r, t):
         return [[C("eq", r, EMPTY)]]
     if isinstance(r, ExtSet):
         h = r.head
-        if isinstance(h, Pair):
-            m = store.gen.fresh()
-            return [[C("inv", r.tail, m), C("eq", t, ExtSet(Pair(h.second, h.first), m))]]
-        pre = _pair_force(store, h)
-        if pre is None:
-            return []
-        return [pre + [C("inv", r, t)]]
+        if not isinstance(h, Pair):
+            return _make_pair(store, h, C("inv", r, t))
+        m = store.gen.fresh()
+        return [[C("inv", r.tail, m), C("eq", t, ExtSet(Pair(h.second, h.first), m))]]
     if isinstance(r, CP):
         return [[C("eq", t, CP(r.right, r.left))]]
     if isinstance(t, (ExtSet, CP)):
@@ -632,21 +599,10 @@ def _rule_comp(store, r, s, t):
         return [[C("lt", s.hi, s.lo), C("eq", t, EMPTY)]]
     if isinstance(r, ExtSet):
         h = r.head
-        pre = _pair_force(store, h)
-        if pre is None:
-            return []
-        if pre:
-            return [pre + [C("comp", r, s, t)]]
+        if not isinstance(h, Pair):
+            return _make_pair(store, h, C("comp", r, s, t))
         if not isinstance(r.tail, EmptySet):
-            if isinstance(t, EmptySet):
-                return [[C("comp", mkset([h]), s, t), C("comp", r.tail, s, t)]]
-            g = store.gen
-            t1, t2 = g.fresh(), g.fresh()
-            return [[
-                C("comp", mkset([h]), s, t1),
-                C("comp", r.tail, s, t2),
-                C("un", t1, t2, t),
-            ]]
+            return _comp_split(store, (mkset([h]), s), (r.tail, s), t)
         return _comp_single(store, h, s, t)
     if isinstance(r, CP):
         g = store.gen
@@ -660,21 +616,10 @@ def _rule_comp(store, r, s, t):
     # r is a variable from here on.
     if isinstance(s, ExtSet):
         h = s.head
-        pre = _pair_force(store, h)
-        if pre is None:
-            return []
-        if pre:
-            return [pre + [C("comp", r, s, t)]]
+        if not isinstance(h, Pair):
+            return _make_pair(store, h, C("comp", r, s, t))
         if not isinstance(s.tail, EmptySet):
-            if isinstance(t, EmptySet):
-                return [[C("comp", r, mkset([h]), t), C("comp", r, s.tail, t)]]
-            g = store.gen
-            t1, t2 = g.fresh(), g.fresh()
-            return [[
-                C("comp", r, mkset([h]), t1),
-                C("comp", r, s.tail, t2),
-                C("un", t1, t2, t),
-            ]]
+            return _comp_split(store, (r, mkset([h])), (r, s.tail), t)
         return _comp_cover(store, r, s, t)
     if isinstance(s, CP):
         g = store.gen
@@ -688,16 +633,23 @@ def _rule_comp(store, r, s, t):
     return _comp_cover(store, r, s, t)
 
 
+def _comp_split(store, head_args, rest_args, t):
+    """``comp`` over a listed argument of two or more pairs: one ``comp``
+    for its head pair and one for the rest, whose union is ``t``."""
+    if isinstance(t, EmptySet):
+        return [[C("comp", *head_args, t), C("comp", *rest_args, t)]]
+    g = store.gen
+    t1, t2 = g.fresh(), g.fresh()
+    return [[C("comp", *head_args, t1), C("comp", *rest_args, t2), C("un", t1, t2, t)]]
+
+
 def _comp_single(store, p: Pair, s, t):
     """comp({[x,y]}, s, t) with s not empty/extensional-multi handled here."""
     x, y = p.first, p.second
     if isinstance(s, ExtSet):
         q = s.head
-        pre = _pair_force(store, q)
-        if pre is None:
-            return []
-        if pre:
-            return [pre + [C("comp", mkset([p]), s, t)]]
+        if not isinstance(q, Pair):
+            return _make_pair(store, q, C("comp", mkset([p]), s, t))
         u, v = q.first, q.second
         if isinstance(t, EmptySet):
             if y == u:
@@ -728,11 +680,8 @@ def _comp_cover(store, r, s, t):
         return None
     elems, tail = set_parts(t)
     for e in elems:
-        pre = _pair_force(store, e)
-        if pre is None:
-            return []
-        if pre:
-            return [pre + [C("comp", r, s, t)]]
+        if not isinstance(e, Pair):
+            return _make_pair(store, e, C("comp", r, s, t))
     g = store.gen
     out: list = []
     for p in elems:

@@ -2,8 +2,11 @@
 
 ``unify`` returns a disjunction of candidate solutions: each branch is a
 substitution plus a list of residual constraints the caller's solver must
-still process (mixed equations such as a symbolic cartesian product against
-an extensional set, or interval-emptiness side conditions).
+still process.  Every equation is decided here, and none is deferred.  A
+product or interval that is not ground equals ``{}`` when a factor is
+empty or its bounds are out of order (``lt``).  Against a listed set, or a
+product against an interval, it is split into mutual inclusion: two
+``subset`` constraints, which the membership rules take apart.
 
 Extensional sets unify modulo permutation and absorption through the
 four-way decomposition on ``{t/A} = {s/B}``: match heads and tails, absorb
@@ -38,7 +41,7 @@ def unify(t1: Term, t2: Term, gen: Optional[VarGen] = None,
 
 
 def _solve(eqs: list[tuple[Term, Term]], subst: dict[str, Term],
-           deferred: list[Constraint], gen: VarGen,
+           residual: list[Constraint], gen: VarGen,
            cuts: list[str]) -> list[Branch]:
     """Pending equations are substituted when they are popped, so each is
     read under every bind made before it."""
@@ -76,16 +79,12 @@ def _solve(eqs: list[tuple[Term, Term]], subst: dict[str, Term],
             if term_value(a) != term_value(b):
                 return []
             continue
-        branches = _set_eq_branches(a, b, gen)
-        if branches is None:
-            deferred.append(C("eq", a, b))
-            continue
         out: list[Branch] = []
-        for extra_eqs, extra_cs in branches:
-            out.extend(_solve(extra_eqs + eqs, subst, deferred + extra_cs, gen,
+        for extra_eqs, extra_cs in _set_eq_branches(a, b, gen):
+            out.extend(_solve(extra_eqs + eqs, subst, residual + extra_cs, gen,
                               cuts))
         return out
-    return [(dict(subst), list(deferred))]
+    return [(dict(subst), list(residual))]
 
 
 def _bind(name: str, t: Term, gen: VarGen):
@@ -103,8 +102,8 @@ def _bind(name: str, t: Term, gen: VarGen):
 
 
 def _set_eq_branches(a: Term, b: Term, gen: VarGen):
-    """Decompose an equation between two non-variable set terms.  Each branch
-    is (equations, residual constraints); None defers to the solver rules."""
+    """Decompose an equation between two non-variable set terms that are not
+    both ground.  Each branch is (equations, residual constraints)."""
     # Expand ground products/intervals so the extensional rules apply.
     ga = concretize(a)
     gb = concretize(b)
@@ -150,9 +149,8 @@ def _set_eq_branches(a: Term, b: Term, gen: VarGen):
              [C("le", a.lo, a.hi)]),
         ]
 
-    # Mixed symbolic product/interval against an extensional set: the solver
-    # decomposes these through membership rules.
-    return None
+    # A product or interval against a set of another form: mutual inclusion.
+    return [([], [C("subset", a, b), C("subset", b, a)])]
 
 
 def concretize(t: Term) -> Optional[Term]:

@@ -47,7 +47,7 @@ from typing import Optional
 
 from .engine import Solution, ground_complete, solve
 from .formulas import (
-    And, C, Constraint, Formula, Neg, QPayload, TrueF, conj, disj,
+    C, Constraint, Formula, Neg, QPayload, conj, conjuncts, disj,
     formula_vars, subst_formula,
 )
 from .groundeval import NotGround, eval_formula, term_value, value_to_term
@@ -98,12 +98,6 @@ class VerifyError(Exception):
 
 
 # --- obligation generation ----------------------------------------------------
-
-def _conjuncts(f: Formula) -> list[Formula]:
-    if isinstance(f, And):
-        return [c for p in f.parts for c in _conjuncts(p)]
-    return [] if isinstance(f, TrueF) else [f]
-
 
 def _types(m: Machine, primed: set[str]) -> tuple[tuple[str, object], ...]:
     """The declared variables and carriers with their types, and the primed
@@ -178,13 +172,13 @@ def generate_pos(m: Machine) -> list[PO]:
             fixed = conj([ctx, inv.formula, event_formula(m, ev, frames=False)])
             # A goal conjunct over variables the event does not write is a
             # conjunct of the hypotheses, so only the others are negated.
-            stated = set(_conjuncts(fixed))
+            stated = set(conjuncts(fixed))
             pos.append(PO(
                 po_id=f"{m.name}/{ev.name}/{inv.label}/INV",
                 kind="INV", machine=m.name, event=ev.name, target=inv.label,
                 fixed=fixed,
                 goal=goal,
-                neg_goal=Neg(conj([g for g in _conjuncts(goal) if g not in stated])),
+                neg_goal=Neg(conj([g for g in conjuncts(goal) if g not in stated])),
                 pool=tuple((o.label, o.formula) for o in m.invariants
                            if o.label != inv.label),
                 types=_types(m, written),
@@ -310,17 +304,10 @@ def _groups(parts: list[Formula], free: set[str]) -> list[tuple[set[str], list[F
 
 def _connected(parts: list[Formula], seed: set[str], free: set[str]) -> list[Formula]:
     """The parts reachable from variables ``seed`` through shared variables
-    outside ``free``, in their order."""
-    reach = set(seed)
-    pending = [(formula_vars(p) - free, p) for p in parts]
-    grew = True
-    while grew:
-        grew = False
-        for vs, _ in pending:
-            if vs & reach and not vs <= reach:
-                reach |= vs
-                grew = True
-    return [p for vs, p in pending if vs & reach]
+    outside ``free``, in their order: the groups of ``parts`` that meet
+    ``seed``."""
+    picked = {id(p) for vs, group in _groups(parts, free) if vs & seed for p in group}
+    return [p for p in parts if id(p) in picked]
 
 
 def _proved_carrier_free(po: PO, budget: int) -> tuple[bool, int]:
@@ -328,9 +315,9 @@ def _proved_carrier_free(po: PO, budget: int) -> tuple[bool, int]:
     the hypotheses connected to it, with the carriers not pinned.  Returns
     whether every group was refuted, and the steps spent."""
     carriers = {c.name for c in po.carriers}
-    fixed = _conjuncts(po.fixed)
+    fixed = conjuncts(po.fixed)
     steps = 0
-    for vs, group in _groups(_conjuncts(po.neg_goal.body), carriers):
+    for vs, group in _groups(conjuncts(po.neg_goal.body), carriers):
         sliced = _connected(fixed, vs, carriers)
         res = solve(conj(sliced + [Neg(conj(group))]), budget=budget)
         steps += res.steps
@@ -339,11 +326,11 @@ def _proved_carrier_free(po: PO, budget: int) -> tuple[bool, int]:
     return True, steps
 
 
-def _typed_hints(po: PO, sol: Solution,
-                 hints: Optional[dict[str, list[Term]]]) -> dict[str, list[Term]]:
+def _typed_hints(types: tuple[tuple[str, object], ...], carriers: tuple[Carrier, ...],
+                 sol: Solution, hints: Optional[dict[str, list[Term]]]) -> dict[str, list[Term]]:
     """``hints`` plus, for each unbound leaf of an enumerated type in the
-    answer term of a declared variable, that type's members."""
-    env = _type_env(po.carriers)
+    answer term of a variable declared in ``types``, that type's members."""
+    env = _type_env(carriers)
     out = dict(hints or {})
 
     def walk(t: Term, ty) -> None:
@@ -358,19 +345,26 @@ def _typed_hints(po: PO, sol: Solution,
             walk(t.first, ty.parts[0])
             walk(t.second, ty.parts[1])
 
-    for name, ty in po.types:
+    for name, ty in types:
         if name in sol.bindings:
             walk(sol.bindings[name], ty)
     return out
 
 
+def _well_typed(types: tuple[tuple[str, object], ...], carriers: tuple[Carrier, ...],
+                witness: dict[str, Term]) -> bool:
+    """Each variable of ``types`` that ``witness`` gives a value inhabits its
+    declared type."""
+    env = _type_env(carriers)
+    return all(inhabits(witness[name], ty, env)
+               for name, ty in types if name in witness)
+
+
 def _validate(po: PO, query: Formula, witness: dict[str, Term]) -> bool:
     """A counterexample must fit the declared types and make the whole
     query true on the ground."""
-    env = _type_env(po.carriers)
-    for name, ty in po.types:
-        if name in witness and not inhabits(witness[name], ty, env):
-            return False
+    if not _well_typed(po.types, po.carriers, witness):
+        return False
     g = subst_formula(witness, query, VarGen())
     try:
         return eval_formula(g)
@@ -427,7 +421,7 @@ def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
         witness: Optional[dict[str, Term]] = None
         if res.solutions:
             sol = res.solutions[0]
-            typed = _typed_hints(po, sol, hints)
+            typed = _typed_hints(po.types, po.carriers, sol, hints)
             witness = ground_complete(sol, hints=typed)
             if witness is not None:
                 # A declared variable the query leaves free takes its first
@@ -523,6 +517,15 @@ def _canon(t: Term) -> Term:
     return value_to_term(term_value(t))
 
 
+def _ground_state(m: Machine, sol: Solution,
+                  hints: dict[str, list[Term]]) -> Optional[dict[str, Term]]:
+    """``sol`` grounded with the members of each declared type at hand, or
+    None when that fails or leaves a declared value outside its type."""
+    types = _types(m, set(m.var_names()))
+    g = ground_complete(sol, hints=_typed_hints(types, m.carriers, sol, hints))
+    return g if g is not None and _well_typed(types, m.carriers, g) else None
+
+
 def initial_state(m: Machine, *, budget: int = 200_000,
                   carriers: Optional[dict[str, Term]] = None) -> dict[str, Term]:
     carriers = carriers or {}
@@ -536,7 +539,7 @@ def initial_state(m: Machine, *, budget: int = 200_000,
         if res.unsat:
             raise VerifyError("the initialisation is unsatisfiable")
         raise VerifyError("no initial state found within the budget")
-    g = ground_complete(res.solutions[0], hints=_hints(m))
+    g = _ground_state(m, res.solutions[0], _hints(m))
     if g is None:
         raise VerifyError("the initial state could not be grounded")
     state: dict[str, Term] = {}
@@ -577,8 +580,9 @@ def step(m: Machine, state: dict[str, Term], event_name: str,
         raise VerifyError("no successor found within the budget")
     out: list[dict[str, Term]] = []
     seen = set()
+    hints = _hints(m)
     for sol in res.solutions:
-        g = ground_complete(sol, hints=_hints(m))
+        g = _ground_state(m, sol, hints)
         if g is None:
             continue
         nxt: dict[str, Term] = {}

@@ -138,6 +138,69 @@ def test_animate_replays_a_trace_on_gears(tmp_path, capsys, trace, code, last):
     assert last in capsys.readouterr().out
 
 
+_SWAP = """\
+machine sw
+context
+  pos = {a, b}
+end
+variables
+  x : pos
+  y : pos
+end
+invariants
+  inv1: x = y
+end
+init
+  act1: x := y
+  act2: y := x
+end
+event swap
+  then
+    act1: x := y
+    act2: y := x
+  end
+"""
+
+_PICK = """\
+machine pk
+context
+  pos = {a, b}
+end
+variables
+  x : pos
+end
+invariants
+  inv1: x in pos
+end
+init
+  act1: x := a
+end
+event pick
+  any v
+  where
+    grd1: v neq a
+  then
+    act1: x := v
+  end
+"""
+
+
+@pytest.mark.parametrize("text, trace, out", [
+    # x and y are only equal in the initialisation: both take one member.
+    (_SWAP, "swap\n", "state 0\n    pos = {a,b}\n    x = a\n    y = a\n"
+                      "state 1 after swap\n    pos = {a,b}\n    x = a\n    y = a\n"),
+    # v neq a leaves b as the one member for x.
+    (_PICK, "pick\n", "state 0\n    pos = {a,b}\n    x = a\n"
+                      "state 1 after pick\n    pos = {a,b}\n    x = b\n"),
+], ids=["swap", "pick"])
+def test_animate_gives_each_variable_a_value_of_its_type(tmp_path, capsys, text,
+                                                          trace, out):
+    path = tmp_path / "m.smch"
+    path.write_text(text)
+    assert _animate(str(path), tmp_path, trace)[0] == cli.OK
+    assert capsys.readouterr().out == out
+
+
 @pytest.mark.parametrize("cmd, suffix, text", [
     ("verify", ".smch", _MACHINE % "n >= 0 $"),
     ("animate", ".smch", _MACHINE % "n >= 0 $"),

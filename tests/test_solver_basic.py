@@ -41,6 +41,9 @@ def test_equality(run):
     unsat(run, "X = {1} & X = {2}")
     unsat(run, "[1,2] = [2,1]")
     sat(run, "{X/{2}} = {1,2}")
+    # unify decides an equation over a product or an interval.
+    assert cli._answer_line(sat(run, "int(1, N) = {}").solutions[0]) == "N < 1"
+    unsat(run, "cp(A, B) = int(1, 2)")
 
 
 def test_disequality(run):
@@ -303,6 +306,26 @@ def test_ground_complete_reads_interval_bounds(run):
     assert g["X"] == Interval(Int(1), g["N"])
     # N is an integer only through the interval; sat grounds it.
     sat(run, "X = int(1, N) & N neq 0")
+
+
+@pytest.mark.parametrize("text", [
+    # The product branch of each relational rule.
+    "pfun(cp(A, B)) & A = {a}",
+    "dom(cp(A, B), D) & A = {a}",
+    "ran(cp(A, B), R) & B = {b}",
+    "inv(cp(A, B), T) & A = {a}",
+    "comp(cp(A, B), S, T) & A = {a} & S = {[b, c]}",
+    "comp(R, cp(A, B), T) & A = {b}",
+    # B occurs only in the product, which shows it a set: it grounds to {}.
+    "comp({[a, b]}, cp(A, B), T)",
+    "applyTo(cp(A, B), a, Y) & A = {a}",
+    # unify splits a product against a listed set into mutual inclusion,
+    # also inside a pair.
+    "cp(A, B) = {[a, b]}",
+    "[cp(A, B), 1] = [{[a, b]}, 1]",
+])
+def test_a_product_argument_is_solved_and_certified(run, text):
+    sat(run, text)
 
 
 @pytest.mark.parametrize("text", [
