@@ -509,9 +509,10 @@ def ground_complete(sol: Solution,
             pools.append((v, [own, a1, EMPTY, Int(0)]))
 
     count = [0]
+    env: dict[str, object] = {}  # the values of ``fill``
 
     def leaf(fill: dict[str, Term]) -> Optional[dict[str, Term]]:
-        if not _residual_ok(sol.residual, fill):
+        if not _residual_ok(sol.residual, env):
             return None
         out = {}
         try:
@@ -535,20 +536,21 @@ def ground_complete(sol: Solution,
             if count[0] > 4000:  # candidates tried before giving up
                 return None
             fill[name] = cand
+            env[name] = groundeval.term_value(cand)
             got = rec(idx + 1, fill)
             if got is not None:
                 return got
-            del fill[name]
+            del fill[name], env[name]
         return None
 
     return rec(0, {})
 
 
-def _residual_ok(residual: list[Constraint], fill: dict[str, Term]) -> bool:
+def _residual_ok(residual: list[Constraint], env: dict[str, object]) -> bool:
+    """Every residual constraint holds under the candidate values ``env``."""
     for c in residual:
         try:
-            g = subst_formula(fill, c, VarGen())
-            if not groundeval.eval_formula(g):
+            if not groundeval.eval_formula(c, env):
                 return False
         except (groundeval.NotGround, ValueError):
             return False

@@ -1,61 +1,83 @@
-"""Evaluation of ground terms and formulas against plain set semantics.
+"""Evaluation of terms and formulas against plain set semantics, the
+reference the verifier validates counterexamples with.
 
-This is the semantic reference the verifier uses to validate counterexamples:
-a reported witness must make the (ground) negated obligation evaluate to
-true here.  Values are hashable Python objects: ints, ``('atom', name)``,
-``('str', s)``, ``('pair', a, b)`` and frozensets.
+Evaluation works on an environment that maps variable names to values, as
+``tests/oracle.py`` does; a quantifier binds its binder to each element in a
+copy of it.  Values are ints, ``('atom', name)``, ``('str', s)``,
+``('pair', a, b)`` and frozensets.  A variable with no value, or a non-set
+where a set tail, product factor or quantifier domain needs one, raises
+NotGround.
 """
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping, Optional
 
 from . import arith
 from .formulas import (
     COMPLEMENT, And, Constraint, FalseF, Formula, Implies, Neg, Or, PredCall, TrueF,
-    binder_names, conjuncts, subst_formula,
+    binder_names, conjuncts,
 )
 from .terms import (
-    CP, Atom, EmptySet, ExtSet, Int, Interval, Pair, Str, Term, Var, VarGen,
-    is_ground, mkset, term_key,
+    CP, Atom, EmptySet, ExtSet, Int, Interval, Pair, Str, Term, Var, mkset, term_key,
 )
+
+Env = Optional[Mapping[str, object]]
 
 
 class NotGround(Exception):
     pass
 
 
-def term_value(t: Term):
-    """Ground term -> hashable value.  CP and intervals expand to their
-    extensional contents."""
-    if isinstance(t, Atom):
+def term_value(t: Term, env: Env = None):
+    """Term -> hashable value, its variables read from ``env``.  CP and
+    intervals expand to their extensional contents."""
+    cls = type(t)
+    if cls is Atom:
         return ("atom", t.name)
-    if isinstance(t, Int):
+    if cls is Int:
         return t.value
-    if isinstance(t, Str):
-        return ("str", t.value)
-    if isinstance(t, Pair):
-        return ("pair", term_value(t.first), term_value(t.second))
-    if isinstance(t, EmptySet):
-        return frozenset()
-    if isinstance(t, ExtSet):
+    if cls is Var:
+        if env is not None and t.name in env:
+            return env[t.name]
+        raise NotGround(f"unbound variable {t.name}")
+    if cls is ExtSet:
         elems = set()
         cur: Term = t
-        while isinstance(cur, ExtSet):
-            elems.add(term_value(cur.head))
+        while type(cur) is ExtSet:
+            elems.add(term_value(cur.head, env))
             cur = cur.tail
-        return frozenset(elems) | term_value(cur)
-    if isinstance(t, CP):
-        a, b = term_value(t.left), term_value(t.right)
+        return frozenset(elems) | _set_value(cur, env, "set tail")
+    if cls is EmptySet:
+        return frozenset()
+    if cls is Pair:
+        return ("pair", term_value(t.first, env), term_value(t.second, env))
+    if cls is Str:
+        return ("str", t.value)
+    if cls is CP:
+        a = _set_value(t.left, env, "product factor")
+        b = _set_value(t.right, env, "product factor")
         return frozenset(("pair", x, y) for x in a for y in b)
-    if isinstance(t, Interval):
-        return frozenset(range(term_value(t.lo), term_value(t.hi) + 1))
-    if isinstance(t, Var):
-        raise NotGround(f"unbound variable {t.name}")
+    if cls is Interval:
+        lo, hi = term_value(t.lo, env), term_value(t.hi, env)
+        if type(lo) is not int or type(hi) is not int:
+            raise NotGround("interval bound is not an integer")
+        return frozenset(range(lo, hi + 1))
     raise TypeError(f"not a term: {t!r}")
+
+
+def _set_value(t: Term, env: Env, what: str) -> frozenset:
+    v = term_value(t, env)
+    if not isinstance(v, frozenset):
+        raise NotGround(f"{what} is not a set")
+    return v
 
 
 def is_pair_value(v) -> bool:
     return isinstance(v, tuple) and len(v) == 3 and v[0] == "pair"
+
+
+def _sets(*vs) -> bool:
+    return all(isinstance(v, frozenset) for v in vs)
 
 
 def is_relation(v) -> bool:
@@ -75,33 +97,34 @@ def compose_rel(r, s):
     return frozenset(out)
 
 
-def _eval_aexpr(a) -> int:
+def _eval_aexpr(a, env: Env) -> int:
     if isinstance(a, Term):
-        v = term_value(a)
+        v = term_value(a, env)
         if not isinstance(v, int):
             raise NotGround(f"non-integer in arithmetic: {a!r}")
         return v
     if isinstance(a, arith.ABin):
-        x, y = _eval_aexpr(a.left), _eval_aexpr(a.right)
+        x, y = _eval_aexpr(a.left, env), _eval_aexpr(a.right, env)
         return {"+": x + y, "-": x - y, "*": x * y}[a.op]
     if isinstance(a, arith.ANeg):
-        return -_eval_aexpr(a.body)
+        return -_eval_aexpr(a.body, env)
     raise TypeError(f"not an arithmetic expression: {a!r}")
 
 
-def eval_constraint(c: Constraint) -> bool:
-    """Truth value of a ground constraint.  Raises NotGround otherwise."""
+def eval_constraint(c: Constraint, env: Env = None) -> bool:
+    """Truth value of ``c`` under ``env``.  Raises NotGround when ``env``
+    leaves it undetermined."""
     k = c.kind
     if k.startswith("n") and k in COMPLEMENT:  # nX holds where X does not
-        return not eval_constraint(Constraint(COMPLEMENT[k], c.args))
+        return not eval_constraint(Constraint(COMPLEMENT[k], c.args), env)
     if k in ("foreach", "exists"):
-        return _eval_quant(c)
+        return _eval_quant(c, env)
     if k in ("is", "le", "lt"):
         if k == "is":
-            return term_value(c.args[0]) == _eval_aexpr(c.args[1])
-        x, y = _eval_aexpr(c.args[0]), _eval_aexpr(c.args[1])
+            return term_value(c.args[0], env) == _eval_aexpr(c.args[1], env)
+        x, y = _eval_aexpr(c.args[0], env), _eval_aexpr(c.args[1], env)
         return x <= y if k == "le" else x < y
-    args = [term_value(a) for a in c.args]
+    args = [term_value(a, env) for a in c.args]
     if k == "eq":
         return args[0] == args[1]
     if k == "in":
@@ -110,37 +133,32 @@ def eval_constraint(c: Constraint) -> bool:
         return not is_pair_value(args[0])
     if k == "un":
         a, b, cc = args
-        return (isinstance(a, frozenset) and isinstance(b, frozenset)
-                and isinstance(cc, frozenset) and (a | b) == cc)
+        return _sets(a, b, cc) and (a | b) == cc
     if k == "disj":
         a, b = args
-        return isinstance(a, frozenset) and isinstance(b, frozenset) and not (a & b)
+        return _sets(a, b) and not (a & b)
     if k == "subset":
         a, b = args
-        return isinstance(a, frozenset) and isinstance(b, frozenset) and a <= b
+        return _sets(a, b) and a <= b
     if k == "comp":
         r, s, t = args
-        return (is_relation(r) and is_relation(s) and isinstance(t, frozenset)
-                and compose_rel(r, s) == t)
+        return is_relation(r) and is_relation(s) and _sets(t) and compose_rel(r, s) == t
     if k == "inv":
         r, t = args
-        return (is_relation(r) and isinstance(t, frozenset)
+        return (is_relation(r) and _sets(t)
                 and frozenset(("pair", b, a) for a, b in rel_pairs(r)) == t)
     if k == "id":
         a, r = args
-        return (isinstance(a, frozenset) and isinstance(r, frozenset)
-                and frozenset(("pair", x, x) for x in a) == r)
+        return _sets(a, r) and frozenset(("pair", x, x) for x in a) == r
     if k == "pfun":
         f = args[0]
         return is_relation(f) and len({a for a, _ in rel_pairs(f)}) == len(f)
     if k == "dom":
         r, d = args
-        return (is_relation(r) and isinstance(d, frozenset)
-                and frozenset(a for a, _ in rel_pairs(r)) == d)
+        return is_relation(r) and _sets(d) and frozenset(a for a, _ in rel_pairs(r)) == d
     if k == "ran":
         r, d = args
-        return (is_relation(r) and isinstance(d, frozenset)
-                and frozenset(b for _, b in rel_pairs(r)) == d)
+        return is_relation(r) and _sets(d) and frozenset(b for _, b in rel_pairs(r)) == d
     if k == "applyTo":
         f, x, y = args
         if not is_relation(f):
@@ -159,28 +177,25 @@ def eval_constraint(c: Constraint) -> bool:
     raise ValueError(f"cannot evaluate constraint kind {k}")
 
 
-def _eval_quant(c: Constraint) -> bool:
+def _eval_quant(c: Constraint, env: Env) -> bool:
     q = c.q
     assert q is not None
-    dom = term_value(q.domain)
-    if not isinstance(dom, frozenset):
-        raise NotGround("quantifier domain is not a set")
-    gen = VarGen()
+    dom = _set_value(q.domain, env, "quantifier domain")
     names = binder_names(q.binder)
+    inner = q.body if q.funcs is None else And((q.funcs, q.body))
     for v in dom:
-        s = _match_binder(q.binder, names, v)
-        if s is None:
-            if c.kind == "foreach":
-                return False
-            continue
-        inner = q.body if q.funcs is None else And((q.funcs, q.body))
-        if q.locals:
-            # Locals are existential per element: search tiny instantiation
-            # is not possible here, so ground evaluation requires the funcs
-            # part to determine them; evaluate by trying to solve locally.
-            ok = _eval_with_locals(inner, s, q.locals)
+        e = dict(env) if env else {}
+        if len(names) == 1:
+            e[names[0]] = v
+        elif is_pair_value(v):
+            e[names[0]], e[names[1]] = v[1], v[2]
+        elif c.kind == "foreach":
+            return False
         else:
-            ok = eval_formula(subst_formula(s, inner, gen))
+            continue
+        if q.locals:  # the functional part determines them
+            _define_locals(inner, e, q.locals)
+        ok = eval_formula(inner, e)
         if c.kind == "foreach" and not ok:
             return False
         if c.kind == "exists" and ok:
@@ -188,74 +203,67 @@ def _eval_quant(c: Constraint) -> bool:
     return c.kind == "foreach"
 
 
-def _match_binder(binder: Term, names, v) -> Optional[dict[str, Term]]:
-    if isinstance(binder, Var):
-        return {binder.name: value_to_term(v)}
-    if not is_pair_value(v):
-        return None
-    return {names[0]: value_to_term(v[1]), names[1]: value_to_term(v[2])}
-
-
-def _eval_with_locals(inner: Formula, s: dict[str, Term], locals_: tuple[str, ...]) -> bool:
-    """Evaluate a quantifier body whose locals are defined by functional
-    predicates: extract their values from applyTo/is/eq conjuncts, then
-    evaluate the rest."""
-    gen = VarGen()
-    f = subst_formula(s, inner, gen)
+def _define_locals(inner: Formula, env: dict, locals_: tuple[str, ...]) -> None:
+    """Give each local the value a conjunct of ``inner`` defines, in rounds;
+    within a round the first definition found wins."""
+    parts = [p for p in conjuncts(inner) if isinstance(p, Constraint)]
     pending = set(locals_)
-    progress = True
-    while pending and progress:
-        progress = False
-        for local, val in _local_defs(f, pending):
-            f = subst_formula({local: val}, f, gen)
-            pending.discard(local)
-            progress = True
-    if pending:
-        raise NotGround(f"quantifier locals not determined: {sorted(pending)}")
-    return eval_formula(f)
+    for name in pending:
+        env.pop(name, None)  # a local shadows an outer name
+    while pending:
+        defs = _local_defs(parts, pending, env)
+        if not defs:
+            raise NotGround(f"quantifier locals not determined: {sorted(pending)}")
+        for local, v in defs:
+            if local in pending:
+                env[local] = v
+                pending.discard(local)
 
 
-def _local_defs(f: Formula, pending: set[str]):
+def _local_defs(parts: list[Constraint], pending: set[str], env: dict) -> list:
     out = []
-    for c in conjuncts(f):
-        if not isinstance(c, Constraint):
-            continue
-        if c.kind == "applyTo":
-            fn, x, y = c.args
-            if isinstance(y, Var) and y.name in pending and is_ground(fn) and is_ground(x):
-                fv, xv = term_value(fn), term_value(x)
-                if is_relation(fv):
-                    images = [b for a, b in rel_pairs(fv) if a == xv]
-                    if len(images) == 1:
-                        out.append((y.name, value_to_term(images[0])))
-        elif c.kind == "is":
-            t, e = c.args
-            if isinstance(t, Var) and t.name in pending and arith.expr_is_ground(e):
-                out.append((t.name, Int(arith.eval_ground(e))))
-        elif c.kind == "eq":
-            a, b = c.args
-            if isinstance(a, Var) and a.name in pending and is_ground(b):
-                out.append((a.name, b))
-            elif isinstance(b, Var) and b.name in pending and is_ground(a):
-                out.append((b.name, a))
+    for c in parts:
+        try:
+            if c.kind == "applyTo":
+                fn, x, y = c.args
+                if isinstance(y, Var) and y.name in pending:
+                    fv, xv = term_value(fn, env), term_value(x, env)
+                    if is_relation(fv):
+                        images = [b for a, b in rel_pairs(fv) if a == xv]
+                        if len(images) == 1:
+                            out.append((y.name, images[0]))
+            elif c.kind == "is":
+                t, e = c.args
+                if isinstance(t, Var) and t.name in pending:
+                    out.append((t.name, _eval_aexpr(e, env)))
+            elif c.kind == "eq":
+                a, b = c.args
+                if isinstance(a, Var) and a.name in pending:
+                    out.append((a.name, term_value(b, env)))
+                elif isinstance(b, Var) and b.name in pending:
+                    out.append((b.name, term_value(a, env)))
+        except NotGround:
+            continue  # not determined in this round
     return out
 
 
-def eval_formula(f: Formula) -> bool:
+def eval_formula(f: Formula, env: Env = None) -> bool:
+    """Truth value of ``f`` under ``env``.  Raises NotGround when ``env``
+    leaves it undetermined."""
+    if isinstance(f, Constraint):
+        return eval_constraint(f, env)
+    if isinstance(f, And):
+        return all(eval_formula(p, env) for p in f.parts)
+    if isinstance(f, Or):
+        return any(eval_formula(p, env) for p in f.parts)
+    if isinstance(f, Neg):
+        return not eval_formula(f.body, env)
+    if isinstance(f, Implies):
+        return (not eval_formula(f.left, env)) or eval_formula(f.right, env)
     if isinstance(f, TrueF):
         return True
     if isinstance(f, FalseF):
         return False
-    if isinstance(f, Constraint):
-        return eval_constraint(f)
-    if isinstance(f, And):
-        return all(eval_formula(p) for p in f.parts)
-    if isinstance(f, Or):
-        return any(eval_formula(p) for p in f.parts)
-    if isinstance(f, Neg):
-        return not eval_formula(f.body)
-    if isinstance(f, Implies):
-        return (not eval_formula(f.left)) or eval_formula(f.right)
     if isinstance(f, PredCall):
         raise NotGround("predicate call must be expanded before evaluation")
     raise TypeError(f"not a formula: {f!r}")

@@ -217,7 +217,10 @@ class _MParser(Parser):
     def in_scope(self, name: str) -> bool:
         if name in self.mvars or name in self.carriers:
             return True
-        return any(name in s for s in self.scopes)
+        for s in self.scopes:
+            if name in s:
+                return True
+        return False
 
     def resolve(self, t: Tok) -> Term:
         if t.val.endswith("_"):
@@ -297,10 +300,8 @@ class _MParser(Parser):
             if self.at("="):
                 self.next()
                 self.expect("{")
-                elems = [self.declare(self.name_tok("a member"), "member")]
-                while self.at(","):
-                    self.next()
-                    elems.append(self.declare(self.name_tok("a member"), "member"))
+                elems = self.comma_list(
+                    lambda: self.declare(self.name_tok("a member"), "member"))
                 self.expect("}")
                 if len(elems) < 2:
                     raise MachineError("a carrier needs at least two members",
@@ -521,10 +522,7 @@ class _MParser(Parser):
                                    t.line, t.col)
             self.next()
             self.expect("(")
-            args = [self.aexpr()]
-            while self.at(","):
-                self.next()
-                args.append(self.aexpr())
+            args = self.comma_list(self.aexpr)
             self.expect(")")
             return self.constraint(t.val, args, t)
         return self.infix_constraint()

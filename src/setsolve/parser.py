@@ -21,6 +21,7 @@ punctuation, word classifier, error class) and overrides these hooks:
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -42,7 +43,7 @@ class ParseError(Exception):
         self.msg, self.line, self.col = msg, line, col
 
 
-@dataclass
+@dataclass(slots=True)
 class Tok:
     kind: str   # atom|var|int|str|punct|eof
     val: str
@@ -52,6 +53,10 @@ class Tok:
 
 _PUNCT2 = (":-", "?-", "=<", ">=")
 _PUNCT1 = "()[]{},/=<>&.+-*?"
+
+
+# The rest of a word: ``\w`` is exactly ``str.isalnum()`` or ``_``.
+_WORD_REST = re.compile(r"\w*")
 
 
 def _case_kind(word: str) -> str:
@@ -64,6 +69,7 @@ def tokenize(text: str, comment: str = "%", punct2: tuple[str, ...] = _PUNCT2,
     toks: list[Tok] = []
     i, line, col = 0, 1, 1
     n = len(text)
+    starts2 = {p[0] for p in punct2}
     while i < n:
         ch = text[i]
         if ch == "\n":
@@ -74,6 +80,13 @@ def tokenize(text: str, comment: str = "%", punct2: tuple[str, ...] = _PUNCT2,
         if ch in " \t\r":
             i += 1
             col += 1
+            continue
+        if ch.isalpha() or ch == "_":  # the most common token first
+            j = _WORD_REST.match(text, i + 1).end()
+            word = text[i:j]
+            toks.append(Tok(word_kind(word), word, line, col))
+            col += j - i
+            i = j
             continue
         if ch == comment:
             while i < n and text[i] != "\n":
@@ -96,26 +109,16 @@ def tokenize(text: str, comment: str = "%", punct2: tuple[str, ...] = _PUNCT2,
             col += j + 1 - i
             i = j + 1
             continue
-        two = text[i:i + 2]
-        if two in punct2:
-            toks.append(Tok("punct", two, line, col))
+        if ch in starts2 and text[i:i + 2] in punct2:
+            toks.append(Tok("punct", text[i:i + 2], line, col))
             i += 2
             col += 2
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # what int() reads; "²" is a digit but no number
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(Tok("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            toks.append(Tok(word_kind(word), word, line, col))
             col += j - i
             i = j
             continue
@@ -175,6 +178,14 @@ class Parser:
     def at(self, val: str, kind: Optional[str] = None) -> bool:
         t = self.toks[self.i]
         return t.val == val and (kind is None or t.kind == kind)
+
+    def comma_list(self, item: Callable[[], object]) -> list:
+        """``item`` read once, and again after each comma."""
+        out = [item()]
+        while self.at(","):
+            self.next()
+            out.append(item())
+        return out
 
     def err(self, msg: str) -> ParseError:
         t = self.peek()
@@ -251,10 +262,7 @@ class Parser:
         if self.at("}"):
             self.next()
             return EMPTY
-        elems = [self.sub_term()]
-        while self.at(","):
-            self.next()
-            elems.append(self.sub_term())
+        elems = self.comma_list(self.sub_term)
         tail: Term = EMPTY
         if self.at("/"):
             self.next()
@@ -264,33 +272,34 @@ class Parser:
         self.expect("}")
         return mkset(elems, tail)
 
+    # These three read the current token once and test its value.
     def aexpr(self):
         e = self.amul()
-        while self.at("+") or self.at("-"):
-            op = self.next().val
+        while (op := self.toks[self.i].val) == "+" or op == "-":
+            self.next()
             e = ABin(op, e, self.amul())
         return e
 
     def amul(self):
         e = self.aunary()
-        while self.at("*"):
+        while (t := self.toks[self.i]).val == "*":
             self.next()
             e = ABin("*", e, self.aunary())
-        if self.at("div", "atom") or self.at("mod", "atom"):
-            raise self.err(f"'{self.peek().val}' is not supported: integer "
+        if (t.val == "div" or t.val == "mod") and t.kind == "atom":
+            raise self.err(f"'{t.val}' is not supported: integer "
                            f"expressions use +, - and *")
         return e
 
     def aunary(self):
-        if self.at("-"):
+        val = self.toks[self.i].val
+        if val == "-":
             nxt = self.peek(1)
             if nxt.kind == "int":
-                self.next()
-                self.next()
+                self.i += 2
                 return Int(-int(nxt.val))
             self.next()
             return ANeg(self.aunary())
-        if self.at("("):
+        if val == "(":
             self.next()
             e = self.aexpr()
             self.expect(")")
@@ -306,10 +315,7 @@ class Parser:
             return TNameVar(t.val)
         if self.at("["):
             self.next()
-            parts = [self.type_expr()]
-            while self.at(","):
-                self.next()
-                parts.append(self.type_expr())
+            parts = self.comma_list(self.type_expr)
             self.expect("]")
             if len(parts) < 2:
                 raise self.Error("product type needs at least two components",
@@ -327,10 +333,7 @@ class Parser:
         if t.val == "etype":
             self.expect("(")
             self.expect("[")
-            members = [self._atom_name()]
-            while self.at(","):
-                self.next()
-                members.append(self._atom_name())
+            members = self.comma_list(self._atom_name)
             self.expect("]")
             self.expect(")")
             if len(members) < 2:
@@ -347,6 +350,12 @@ class Parser:
         t = self.next()
         if t.kind != "atom":
             raise self.Error(f"expected an atom, found {t.val!r}", t.line, t.col)
+        return t.val
+
+    def _local_name(self) -> str:
+        t = self.next()
+        if t.kind != "var":
+            raise self.Error("locals must be variables", t.line, t.col)
         return t.val
 
     # --- formulas -------------------------------------------------------------
@@ -431,10 +440,7 @@ class Parser:
         save = self.i
         name = self.next().val
         self.expect("(")
-        args = [self.aexpr()]
-        while self.at(","):
-            self.next()
-            args.append(self.aexpr())
+        args = self.comma_list(self.aexpr)
         self.expect(")")
         if self._at_infix():
             # It was a term after all (no term functors exist, so the
@@ -500,18 +506,7 @@ class Parser:
         funcs: Optional[Formula] = None
         if self.at("["):
             self.next()
-            names = []
-            if not self.at("]"):
-                tok = self.next()
-                if tok.kind != "var":
-                    raise self.Error("locals must be variables", tok.line, tok.col)
-                names.append(tok.val)
-                while self.at(","):
-                    self.next()
-                    tok = self.next()
-                    if tok.kind != "var":
-                        raise self.Error("locals must be variables", tok.line, tok.col)
-                    names.append(tok.val)
+            names = [] if self.at("]") else self.comma_list(self._local_name)
             self.expect("]")
             self.expect(",")
             locals_ = tuple(names)
@@ -560,10 +555,7 @@ class Parser:
             self.expect("(")
             name = self._atom_name()
             self.expect("(")
-            sig = [self.type_expr()]
-            while self.at(","):
-                self.next()
-                sig.append(self.type_expr())
+            sig = self.comma_list(self.type_expr)
             self.expect(")")
             self.expect(")")
             pred_types[(name, len(sig))] = tuple(sig)

@@ -16,7 +16,7 @@ from .formulas import (
     PredCall, Program, TrueF, binder_names,
 )
 from .terms import (
-    CP, Atom, EmptySet, ExtSet, Int, Interval, Pair, Str, Term, Var,
+    CP, Atom, EmptySet, ExtSet, Int, Interval, Pair, Str, Term, Var, set_parts,
 )
 
 
@@ -117,6 +117,18 @@ class TypeEnv:
             t = self.synonyms[t.name]
         return t
 
+    def expand(self, t, _open: tuple = ()):
+        """``t`` with its synonyms resolved, also inside sets and products.
+        A synonym met again inside its own expansion is left as it is."""
+        if isinstance(t, TBasic) and t.name not in _open:
+            _open += (t.name,)
+            t = self.resolve(t)
+        if isinstance(t, TSet):
+            return TSet(self.expand(t.elem, _open))
+        if isinstance(t, TProd):
+            return TProd(tuple(self.expand(p, _open) for p in t.parts))
+        return t
+
 
 class Checker:
     def __init__(self, env: TypeEnv):
@@ -133,7 +145,8 @@ class Checker:
         return TV(self.next_tv)
 
     def conv(self, ty, memo: Optional[dict] = None):
-        """Replace named type variables with inference variables."""
+        """Replace named type variables with inference variables, and resolve
+        synonyms."""
         memo = self.named_tvs if memo is None else memo
         if isinstance(ty, TNameVar):
             return memo.setdefault(ty.name, self.fresh())
@@ -141,7 +154,7 @@ class Checker:
             return TSet(self.conv(ty.elem, memo))
         if isinstance(ty, TProd):
             return TProd(tuple(self.conv(p, memo) for p in ty.parts))
-        return ty
+        return self.env.expand(ty)
 
     def find(self, t):
         while isinstance(t, TV) and t.id in self.uf:
@@ -158,18 +171,23 @@ class Checker:
             return any(self._occurs(v, p) for p in t.parts)
         return False
 
+    def _head(self, t):
+        """The root of an inference variable or the synonym of a name; types
+        enter resolved, so such a name is abstract or recursive."""
+        cls = type(t)
+        return self.find(t) if cls is TV else self.env.resolve(t) if cls is TBasic else t
+
     def unify(self, a, b, where: str) -> None:
-        a, b = self.find(self.env.resolve(a)), self.find(self.env.resolve(b))
+        a, b = self._head(a), self._head(b)
         if a == b:
             return
-        if isinstance(a, TV):
-            if self._occurs(a, b):
+        if type(a) is not TV and type(b) is TV:
+            a, b = b, a
+        if type(a) is TV:
+            if type(b) in (TSet, TProd) and self._occurs(a, b):
                 self.errors.append(TypeError_("circular type", where))
                 return
             self.uf[a.id] = b
-            return
-        if isinstance(b, TV):
-            self.unify(b, a, where)
             return
         if isinstance(a, TSet) and isinstance(b, TSet):
             self.unify(a.elem, b.elem, where)
@@ -198,7 +216,8 @@ class Checker:
     def type_of_term(self, t: Term, where: str):
         if isinstance(t, Var):
             if t.name not in self.scope:
-                self.scope[t.name] = self.env.vars.get(t.name, self.fresh())
+                # ``fresh`` runs for a declared variable too: it numbers messages.
+                self.scope[t.name] = self.env.expand(self.env.vars.get(t.name, self.fresh()))
             return self.scope[t.name]
         if isinstance(t, Int):
             return TInt()
@@ -249,10 +268,10 @@ class Checker:
         inst: dict[str, TV] = {}
 
         def go(s):
+            if type(s) is str:
+                return inst.setdefault(s, self.fresh())
             if s == INT:
                 return TInt()
-            if isinstance(s, str):
-                return inst.setdefault(s, self.fresh())
             if s[0] == "S":
                 return TSet(go(s[1]))
             return TProd((go(s[1]), go(s[2])))
@@ -260,6 +279,9 @@ class Checker:
         return tuple(go(s) for s in sig)
 
     def check_formula(self, f: Formula, where: str = "") -> None:
+        if isinstance(f, Constraint):
+            self.check_constraint(f, where)
+            return
         if isinstance(f, (TrueF, FalseF)):
             return
         if isinstance(f, (And, Or)):
@@ -287,9 +309,6 @@ class Checker:
             memo: dict = {}  # fresh instantiation per call site
             for a, s in zip(f.args, sig):
                 self.unify(self.type_of_expr(a, where), self.conv(s, memo), where)
-            return
-        if isinstance(f, Constraint):
-            self.check_constraint(f, where)
             return
         raise TypeError(f"not a formula: {f!r}")
 
@@ -383,9 +402,11 @@ def check_program(prog: Program, env: Optional[TypeEnv] = None) -> list[TypeErro
     return errors
 
 
-def inhabits(t: Term, ty, env: TypeEnv) -> bool:
-    """Does ground term t inhabit type ty?"""
-    ty = env.resolve(ty)
+def inhabits(t: Term, ty, env: Optional[TypeEnv] = None) -> bool:
+    """Does ground term t inhabit type ty?  ``env`` resolves the synonyms
+    of ``ty`` first; without it, ``ty`` must already be resolved."""
+    if env is not None:
+        ty = env.expand(ty)
     if isinstance(ty, TInt):
         return isinstance(t, Int)
     if isinstance(ty, TStr):
@@ -397,20 +418,18 @@ def inhabits(t: Term, ty, env: TypeEnv) -> bool:
     if isinstance(ty, TProd):
         if not isinstance(t, Pair) or len(ty.parts) != 2:
             return False
-        return inhabits(t.first, ty.parts[0], env) and inhabits(t.second, ty.parts[1], env)
+        return inhabits(t.first, ty.parts[0]) and inhabits(t.second, ty.parts[1])
     if isinstance(ty, TSet):
-        from .terms import set_parts
-
         if isinstance(t, EmptySet):
             return True
         if isinstance(t, ExtSet):
             elems, tail = set_parts(t)
             if not isinstance(tail, EmptySet):
                 return False
-            return all(inhabits(e, ty.elem, env) for e in elems)
+            return all(inhabits(e, ty.elem) for e in elems)
         if isinstance(t, CP) and isinstance(ty.elem, TProd):
-            return inhabits(t.left, TSet(ty.elem.parts[0]), env) and \
-                inhabits(t.right, TSet(ty.elem.parts[1]), env)
+            return inhabits(t.left, TSet(ty.elem.parts[0])) and \
+                inhabits(t.right, TSet(ty.elem.parts[1]))
         if isinstance(t, Interval):
             return isinstance(ty.elem, TInt)
         return False

@@ -47,9 +47,9 @@ from typing import Optional
 
 from .engine import Solution, ground_complete, solve
 from .formulas import (
-    C, Constraint, Formula, Neg, QPayload, conj, conjuncts, disj,
-    formula_vars, subst_formula,
+    C, Constraint, Formula, Neg, QPayload, conj, conjuncts, disj, formula_vars,
 )
+from .formulas import subst_formula  # noqa: F401  (the bench's tracer wraps this name)
 from .groundeval import NotGround, eval_formula, term_value, value_to_term
 from .machines import (
     Carrier, Machine, WDOcc, carrier_equalities, carrier_synonyms,
@@ -57,7 +57,7 @@ from .machines import (
 )
 from .printer import pp_formula, pp_term
 from .terms import (
-    EMPTY, Atom, ExtSet, Pair, Term, Var, VarGen, is_ground, mkset,
+    EMPTY, Atom, ExtSet, Pair, Term, Var, is_ground, mkset, set_parts,
 )
 from .typecheck import TEnum, TProd, TSet, TypeEnv, check_formula, inhabits
 
@@ -326,15 +326,21 @@ def _proved_carrier_free(po: PO, budget: int) -> tuple[bool, int]:
     return True, steps
 
 
-def _typed_hints(types: tuple[tuple[str, object], ...], carriers: tuple[Carrier, ...],
-                 sol: Solution, hints: Optional[dict[str, list[Term]]]) -> dict[str, list[Term]]:
-    """``hints`` plus, for each unbound leaf of an enumerated type in the
-    answer term of a variable declared in ``types``, that type's members."""
+def _resolved(types: tuple[tuple[str, object], ...],
+              carriers: tuple[Carrier, ...]) -> tuple[tuple[str, object], ...]:
+    """``types`` with the synonyms of ``carriers`` resolved."""
     env = _type_env(carriers)
+    return tuple((name, env.expand(ty)) for name, ty in types)
+
+
+def _typed_hints(types: tuple[tuple[str, object], ...], sol: Solution,
+                 hints: Optional[dict[str, list[Term]]]) -> dict[str, list[Term]]:
+    """``hints`` plus, for each unbound leaf of an enumerated type in the
+    answer term of a variable declared in ``types`` (resolved), that type's
+    members."""
     out = dict(hints or {})
 
     def walk(t: Term, ty) -> None:
-        ty = env.resolve(ty)
         if isinstance(t, Var):
             if isinstance(ty, TEnum) and t.name not in out:
                 out[t.name] = [Atom(x) for x in ty.members]
@@ -351,41 +357,32 @@ def _typed_hints(types: tuple[tuple[str, object], ...], carriers: tuple[Carrier,
     return out
 
 
-def _well_typed(types: tuple[tuple[str, object], ...], carriers: tuple[Carrier, ...],
-                witness: dict[str, Term]) -> bool:
-    """Each variable of ``types`` that ``witness`` gives a value inhabits its
-    declared type."""
-    env = _type_env(carriers)
-    return all(inhabits(witness[name], ty, env)
-               for name, ty in types if name in witness)
+def _well_typed(types: tuple[tuple[str, object], ...], witness: dict[str, Term]) -> bool:
+    """Each variable of ``types`` (resolved) that ``witness`` gives a value
+    inhabits its declared type."""
+    return all(inhabits(witness[name], ty) for name, ty in types if name in witness)
 
 
-def _validate(po: PO, query: Formula, witness: dict[str, Term]) -> bool:
+def _validate(types: tuple[tuple[str, object], ...], query: Formula,
+              witness: dict[str, Term], env: dict) -> bool:
     """A counterexample must fit the declared types and make the whole
-    query true on the ground."""
-    if not _well_typed(po.types, po.carriers, witness):
-        return False
-    g = subst_formula(witness, query, VarGen())
+    query true under its values ``env``."""
+    return _well_typed(types, witness) and _holds(query, env)
+
+
+def _holds(f: Formula, env: dict) -> bool:
+    """``f`` is true under the witness values ``env``; one it cannot
+    evaluate counts as false."""
     try:
-        return eval_formula(g)
+        return eval_formula(f, env)
     except NotGround:
         return False
 
 
-def _violated(po: PO, used: set[str], witness: dict[str, Term]) -> list[str]:
-    """Pool hypotheses the ground witness falsifies or cannot evaluate: a
-    counterexample must be shown to satisfy every invariant."""
-    out = []
-    for label, f in po.pool:
-        if label in used:
-            continue
-        g = subst_formula(witness, f, VarGen())
-        try:
-            if not eval_formula(g):
-                out.append(label)
-        except NotGround:
-            out.append(label)
-    return out
+def _violated(po: PO, used: set[str], env: dict) -> list[str]:
+    """Pool hypotheses the witness values ``env`` falsify or cannot
+    evaluate: a counterexample must be shown to satisfy every invariant."""
+    return [label for label, f in po.pool if label not in used and not _holds(f, env)]
 
 
 def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
@@ -399,6 +396,8 @@ def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
     def done(status: str, **kw) -> POResult:
         return POResult(po, status, tuple(used), iterations,
                         (time.perf_counter() - t0) * 1000.0, steps=steps, **kw)
+
+    types = _resolved(po.types, po.carriers)
 
     if po.kind == "INV":
         proved, steps = _proved_carrier_free(po, budget)
@@ -421,7 +420,7 @@ def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
         witness: Optional[dict[str, Term]] = None
         if res.solutions:
             sol = res.solutions[0]
-            typed = _typed_hints(po.types, po.carriers, sol, hints)
+            typed = _typed_hints(types, sol, hints)
             witness = ground_complete(sol, hints=typed)
             if witness is not None:
                 # A declared variable the query leaves free takes its first
@@ -429,12 +428,13 @@ def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
                 for name, _ in po.types:
                     if name not in witness and typed.get(name):
                         witness[name] = typed[name][0]
-                if not _validate(po, query, witness):
+                env = {name: term_value(t) for name, t in witness.items()}
+                if not _validate(types, query, witness, env):
                     witness = None
                     note = "witness failed ground validation"
 
         if witness is not None:
-            bad = _violated(po, set(used), witness)
+            bad = _violated(po, set(used), env)
             if not bad:
                 shown = {v: witness[v] for v in po.show_vars if v in witness}
                 return done("Disproved", counterexample=shown)
@@ -517,13 +517,28 @@ def _canon(t: Term) -> Term:
     return value_to_term(term_value(t))
 
 
-def _ground_state(m: Machine, sol: Solution,
-                  hints: dict[str, list[Term]]) -> Optional[dict[str, Term]]:
+def _pinned(m: Machine, values: dict[str, Term]) -> tuple[Carrier, ...]:
+    """The carriers of ``m``, each abstract one that ``values`` gives a
+    listed set of two or more atoms enumerated by those atoms."""
+    out = []
+    for c in m.carriers:
+        if c.members is None and c.name in values:
+            elems, tail = set_parts(values[c.name])
+            names = tuple(dict.fromkeys(e.name for e in elems if isinstance(e, Atom)))
+            if tail == EMPTY and len(names) >= 2 and all(isinstance(e, Atom) for e in elems):
+                c = Carrier(c.name, names)
+        out.append(c)
+    return tuple(out)
+
+
+def _ground_state(m: Machine, sol: Solution, hints: dict[str, list[Term]],
+                  carriers: tuple[Carrier, ...]) -> Optional[dict[str, Term]]:
     """``sol`` grounded with the members of each declared type at hand, or
-    None when that fails or leaves a declared value outside its type."""
-    types = _types(m, set(m.var_names()))
-    g = ground_complete(sol, hints=_typed_hints(types, m.carriers, sol, hints))
-    return g if g is not None and _well_typed(types, m.carriers, g) else None
+    None when that fails or leaves a declared value outside its type.
+    ``carriers`` are those of ``m`` with their animated values."""
+    types = _resolved(_types(m, set(m.var_names())), carriers)
+    g = ground_complete(sol, hints=_typed_hints(types, sol, hints))
+    return g if g is not None and _well_typed(types, g) else None
 
 
 def initial_state(m: Machine, *, budget: int = 200_000,
@@ -539,7 +554,7 @@ def initial_state(m: Machine, *, budget: int = 200_000,
         if res.unsat:
             raise VerifyError("the initialisation is unsatisfiable")
         raise VerifyError("no initial state found within the budget")
-    g = _ground_state(m, res.solutions[0], _hints(m))
+    g = _ground_state(m, res.solutions[0], _hints(m), _pinned(m, carriers))
     if g is None:
         raise VerifyError("the initial state could not be grounded")
     state: dict[str, Term] = {}
@@ -580,9 +595,9 @@ def step(m: Machine, state: dict[str, Term], event_name: str,
         raise VerifyError("no successor found within the budget")
     out: list[dict[str, Term]] = []
     seen = set()
-    hints = _hints(m)
+    hints, carriers = _hints(m), _pinned(m, state)
     for sol in res.solutions:
-        g = _ground_state(m, sol, hints)
+        g = _ground_state(m, sol, hints, carriers)
         if g is None:
             continue
         nxt: dict[str, Term] = {}

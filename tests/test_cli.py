@@ -201,6 +201,21 @@ def test_animate_gives_each_variable_a_value_of_its_type(tmp_path, capsys, text,
     assert capsys.readouterr().out == out
 
 
+@pytest.mark.parametrize("carriers, out", [
+    # Pinned to two members, pos types x as one of them: v neq a leaves b.
+    ("pos = {a, b}\n", "state 0\n    pos = {a,b}\n    x = a\n"
+                       "state 1 after pick\n    pos = {a,b}\n    x = b\n"),
+    # One member makes no enumeration, so pos keeps its abstract typing;
+    # the pin is not an error.
+    ("pos = {a}\n", "state 0\n    pos = {a}\n    x = a\nstate 1 after pick\n"),
+], ids=["two-members", "one-member"])
+def test_animate_types_a_variable_by_its_pinned_carrier(tmp_path, capsys, carriers, out):
+    path = tmp_path / "m.smch"
+    path.write_text(_PICK.replace("pos = {a, b}", "pos"))
+    assert _animate(str(path), tmp_path, "pick\n", carriers=carriers)[0] == cli.OK
+    assert capsys.readouterr().out.startswith(out)
+
+
 @pytest.mark.parametrize("cmd, suffix, text", [
     ("verify", ".smch", _MACHINE % "n >= 0 $"),
     ("animate", ".smch", _MACHINE % "n >= 0 $"),
@@ -231,6 +246,7 @@ def test_parse_error_names_the_file(tmp_path, capsys, cmd, suffix, text):
     (["solve", "-e", "eq(X + 1, Y)"], "argument 1 of eq must be a term"),
     (["solve", "-e", "subset(X + 1, A)"], "argument 1 of subset must be a term"),
     (["solve", "-e", "delay(X = 1)"], "expected ')', found '='"),
+    (["solve", "-e", "X = 2²"], "unexpected character '²'"),
 ])
 def test_bad_goal_is_a_one_line_usage_error(capsys, argv, message):
     assert cli.main(argv) == cli.USAGE

@@ -4,7 +4,9 @@ import random
 import oracle
 import pytest
 from setsolve.formulas import ARITY, C, Constraint, QPayload, conj, disj, Neg
-from setsolve.groundeval import eval_constraint, eval_formula, term_value, value_to_term
+from setsolve.groundeval import (
+    NotGround, eval_constraint, eval_formula, term_value, value_to_term,
+)
 from setsolve.terms import (
     CP, EMPTY, Atom, Int, Interval, Pair, Str, Term, Var, mkset,
 )
@@ -81,18 +83,123 @@ def test_agreement_on_random_ground_formulas():
         assert mine == eval_formula(f)
 
 
+SMALL = [Atom("a"), Atom("b"), Int(1), Int(2)]
+
+
+def rnd_small_pairs(r: random.Random, lo: int = 0) -> Term:
+    return mkset([Pair(r.choice(SMALL), r.choice(SMALL)) for _ in range(r.randint(lo, 3))])
+
+
+def rnd_open_term(r: random.Random, names: list[str], depth: int = 2) -> Term:
+    """A random term whose leaves are often one of ``names``."""
+    if depth == 0 or r.random() < 0.4:
+        return Var(r.choice(names)) if r.random() < 0.7 else rnd_scalar(r)
+    if r.random() < 0.5:
+        return mkset([rnd_open_term(r, names, depth - 1) for _ in range(r.randint(0, 3))])
+    return Pair(rnd_open_term(r, names, depth - 1), rnd_open_term(r, names, depth - 1))
+
+
+def rnd_open_constraint(r: random.Random, names: list[str]) -> Constraint:
+    """A constraint over ``names``: half of them of a form whose truth
+    depends on which value each name has, the others of any kind."""
+    x, y = Var(r.choice(names)), Var(r.choice(names))
+    pick = r.random()
+    if pick < 0.15:
+        return C(r.choice(["eq", "neq"]), x, r.choice(SMALL))
+    if pick < 0.3:
+        return C(r.choice(["in", "nin"]), x, mkset(r.sample(SMALL, r.randint(1, 3))))
+    if pick < 0.5:
+        return C(r.choice(["in", "nin"]), Pair(x, y), rnd_small_pairs(r, 1))
+    k = r.choice(GROUND_KINDS)
+    if k in ("le", "lt", "is"):
+        return C(k, x if r.random() < 0.6 else Int(r.randint(-3, 3)), y)
+    return C(k, *[rnd_open_term(r, names) for _ in range(ARITY[k])])
+
+
+def rnd_domain(r: random.Random) -> Term:
+    """A set of scalars, of pairs or of sets of pairs, or any random term."""
+    pick = r.random()
+    if pick < 0.3:
+        return mkset(r.sample(SMALL, r.randint(0, 3)))
+    if pick < 0.6:
+        return rnd_small_pairs(r)
+    if pick < 0.8:
+        return mkset([rnd_small_pairs(r) for _ in range(r.randint(0, 2))])
+    return rnd_term(r)
+
+
+def rnd_quant(r: random.Random, names: list[str], depth: int = 1) -> Constraint:
+    """A quantifier over a variable or pair binder whose body uses it; with
+    ``depth``, the body may be a quantifier over the binder."""
+    k = len(names)
+    if r.random() < 0.5:
+        binder, bound, dom = Var(f"Q{k}"), [f"Q{k}"], rnd_domain(r)
+    else:
+        binder, bound = Pair(Var(f"Q{k}"), Var(f"Q{k + 1}")), [f"Q{k}", f"Q{k + 1}"]
+        dom = rnd_small_pairs(r, 1)
+    if names and r.random() < 0.3:
+        dom = Var(r.choice(names))
+    inner = names + bound
+    if depth and r.random() < 0.4:
+        body = rnd_quant(r, inner, depth - 1)
+    else:
+        body = conj([rnd_open_constraint(r, inner) for _ in range(r.randint(1, 2))])
+    return Constraint(r.choice(["foreach", "exists"]), (), q=QPayload(binder, dom, (), body, None))
+
+
+def agree_under(f, env: dict[str, Term]) -> bool:
+    """Evaluate ``f`` under ``env`` with the oracle and the package; False
+    when either cannot decide it.  Which one can depends on the order in
+    which a quantifier meets the elements of its domain, and that differs
+    between the two value encodings."""
+    try:
+        mine = oracle.holds(f, env)
+        theirs = eval_formula(f, {k: term_value(t) for k, t in env.items()})
+    except (oracle.Undecidable, NotGround):
+        return False
+    assert mine == theirs, f"{f} under {env}"
+    return True
+
+
 def test_agreement_on_quantifiers():
     r = random.Random(5150)
-    for _ in range(300):
-        dom = rnd_term(r)
-        body = rnd_constraint(r)
-        kind = r.choice(["foreach", "exists"])
-        q = Constraint(kind, (), q=QPayload(Var("Q0"), dom, (), body, None))
-        try:
-            mine = oracle.holds(q)
-        except oracle.Undecidable:
-            continue
-        assert mine == eval_constraint(q), f"{q}"
+    decided = 0
+    for _ in range(600):
+        decided += agree_under(rnd_quant(r, []), {})
+    assert decided > 300
+
+
+def test_agreement_on_quantifiers_over_free_variables():
+    r = random.Random(4242)
+    decided = 0
+    for _ in range(600):
+        env = {"F0": rnd_domain(r), "F1": rnd_term(r)}
+        f = rnd_quant(r, list(env)) if r.random() < 0.7 else \
+            conj([rnd_open_constraint(r, list(env)) for _ in range(2)])
+        decided += agree_under(f, env)
+    assert decided > 300
+
+
+def test_agreement_on_a_functional_slot():
+    # foreach/exists(X in D, [L0, L1], applyTo(F, X, L0) & applyTo(G, L0, L1),
+    # body over X, L0 and L1), with F a function on D and G one on F's
+    # images.  The outer values of L0 and L1 are shadowed by the locals.
+    r = random.Random(99)
+    decided = 0
+    for _ in range(400):
+        points = list({term_value(t): t for t in
+                       (rnd_scalar(r) for _ in range(r.randint(0, 3)))}.values())
+        images = [r.choice(SMALL) for _ in points]
+        env = {"D": mkset(points), "F": mkset([Pair(x, y) for x, y in zip(points, images)]),
+               "G": mkset([Pair(y, rnd_term(r, 1)) for y in set(images)]),
+               "L0": r.choice(images or SMALL), "L1": rnd_scalar(r)}
+        body = conj([rnd_open_constraint(r, ["Q0", "L0", "L1", "D"])
+                     for _ in range(r.randint(1, 2))])
+        funcs = conj([C("applyTo", Var("F"), Var("Q0"), Var("L0")),
+                      C("applyTo", Var("G"), Var("L0"), Var("L1"))])
+        q = QPayload(Var("Q0"), Var("D"), ("L0", "L1"), body, funcs)
+        decided += agree_under(Constraint(r.choice(["foreach", "exists"]), (), q=q), env)
+    assert decided > 200
 
 
 def test_term_value_round_trip():

@@ -1,4 +1,5 @@
 """Sort inference over programs, formulas and machines."""
+import pytest
 from setsolve.machines import parse_machine
 from setsolve.parser import parse_formula, parse_program
 from setsolve.typecheck import TypeEnv, check_formula, check_program
@@ -168,3 +169,61 @@ event e
     assert typecheck_machine(parse_machine(text)) == []
     wrong = text.replace("f(x) := true", "f(x) := 3")
     assert typecheck_machine(parse_machine(wrong))
+
+
+_M = """
+machine m3
+context
+  s = {p, q}
+end
+variables
+  f : stype([s, bool])
+  v : s
+end
+invariants
+  inv1: pfun(f)
+end
+init
+  act1: f := cp(s, {true})
+  act2: v := p
+end
+event e
+  any x
+  where
+    grd1: x in s & f(x) = false
+  then
+    act1: f(x) := true
+  end
+"""
+
+
+@pytest.mark.parametrize("edit, messages", [
+    (("f(x) := true", "f(x) := 3"), ["foplus: type mismatch: int vs etype([true,false])"]),
+    (("v := p", "v := 1"), ["eq: type mismatch: int vs etype([p,q])"]),
+    (("v := p", "v := {p}"), ["eq: type mismatch: stype(?14) vs etype([p,q])",
+                              "eq: cannot infer an enumerated type for atom p"]),
+    (("v := p", "v := r"), ["eq: atom r is not a member of etype([p,q])"]),
+    (("grd1: x in s", "grd1: x in x"), ["in: circular type"]),
+], ids=["bool", "carrier", "carrier-set", "outside-enum", "circular"])
+def test_machine_type_error_messages(edit, messages):
+    assert typecheck_machine(parse_machine(_M)) == []
+    assert typecheck_machine(parse_machine(_M.replace(*edit))) == messages
+
+
+@pytest.mark.parametrize("text, messages", [
+    ("?- X in X.\n", ["query in: circular type"]),
+    ("?- X = a.\n", ["query eq: cannot infer an enumerated type for atom a"]),
+    (":- dec_p_type(p(int)).\np(X) :- X < 3.\n?- p(Y + 1).\n",
+     ["query: predicate p/1 takes terms, not integer expressions"]),
+    (":- def_type(color, etype([red, green])).\n:- dec_p_type(p(stype(color))).\n"
+     "p(A) :- 1 in A.\n?- p({blue}).\n",
+     ["p in: type mismatch: etype([red,green]) vs int",
+      "query: atom blue is not a member of etype([red,green])"]),
+    (":- dec_p_type(p(bool)).\np(A) :- A = 1.\n?- p(true).\n",
+     ["p eq: type mismatch: int vs etype([true,false])"]),
+    ("?- dec(F, stype([int, bool])) & [1, 2] in F & [X, Y] in F & Y = Z & Z in Z.\n",
+     ["query in: type mismatch: etype([true,false]) vs int",
+      "query in: type mismatch: etype([true,false]) vs stype(etype([true,false]))"]),
+], ids=["circular", "no-enum", "int-argument", "def-type", "bool", "dec"])
+def test_program_type_error_messages(text, messages):
+    assert [str(e) for e in errors_of(text)] == messages
