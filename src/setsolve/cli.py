@@ -269,7 +269,7 @@ def cmd_animate(ns) -> int:
             continue
         event, args = _parse_trace_line(line, ns.trace, ln)
         try:
-            succs = step(m, state, event, args, budget=ns.budget)
+            succs = step(m, state, event, args, budget=ns.budget, carriers=carriers)
         except GuardNotSatisfied as e:
             print(f"stuck: {e}")
             return REFUTED

@@ -76,10 +76,6 @@ def is_pair_value(v) -> bool:
     return isinstance(v, tuple) and len(v) == 3 and v[0] == "pair"
 
 
-def _sets(*vs) -> bool:
-    return all(isinstance(v, frozenset) for v in vs)
-
-
 def is_relation(v) -> bool:
     return isinstance(v, frozenset) and all(is_pair_value(x) for x in v)
 
@@ -133,32 +129,37 @@ def eval_constraint(c: Constraint, env: Env = None) -> bool:
         return not is_pair_value(args[0])
     if k == "un":
         a, b, cc = args
-        return _sets(a, b, cc) and (a | b) == cc
+        return (isinstance(a, frozenset) and isinstance(b, frozenset)
+                and isinstance(cc, frozenset) and (a | b) == cc)
     if k == "disj":
         a, b = args
-        return _sets(a, b) and not (a & b)
+        return isinstance(a, frozenset) and isinstance(b, frozenset) and not (a & b)
     if k == "subset":
         a, b = args
-        return _sets(a, b) and a <= b
+        return isinstance(a, frozenset) and isinstance(b, frozenset) and a <= b
     if k == "comp":
         r, s, t = args
-        return is_relation(r) and is_relation(s) and _sets(t) and compose_rel(r, s) == t
+        return (is_relation(r) and is_relation(s) and isinstance(t, frozenset)
+                and compose_rel(r, s) == t)
     if k == "inv":
         r, t = args
-        return (is_relation(r) and _sets(t)
+        return (is_relation(r) and isinstance(t, frozenset)
                 and frozenset(("pair", b, a) for a, b in rel_pairs(r)) == t)
     if k == "id":
         a, r = args
-        return _sets(a, r) and frozenset(("pair", x, x) for x in a) == r
+        return (isinstance(a, frozenset) and isinstance(r, frozenset)
+                and frozenset(("pair", x, x) for x in a) == r)
     if k == "pfun":
         f = args[0]
         return is_relation(f) and len({a for a, _ in rel_pairs(f)}) == len(f)
     if k == "dom":
         r, d = args
-        return is_relation(r) and _sets(d) and frozenset(a for a, _ in rel_pairs(r)) == d
+        return (is_relation(r) and isinstance(d, frozenset)
+                and frozenset(a for a, _ in rel_pairs(r)) == d)
     if k == "ran":
         r, d = args
-        return is_relation(r) and _sets(d) and frozenset(b for _, b in rel_pairs(r)) == d
+        return (is_relation(r) and isinstance(d, frozenset)
+                and frozenset(b for _, b in rel_pairs(r)) == d)
     if k == "applyTo":
         f, x, y = args
         if not is_relation(f):

@@ -367,17 +367,16 @@ class _MParser(Parser):
         params: list[str] = []
         if self.at("any"):
             self.next()
-            while True:
+
+            def param() -> None:
                 p = self.name_tok("a parameter name")
                 pname = self.declare(p, "parameter")
                 if self.in_scope(pname) or pname in params:
                     raise MachineError(f"parameter {pname!r} shadows another name",
                                        p.line, p.col)
                 params.append(pname)
-                if self.at(","):
-                    self.next()
-                    continue
-                break
+
+            self.comma_list(param)
         self.scopes.append(set(params))
         guards: list[Guard] = []
         actions: list[Action] = []

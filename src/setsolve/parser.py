@@ -578,7 +578,8 @@ class Parser:
         params: list[str] = []
         if self.at("("):
             self.next()
-            while True:
+
+            def param() -> None:
                 p = self.next()
                 if p.kind != "var":
                     raise self.Error("clause parameters must be distinct variables",
@@ -586,10 +587,8 @@ class Parser:
                 if p.val in params:
                     raise self.Error(f"duplicate parameter {p.val}", p.line, p.col)
                 params.append(p.val)
-                if self.at(","):
-                    self.next()
-                    continue
-                break
+
+            self.comma_list(param)
             self.expect(")")
         body: Formula = TrueF()
         if self.at(":-"):

@@ -574,11 +574,14 @@ def initial_state(m: Machine, *, budget: int = 200_000,
 
 def step(m: Machine, state: dict[str, Term], event_name: str,
          args: Optional[dict[str, Term]] = None, *,
-         budget: int = 200_000, max_successors: int = 8) -> list[dict[str, Term]]:
+         budget: int = 200_000, max_successors: int = 8,
+         carriers: Optional[dict[str, Term]] = None) -> list[dict[str, Term]]:
     """All distinct successor states of one event, in search order.
 
     An empty guard yields GuardNotSatisfied; callers that expect determinism
-    can reject a result longer than one.
+    can reject a result longer than one.  ``carriers`` are the values pinned
+    for :func:`initial_state`; as there, only a pinned carrier types its
+    variables, not one the state holds because the initialisation grounded it.
     """
     ev = m.event(event_name)
     args = args or {}
@@ -595,9 +598,9 @@ def step(m: Machine, state: dict[str, Term], event_name: str,
         raise VerifyError("no successor found within the budget")
     out: list[dict[str, Term]] = []
     seen = set()
-    hints, carriers = _hints(m), _pinned(m, state)
+    hints, pinned = _hints(m), _pinned(m, carriers or {})
     for sol in res.solutions:
-        g = _ground_state(m, sol, hints, carriers)
+        g = _ground_state(m, sol, hints, pinned)
         if g is None:
             continue
         nxt: dict[str, Term] = {}

@@ -147,45 +147,78 @@ def rnd_quant(r: random.Random, names: list[str], depth: int = 1) -> Constraint:
     return Constraint(r.choice(["foreach", "exists"]), (), q=QPayload(binder, dom, (), body, None))
 
 
-def agree_under(f, env: dict[str, Term]) -> bool:
-    """Evaluate ``f`` under ``env`` with the oracle and the package; False
-    when either cannot decide it.  Which one can depends on the order in
-    which a quantifier meets the elements of its domain, and that differs
-    between the two value encodings."""
+def agree_under(f, env: dict[str, Term], tally: dict[str, int]) -> None:
+    """Evaluate ``f`` under ``env`` with the oracle and the package, check
+    that they agree where both decide it, and count in ``tally`` whether
+    both, only the oracle, only the package or neither decided it."""
     try:
         mine = oracle.holds(f, env)
+    except oracle.Undecidable:
+        mine = None
+    try:
         theirs = eval_formula(f, {k: term_value(t) for k, t in env.items()})
-    except (oracle.Undecidable, NotGround):
-        return False
-    assert mine == theirs, f"{f} under {env}"
-    return True
+    except NotGround:
+        theirs = None
+    if mine is not None and theirs is not None:
+        assert mine == theirs, f"{f} under {env}"
+    key = {(True, True): "both", (True, False): "oracle", (False, True): "package",
+           (False, False): "neither"}[mine is not None, theirs is not None]
+    tally[key] = tally.get(key, 0) + 1
+
+
+def decided_alike(tally: dict[str, int], both: int) -> None:
+    """At least ``both`` formulas were decided by both evaluators, and at
+    most 3 by the oracle alone.  One side alone can decide an ``exists``
+    that is true on one element and undecidable on another, such as
+    ``exists(X in {2, a}, X is X)``, when it meets the true one first; the
+    order of a set's elements follows string hashing, so it varies from
+    run to run, and a few such formulas are each generator's share."""
+    assert tally.get("both", 0) >= both, tally
+    assert tally.get("oracle", 0) <= 3, tally
 
 
 def test_agreement_on_quantifiers():
     r = random.Random(5150)
-    decided = 0
+    for _ in range(300):
+        dom = rnd_term(r)
+        body = rnd_constraint(r)
+        kind = r.choice(["foreach", "exists"])
+        q = Constraint(kind, (), q=QPayload(Var("Q0"), dom, (), body, None))
+        try:
+            mine = oracle.holds(q)
+        except oracle.Undecidable:
+            continue
+        assert mine == eval_constraint(q), f"{q}"
+
+
+def test_agreement_on_quantifiers_over_their_binders():
+    # 478 or 479 of the 600 are decided by both.
+    r = random.Random(5150)
+    tally: dict[str, int] = {}
     for _ in range(600):
-        decided += agree_under(rnd_quant(r, []), {})
-    assert decided > 300
+        agree_under(rnd_quant(r, []), {}, tally)
+    decided_alike(tally, 470)
 
 
 def test_agreement_on_quantifiers_over_free_variables():
+    # 483 or 484 of the 600 are decided by both.
     r = random.Random(4242)
-    decided = 0
+    tally: dict[str, int] = {}
     for _ in range(600):
         env = {"F0": rnd_domain(r), "F1": rnd_term(r)}
         f = rnd_quant(r, list(env)) if r.random() < 0.7 else \
             conj([rnd_open_constraint(r, list(env)) for _ in range(2)])
-        decided += agree_under(f, env)
-    assert decided > 300
+        agree_under(f, env, tally)
+    decided_alike(tally, 475)
 
 
 def test_agreement_on_a_functional_slot():
     # foreach/exists(X in D, [L0, L1], applyTo(F, X, L0) & applyTo(G, L0, L1),
     # body over X, L0 and L1), with F a function on D and G one on F's
     # images.  The outer values of L0 and L1 are shadowed by the locals.
+    # 391 or 392 of the 400 are decided by both.
     r = random.Random(99)
-    decided = 0
+    tally: dict[str, int] = {}
     for _ in range(400):
         points = list({term_value(t): t for t in
                        (rnd_scalar(r) for _ in range(r.randint(0, 3)))}.values())
@@ -198,8 +231,8 @@ def test_agreement_on_a_functional_slot():
         funcs = conj([C("applyTo", Var("F"), Var("Q0"), Var("L0")),
                       C("applyTo", Var("G"), Var("L0"), Var("L1"))])
         q = QPayload(Var("Q0"), Var("D"), ("L0", "L1"), body, funcs)
-        decided += agree_under(Constraint(r.choice(["foreach", "exists"]), (), q=q), env)
-    assert decided > 200
+        agree_under(Constraint(r.choice(["foreach", "exists"]), (), q=q), env, tally)
+    decided_alike(tally, 385)
 
 
 def test_term_value_round_trip():
