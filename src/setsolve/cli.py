@@ -201,7 +201,7 @@ def _print_results(results) -> None:
 
 def cmd_verify(ns) -> int:
     m = _parse_file(ns.file, parse_machine)
-    results = verify_machine(m, budget=ns.budget, max_hyp=ns.max_hyp, po_id=ns.po)
+    results = verify_machine(m, budget=ns.budget, po_id=ns.po)
     if ns.po is not None and not results:
         print(f"no obligation named {ns.po!r}", file=sys.stderr)
         return USAGE
@@ -319,8 +319,6 @@ def build_argv() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="discharge the obligations of a machine")
     p.add_argument("file")
     p.add_argument("--po", default=None, help="check one obligation by name")
-    p.add_argument("--max-hyp", type=int, default=5,
-                   help="invariants pulled in automatically, at most (default 5)")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="write the machine report as JSON")
     p.add_argument("--budget", type=int, default=200_000,

@@ -106,7 +106,12 @@ def tokenize(text: str, comment: str = "%", punct2: tuple[str, ...] = _PUNCT2,
             if j >= n:
                 raise error("unterminated string", line, col)
             toks.append(Tok("str", "".join(out), line, col))
-            col += j + 1 - i
+            last = text.rfind("\n", i, j)
+            if last < 0:
+                col += j + 1 - i
+            else:
+                line += text.count("\n", i, j)
+                col = j - last + 1
             i = j + 1
             continue
         if ch in starts2 and text[i:i + 2] in punct2:

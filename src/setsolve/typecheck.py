@@ -374,9 +374,29 @@ def check_formula(f: Formula, env: Optional[TypeEnv] = None,
     return ck.errors
 
 
+def _cyclic(synonyms: dict) -> list[str]:
+    """The names of ``synonyms`` whose expansion mentions themselves."""
+    def reach(t, seen: set) -> set:
+        if isinstance(t, TBasic) and t.name in synonyms and t.name not in seen:
+            seen.add(t.name)
+            reach(synonyms[t.name], seen)
+        elif isinstance(t, TSet):
+            reach(t.elem, seen)
+        elif isinstance(t, TProd):
+            for p in t.parts:
+                reach(p, seen)
+        return seen
+
+    return [name for name, ty in synonyms.items() if name in reach(ty, set())]
+
+
 def check_program(prog: Program, env: Optional[TypeEnv] = None) -> list[TypeError_]:
     env = env or TypeEnv()
     env.synonyms.update(prog.type_defs)
+    # A synonym defined through itself has no finite expansion to check by.
+    cyclic = _cyclic(env.synonyms)
+    if cyclic:
+        return [TypeError_("type defined in terms of itself", n) for n in cyclic]
     env.preds.update(prog.pred_types)
     errors: list[TypeError_] = []
     declared = {name for name, _ in env.preds}

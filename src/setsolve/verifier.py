@@ -29,13 +29,13 @@ An INV obligation is discharged in this order:
      its group, so if every group is refuted (with no ill-sorted cut) the
      obligation is proved.  This is the hypothesis selection of Event-B
      provers, and its cost does not grow with the carriers.
-  3. Otherwise the whole query is solved with the carriers pinned to their
-     members.  Hypotheses start minimal: only the invariant being preserved
-     and the event itself.  When that fails, further invariants are pulled
-     in one at a time, preferring those the candidate counterexample
-     falsifies or cannot evaluate, then those sharing variables with the
-     goal.  Only this stage yields counterexamples and the causes of an
-     Unknown.
+  3. Otherwise one query is solved with the carriers pinned to their
+     members: the hypotheses, the negated goal, and every invariant of the
+     machine, as an Event-B obligation assumes them all.  Only this stage
+     yields counterexamples and the causes of an Unknown.  A proof here
+     records as its hypotheses used the invariants linked to the negated
+     goal through shared variables, carriers aside; a proof from stage 2
+     records none.
 
 INIT and WD obligations go straight to stage 3.
 """
@@ -72,7 +72,7 @@ class PO:
     fixed: Formula             # hypotheses that are always assumed
     goal: Formula              # what must follow
     neg_goal: Formula          # refutation query part (Neg(goal) or bespoke)
-    pool: tuple[tuple[str, Formula], ...]  # candidate extra hypotheses
+    pool: tuple[tuple[str, Formula], ...]  # the other invariants, also assumed
     types: tuple[tuple[str, object], ...]  # declared type of each variable
     show_vars: tuple[str, ...]  # variables worth reporting in a counterexample
     carriers: tuple[Carrier, ...]  # pinned by ``fixed``, left free in stage 2
@@ -82,14 +82,14 @@ class PO:
 class POResult:
     po: PO
     status: str                # Proved | Disproved | Unknown
-    hyps_used: tuple[str, ...]
-    iterations: int
+    hyps_used: tuple[str, ...]  # of a Proved from the pinned search, else ()
+    iterations: int            # always 1; the JSON report and perfbench read it
     time_ms: float
     counterexample: Optional[dict[str, Term]] = None
     note: str = ""
     steps: int = 0             # summed over every solve call of the discharge
     # Why an Unknown: budget, ungroundable (no answer grounds to a valid
-    # witness), unassumed_invariant or ill_sorted.
+    # witness) or ill_sorted.
     cause: str = ""
 
 
@@ -277,17 +277,6 @@ def _hints(m: Machine) -> dict[str, list[Term]]:
     return out
 
 
-def _rank_pool(po: PO, used: set[str]) -> list[tuple[str, Formula]]:
-    target = formula_vars(po.goal) | formula_vars(po.fixed)
-    scored = []
-    for i, (label, f) in enumerate(po.pool):
-        if label in used:
-            continue
-        scored.append((-len(formula_vars(f) & target), i, label, f))
-    scored.sort()
-    return [(label, f) for _, _, label, f in scored]
-
-
 def _groups(parts: list[Formula], free: set[str]) -> list[tuple[set[str], list[Formula]]]:
     """``parts`` split into groups linked by shared variables outside
     ``free``, each with those variables; order within a group is kept."""
@@ -308,6 +297,16 @@ def _connected(parts: list[Formula], seed: set[str], free: set[str]) -> list[For
     ``seed``."""
     picked = {id(p) for vs, group in _groups(parts, free) if vs & seed for p in group}
     return [p for p in parts if id(p) in picked]
+
+
+def _linked(po: PO) -> tuple[str, ...]:
+    """The labels of the invariants of ``po.pool`` linked to the negated
+    goal through the hypotheses and shared variables, carriers aside."""
+    carriers = {c.name for c in po.carriers}
+    pool = [f for _, f in po.pool]
+    seed = formula_vars(po.neg_goal) - carriers
+    reached = {id(p) for p in _connected(conjuncts(po.fixed) + pool, seed, carriers)}
+    return tuple(label for label, f in po.pool if id(f) in reached)
 
 
 def _proved_carrier_free(po: PO, budget: int) -> tuple[bool, int]:
@@ -364,103 +363,62 @@ def _well_typed(types: tuple[tuple[str, object], ...], witness: dict[str, Term])
 
 
 def _validate(types: tuple[tuple[str, object], ...], query: Formula,
-              witness: dict[str, Term], env: dict) -> bool:
+              witness: dict[str, Term]) -> bool:
     """A counterexample must fit the declared types and make the whole
-    query true under its values ``env``."""
-    return _well_typed(types, witness) and _holds(query, env)
-
-
-def _holds(f: Formula, env: dict) -> bool:
-    """``f`` is true under the witness values ``env``; one it cannot
-    evaluate counts as false."""
+    query true; a query it cannot evaluate counts as false."""
+    if not _well_typed(types, witness):
+        return False
     try:
-        return eval_formula(f, env)
+        return eval_formula(query, {name: term_value(t) for name, t in witness.items()})
     except NotGround:
         return False
 
 
-def _violated(po: PO, used: set[str], env: dict) -> list[str]:
-    """Pool hypotheses the witness values ``env`` falsify or cannot
-    evaluate: a counterexample must be shown to satisfy every invariant."""
-    return [label for label, f in po.pool if label not in used and not _holds(f, env)]
-
-
-def discharge(po: PO, *, budget: int = 200_000, max_hyp: int = 5,
+def discharge(po: PO, *, budget: int = 200_000,
               hints: Optional[dict[str, list[Term]]] = None) -> POResult:
     t0 = time.perf_counter()
-    used: list[str] = []
-    by_label = dict(po.pool)
-    note = ""
-    iterations = steps = 0
+    steps = 0
 
-    def done(status: str, **kw) -> POResult:
-        return POResult(po, status, tuple(used), iterations,
+    def done(status: str, hyps_used: tuple[str, ...] = (), **kw) -> POResult:
+        return POResult(po, status, hyps_used, 1,
                         (time.perf_counter() - t0) * 1000.0, steps=steps, **kw)
-
-    types = _resolved(po.types, po.carriers)
 
     if po.kind == "INV":
         proved, steps = _proved_carrier_free(po, budget)
         if proved:
-            iterations = 1
             return done("Proved")
 
-    while True:
-        iterations += 1
-        query = conj([po.fixed] + [by_label[l] for l in used] + [po.neg_goal])
-        res = solve(query, budget=budget, max_solutions=1)
-        steps += res.steps
+    query = conj([po.fixed, po.neg_goal] + [f for _, f in po.pool])
+    res = solve(query, budget=budget, max_solutions=1)
+    steps += res.steps
+    if res.unsat:
+        if res.ill_sorted:
+            return done("Unknown", note=f"ill-sorted term: {res.ill_sorted}",
+                        cause="ill_sorted")
+        return done("Proved", _linked(po))
 
-        if res.unsat:
-            if res.ill_sorted:
-                return done("Unknown", note=f"ill-sorted term: {res.ill_sorted}",
-                            cause="ill_sorted")
-            return done("Proved")
-
-        witness: Optional[dict[str, Term]] = None
-        if res.solutions:
-            sol = res.solutions[0]
-            typed = _typed_hints(types, sol, hints)
-            witness = ground_complete(sol, hints=typed)
-            if witness is not None:
-                # A declared variable the query leaves free takes its first
-                # candidate, so the invariants over it can be evaluated.
-                for name, _ in po.types:
-                    if name not in witness and typed.get(name):
-                        witness[name] = typed[name][0]
-                env = {name: term_value(t) for name, t in witness.items()}
-                if not _validate(types, query, witness, env):
-                    witness = None
-                    note = "witness failed ground validation"
-
+    note = "answer could not be grounded"
+    if res.solutions:
+        sol = res.solutions[0]
+        types = _resolved(po.types, po.carriers)
+        typed = _typed_hints(types, sol, hints)
+        witness = ground_complete(sol, hints=typed)
         if witness is not None:
-            bad = _violated(po, set(used), env)
-            if not bad:
+            # A declared variable the query leaves free takes its first
+            # candidate, so the invariants over it can be evaluated.
+            for name, _ in po.types:
+                if name not in witness and typed.get(name):
+                    witness[name] = typed[name][0]
+            if _validate(types, query, witness):
                 shown = {v: witness[v] for v in po.show_vars if v in witness}
                 return done("Disproved", counterexample=shown)
-            if len(used) < max_hyp:
-                ranked = _rank_pool(po, set(used))
-                pick = next((l for l, _ in ranked if l in bad), bad[0])
-                used.append(pick)
-                continue
-            return done("Unknown",
-                        note=f"witness violates unassumed invariant {bad[0]}",
-                        cause="unassumed_invariant")
-
-        # No certified witness: either the budget ran out or the answer
-        # cannot be grounded.  More hypotheses can still settle it.
-        if len(used) < max_hyp:
-            ranked = _rank_pool(po, set(used))
-            if ranked:
-                used.append(ranked[0][0])
-                continue
-        if res.exhausted_budget:
-            return done("Unknown", note="search budget exhausted", cause="budget")
-        return done("Unknown", note=note or "answer could not be grounded",
-                    cause="ungroundable")
+            note = "witness failed ground validation"
+    if res.exhausted_budget:
+        return done("Unknown", note="search budget exhausted", cause="budget")
+    return done("Unknown", note=note, cause="ungroundable")
 
 
-def verify_machine(m: Machine, *, budget: int = 200_000, max_hyp: int = 5,
+def verify_machine(m: Machine, *, budget: int = 200_000,
                    po_id: Optional[str] = None) -> list[POResult]:
     """Discharge every PO of ``m``, or only the one named ``po_id``."""
     errors = typecheck_machine(m)
@@ -468,8 +426,7 @@ def verify_machine(m: Machine, *, budget: int = 200_000, max_hyp: int = 5,
         raise VerifyError("type errors:\n" + "\n".join(errors))
     pos = [po for po in generate_pos(m) if po_id is None or po.po_id == po_id]
     hints = _hints(m)
-    return [discharge(po, budget=budget, max_hyp=max_hyp, hints=hints)
-            for po in pos]
+    return [discharge(po, budget=budget, hints=hints) for po in pos]
 
 
 def report_json(m: Machine, results: list[POResult]) -> dict:

@@ -326,22 +326,24 @@ end
 """
 
 
-def test_max_hyp_zero_pulls_in_no_invariant(tmp_path, capsys):
-    # Preserving inv1 under copy needs inv2; --max-hyp 0 never assumes it.
+def test_copy_is_proved_from_the_invariant_it_links_to(tmp_path, capsys):
+    # Preserving inv1 under copy needs inv2, which every obligation assumes;
+    # the proof records it, linked to n_ through the action n_ = m.
     path = tmp_path / "h.smch"
     path.write_text(_COPY_MACHINE)
-    assert cli.main(["verify", str(path)]) == cli.OK
-    assert "h/copy/inv1/INV  Proved  [inv2]\n" in capsys.readouterr().out
-    assert cli.main(["verify", "--max-hyp", "0", str(path)]) == cli.UNKNOWN
-    assert ("h/copy/inv1/INV  Unknown  (witness violates unassumed "
-            "invariant inv2)\n") in capsys.readouterr().out
     report = tmp_path / "h.json"
-    assert cli.main(["verify", "--max-hyp", "0", "--json", str(report), str(path)]) == cli.UNKNOWN
+    assert cli.main(["verify", "--json", str(report), str(path)]) == cli.OK
+    assert "h/copy/inv1/INV  Proved  [inv2]\n" in capsys.readouterr().out
+    schema = json.loads(
+        (resources.files("setsolve") / "data" / "report.schema.json").read_text())
+    causes = schema["properties"]["pos"]["items"]["properties"]["cause"]["enum"]
+    assert causes == ["budget", "ungroundable", "ill_sorted"]
     doc = json.loads(report.read_text())
-    jsonschema.validate(doc, json.loads(
-        (resources.files("setsolve") / "data" / "report.schema.json").read_text()))
+    jsonschema.validate(doc, schema)
     row = next(r for r in doc["pos"] if r["id"] == "h/copy/inv1/INV")
-    assert (row["status"], row["cause"]) == ("Unknown", "unassumed_invariant")
+    assert (row["status"], row["hypotheses_used"], row["iterations"]) == (
+        "Proved", ["inv2"], 1)
+    assert "cause" not in row
 
 
 @pytest.mark.parametrize("goal", [
@@ -458,6 +460,14 @@ def test_typecheck_accepts_the_bundled_inputs(capsys, name):
 def test_typecheck_rejects_atoms_where_an_int_belongs(machine_file, capsys):
     assert cli.main(["typecheck", machine_file("n in {a, b}")]) == cli.USAGE
     assert "in: atom a used where int expected\n" in capsys.readouterr().out
+
+
+def test_typecheck_rejects_a_type_defined_in_terms_of_itself(tmp_path, capsys):
+    path = tmp_path / "cyclic.slog"
+    path.write_text(":- def_type(t, stype(t)).\n:- dec_p_type(p(t)).\n"
+                    "p(X) :- X = {{1}}.\n?- p({}).\n")
+    assert cli.main(["typecheck", str(path)]) == cli.USAGE
+    assert capsys.readouterr().out == "t: type defined in terms of itself\n"
 
 
 def test_solve_out_of_budget_is_unknown(capsys):

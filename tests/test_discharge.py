@@ -2,12 +2,15 @@
 
 Goal conjuncts the hypotheses already state are not negated; the rest are
 refuted group by group with the carriers left free, and only when that
-fails is the query solved with the carriers pinned.
+fails is the query solved with the carriers pinned and every invariant
+assumed.
 """
 from importlib import resources
 
+import pytest
 from setsolve import verifier
-from setsolve.formulas import And, formula_vars
+from setsolve.engine import solve
+from setsolve.formulas import And, conj, formula_vars
 from setsolve.machines import parse_machine
 from setsolve.printer import pp_term
 
@@ -44,6 +47,15 @@ def test_only_the_conjuncts_the_event_writes_are_negated():
     assert list(negated.parts) == [p for p in po.goal.parts
                                    if "gear_ret_p_" in formula_vars(p)]
     assert len(negated.parts) == 2
+
+
+@pytest.mark.parametrize("name", ["gears_intermediate.smch", "gears.smch", "doors.smch"])
+def test_a_proof_is_refuted_again_from_only_the_invariants_it_records(name):
+    for r in verifier.verify_machine(parse_machine((CORPUS / name).read_text())):
+        assert r.status == "Proved"
+        pool = dict(r.po.pool)
+        res = solve(conj([r.po.fixed, r.po.neg_goal] + [pool[label] for label in r.hyps_used]))
+        assert res.unsat and not res.ill_sorted, r.po.po_id
 
 
 def test_gears_over_five_members_is_proved():
@@ -165,15 +177,15 @@ def _result(text: str, po_id: str):
 
 def test_an_invariant_the_witness_cannot_evaluate_is_assumed_before_a_disproof():
     # With f = {} the application has no image, but no d satisfies both
-    # invariants then; an invariant over the untyped d cannot be evaluated
-    # on a witness that leaves d out, so it is pulled in, not passed over.
+    # invariants then.  Both are assumed, and the proof records both: inv1
+    # shares f with the goal, and inv2 shares d with inv1.
     r = _result(_UNTYPED, "partial/e/grd2/wd1/WD")
     assert (r.status, r.hyps_used) == ("Proved", ("inv1", "inv2"))
 
 
 def test_invariants_over_variables_the_po_never_mentions_hold_on_the_witness():
     # Each declared variable the query leaves free takes its first candidate,
-    # on which every subset invariant holds, so none is pulled in.
+    # on which every subset invariant holds, so the witness passes.
     r = _result(_CLEARING % ("", "", ""), "clearing/clear/inv1/INV")
     assert (r.status, r.hyps_used) == ("Disproved", ())
     assert pp_term(r.counterexample["s_"]) == "{}"
@@ -181,9 +193,10 @@ def test_invariants_over_variables_the_po_never_mentions_hold_on_the_witness():
 
 
 def test_a_free_integer_variable_takes_its_value_from_the_invariant_over_it():
-    # n has no candidate: inv2 cannot be evaluated, is pulled in, and the
-    # arithmetic model gives n a value that satisfies it.
+    # n has no candidate, but the query assumes inv2, so the arithmetic
+    # model gives n a value that satisfies it.  A disproof records no
+    # hypotheses.
     text = _CLEARING % ("  n : int\n", "  inv2: n >= 0\n", "  act7: n := 0\n")
     r = _result(text, "clearing/clear/inv1/INV")
-    assert (r.status, r.hyps_used) == ("Disproved", ("inv2",))
+    assert (r.status, r.hyps_used) == ("Disproved", ())
     assert pp_term(r.counterexample["n"]) == "0"

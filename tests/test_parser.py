@@ -108,6 +108,12 @@ def test_parse_errors_carry_positions():
         parse_program("p(X) :- X = 1")  # missing final period
 
 
+def test_a_string_over_two_lines_moves_the_position_to_the_second():
+    with pytest.raises(ParseError) as e:
+        parse_program('?- X = "a\nb" & Y = $.')
+    assert str(e.value) == "2:10: unexpected character '$'"
+
+
 def test_comments_are_ignored():
     prog = parse_program("""
         % only comments and one query
