@@ -14,7 +14,11 @@ a satisfiable one is only reported as disproved when the witness can be
 completed to a well-typed ground state on which the whole query and every
 invariant evaluate to true.  Declared types are data of the obligation
 (``PO.types``), not constraints of the query: they check the witness, and
-a declared variable the query leaves free takes its first candidate value.
+they give the values tried for what an answer leaves unbound.  A variable
+of an enumerated type tries its members; one typed as a set of them, the
+full set and then ``{}``; one typed as a relation between two, each
+constant total function, the full product and then ``{}``.  Any other type
+gives no candidates and the solver's default pools apply.
 
 An INV obligation is discharged in this order:
 
@@ -56,10 +60,8 @@ from .machines import (
     event_formula, guards_formula, init_formula, machine_var_types, prime,
 )
 from .printer import pp_formula, pp_term
-from .terms import (
-    EMPTY, Atom, ExtSet, Pair, Term, Var, is_ground, mkset, set_parts,
-)
-from .typecheck import TEnum, TProd, TSet, TypeEnv, check_formula, inhabits
+from .terms import EMPTY, Atom, ExtSet, Pair, Term, Var, mkset, set_parts
+from .typecheck import Checker, TEnum, TProd, TSet, TypeEnv, inhabits
 
 
 @dataclass(frozen=True)
@@ -88,8 +90,8 @@ class POResult:
     counterexample: Optional[dict[str, Term]] = None
     note: str = ""
     steps: int = 0             # summed over every solve call of the discharge
-    # Why an Unknown: budget, ungroundable (no answer grounds to a valid
-    # witness) or ill_sorted.
+    # Why an Unknown: budget, ungroundable (the answer does not ground to a
+    # well-typed witness on which the query holds) or ill_sorted.
     cause: str = ""
 
 
@@ -219,61 +221,55 @@ def _type_env(carriers: tuple[Carrier, ...]) -> TypeEnv:
 
 
 def typecheck_machine(m: Machine) -> list[str]:
-    """Check every formula of the machine in one shared context."""
+    """Check every formula of the machine in one shared context, where the
+    parameters of an event are scoped to that event."""
     env = _type_env(m.carriers)
     env.vars.update(_types(m, set(m.var_names())))
-    parts: list[Formula] = [inv.formula for inv in m.invariants]
-    parts += [a.formula for a in m.init]
+    ck = Checker(env)
+    ck.check_formula(conj([inv.formula for inv in m.invariants]
+                          + [a.formula for a in m.init]))
     for ev in m.events:
-        parts.append(event_formula(m, ev, frames=False))
-    errors = check_formula(conj(parts), env)
-    return [str(e) for e in errors]
+        ck.check_formula(event_formula(m, ev, frames=False))
+        for p in ev.params:
+            ck.scope.pop(p, None)
+    ck.finish()
+    return [str(e) for e in ck.errors]
 
 
 # --- discharge -----------------------------------------------------------------
 
+def _candidates(ty, env: TypeEnv) -> list[Term]:
+    """The ground values to try for a variable of type ``ty``: an
+    enumeration's members; for a set of one, the full set and then ``{}``;
+    for a relation between two, each constant total function, the full
+    product and then ``{}``.  Any other type gives none."""
+    ty = env.resolve(ty)
+    if isinstance(ty, TEnum):
+        return [Atom(x) for x in ty.members]
+    if not isinstance(ty, TSet):
+        return []
+    elem = env.resolve(ty.elem)
+    if isinstance(elem, TEnum):
+        return [mkset([Atom(x) for x in elem.members]), EMPTY]
+    if isinstance(elem, TProd) and len(elem.parts) == 2:
+        dom, rng = (env.resolve(p) for p in elem.parts)
+        if isinstance(dom, TEnum) and isinstance(rng, TEnum):
+            consts = [mkset([Pair(Atom(x), Atom(y)) for x in dom.members])
+                      for y in rng.members]
+            full = mkset([Pair(Atom(x), Atom(y)) for x in dom.members for y in rng.members])
+            return consts + [full, EMPTY]
+    return []
+
+
 def _hints(m: Machine) -> dict[str, list[Term]]:
-    """Candidate ground values for completing a witness.
-
-    Carriers get their member set.  A variable typed as a subset of an
-    enumerable type gets the full set and the empty set; one typed as a
-    relation between enumerable types additionally gets each constant
-    total function and the full product, so counterexamples involving
-    function-valued state can be completed.  Primed copies share the
-    candidates of their base variable.
-    """
+    """The candidates of each declared variable and carrier of ``m`` that
+    has some, and of its primed copy."""
     env = _type_env(m.carriers)
-
-    def members(ty) -> Optional[tuple[str, ...]]:
-        ty = env.resolve(ty)
-        return ty.members if isinstance(ty, TEnum) else None
-
     out: dict[str, list[Term]] = {}
-    for c in m.carriers:
-        if c.members is not None:
-            out[c.name] = [mkset([Atom(x) for x in c.members])]
-    for v in m.variables:
-        if not isinstance(v.ty, TSet):
-            continue
-        cands: list[Term] = []
-        elem = v.ty.elem
-        if isinstance(elem, TProd) and len(elem.parts) == 2:
-            dom = members(elem.parts[0])
-            rng = members(elem.parts[1])
-            if dom and rng:
-                for y in rng:
-                    cands.append(mkset([Pair(Atom(x), Atom(y)) for x in dom]))
-                cands.append(mkset([Pair(Atom(x), Atom(y))
-                                    for x in dom for y in rng]))
-                cands.append(EMPTY)
-        else:
-            mem = members(elem)
-            if mem:
-                cands.append(mkset([Atom(x) for x in mem]))
-                cands.append(EMPTY)
+    for name, ty in machine_var_types(m).items():
+        cands = _candidates(ty, env)
         if cands:
-            out[v.name] = cands
-            out[v.name + "_"] = list(cands)
+            out[name] = out[name + "_"] = cands
     return out
 
 
@@ -325,24 +321,20 @@ def _proved_carrier_free(po: PO, budget: int) -> tuple[bool, int]:
     return True, steps
 
 
-def _resolved(types: tuple[tuple[str, object], ...],
-              carriers: tuple[Carrier, ...]) -> tuple[tuple[str, object], ...]:
-    """``types`` with the synonyms of ``carriers`` resolved."""
-    env = _type_env(carriers)
-    return tuple((name, env.expand(ty)) for name, ty in types)
-
-
-def _typed_hints(types: tuple[tuple[str, object], ...], sol: Solution,
+def _typed_hints(types: tuple[tuple[str, object], ...], env: TypeEnv, sol: Solution,
                  hints: Optional[dict[str, list[Term]]]) -> dict[str, list[Term]]:
-    """``hints`` plus, for each unbound leaf of an enumerated type in the
-    answer term of a variable declared in ``types`` (resolved), that type's
-    members."""
+    """``hints`` plus the candidates of each unbound leaf in the answer term
+    of a name declared in ``types``, by the type at that leaf; a name the
+    answer leaves unbound is its own leaf."""
     out = dict(hints or {})
 
     def walk(t: Term, ty) -> None:
+        ty = env.resolve(ty)
         if isinstance(t, Var):
-            if isinstance(ty, TEnum) and t.name not in out:
-                out[t.name] = [Atom(x) for x in ty.members]
+            if t.name not in out:
+                cands = _candidates(ty, env)
+                if cands:
+                    out[t.name] = cands
         elif isinstance(t, ExtSet) and isinstance(ty, TSet):
             walk(t.head, ty.elem)
             walk(t.tail, ty)
@@ -351,23 +343,23 @@ def _typed_hints(types: tuple[tuple[str, object], ...], sol: Solution,
             walk(t.second, ty.parts[1])
 
     for name, ty in types:
-        if name in sol.bindings:
-            walk(sol.bindings[name], ty)
+        walk(sol.bindings.get(name, Var(name)), ty)
     return out
 
 
-def _well_typed(types: tuple[tuple[str, object], ...], witness: dict[str, Term]) -> bool:
-    """Each variable of ``types`` (resolved) that ``witness`` gives a value
-    inhabits its declared type."""
-    return all(inhabits(witness[name], ty) for name, ty in types if name in witness)
+def _ground(types: tuple[tuple[str, object], ...], env: TypeEnv, sol: Solution,
+            hints: Optional[dict[str, list[Term]]]) -> Optional[dict[str, Term]]:
+    """``sol`` completed to a ground witness from the candidates of the
+    types declared in ``types``, or None when that fails or leaves a
+    declared value outside its type.  ``env`` resolves those types."""
+    g = ground_complete(sol, hints=_typed_hints(types, env, sol, hints))
+    if g is None or not all(inhabits(g[n], ty, env) for n, ty in types if n in g):
+        return None
+    return g
 
 
-def _validate(types: tuple[tuple[str, object], ...], query: Formula,
-              witness: dict[str, Term]) -> bool:
-    """A counterexample must fit the declared types and make the whole
-    query true; a query it cannot evaluate counts as false."""
-    if not _well_typed(types, witness):
-        return False
+def _holds(query: Formula, witness: dict[str, Term]) -> bool:
+    """Is ``query`` true on ``witness``?  One it cannot evaluate is not."""
     try:
         return eval_formula(query, {name: term_value(t) for name, t in witness.items()})
     except NotGround:
@@ -396,26 +388,14 @@ def discharge(po: PO, *, budget: int = 200_000,
             return done("Unknown", note=f"ill-sorted term: {res.ill_sorted}",
                         cause="ill_sorted")
         return done("Proved", _linked(po))
-
-    note = "answer could not be grounded"
     if res.solutions:
-        sol = res.solutions[0]
-        types = _resolved(po.types, po.carriers)
-        typed = _typed_hints(types, sol, hints)
-        witness = ground_complete(sol, hints=typed)
-        if witness is not None:
-            # A declared variable the query leaves free takes its first
-            # candidate, so the invariants over it can be evaluated.
-            for name, _ in po.types:
-                if name not in witness and typed.get(name):
-                    witness[name] = typed[name][0]
-            if _validate(types, query, witness):
-                shown = {v: witness[v] for v in po.show_vars if v in witness}
-                return done("Disproved", counterexample=shown)
-            note = "witness failed ground validation"
+        witness = _ground(po.types, _type_env(po.carriers), res.solutions[0], hints)
+        if witness is not None and _holds(query, witness):
+            shown = {v: witness[v] for v in po.show_vars if v in witness}
+            return done("Disproved", counterexample=shown)
     if res.exhausted_budget:
         return done("Unknown", note="search budget exhausted", cause="budget")
-    return done("Unknown", note=note, cause="ungroundable")
+    return done("Unknown", note="answer could not be grounded", cause="ungroundable")
 
 
 def verify_machine(m: Machine, *, budget: int = 200_000,
@@ -466,6 +446,10 @@ def report_json(m: Machine, results: list[POResult]) -> dict:
 
 # --- animation ------------------------------------------------------------------
 
+# Answers of one event's search that ``step`` grounds into successors.
+MAX_SUCCESSORS = 8
+
+
 class GuardNotSatisfied(Exception):
     pass
 
@@ -488,16 +472,6 @@ def _pinned(m: Machine, values: dict[str, Term]) -> tuple[Carrier, ...]:
     return tuple(out)
 
 
-def _ground_state(m: Machine, sol: Solution, hints: dict[str, list[Term]],
-                  carriers: tuple[Carrier, ...]) -> Optional[dict[str, Term]]:
-    """``sol`` grounded with the members of each declared type at hand, or
-    None when that fails or leaves a declared value outside its type.
-    ``carriers`` are those of ``m`` with their animated values."""
-    types = _resolved(_types(m, set(m.var_names())), carriers)
-    g = ground_complete(sol, hints=_typed_hints(types, sol, hints))
-    return g if g is not None and _well_typed(types, g) else None
-
-
 def initial_state(m: Machine, *, budget: int = 200_000,
                   carriers: Optional[dict[str, Term]] = None) -> dict[str, Term]:
     carriers = carriers or {}
@@ -511,7 +485,8 @@ def initial_state(m: Machine, *, budget: int = 200_000,
         if res.unsat:
             raise VerifyError("the initialisation is unsatisfiable")
         raise VerifyError("no initial state found within the budget")
-    g = _ground_state(m, res.solutions[0], _hints(m), _pinned(m, carriers))
+    g = _ground(_types(m, set()), _type_env(_pinned(m, carriers)),
+                res.solutions[0], _hints(m))
     if g is None:
         raise VerifyError("the initial state could not be grounded")
     state: dict[str, Term] = {}
@@ -523,17 +498,16 @@ def initial_state(m: Machine, *, budget: int = 200_000,
         elif c.name in g:
             state[c.name] = _canon(g[c.name])
     for v in m.var_names():
-        if v not in g:
-            raise VerifyError(f"initialisation leaves {v} unconstrained")
         state[v] = _canon(g[v])
     return state
 
 
 def step(m: Machine, state: dict[str, Term], event_name: str,
          args: Optional[dict[str, Term]] = None, *,
-         budget: int = 200_000, max_successors: int = 8,
+         budget: int = 200_000,
          carriers: Optional[dict[str, Term]] = None) -> list[dict[str, Term]]:
-    """All distinct successor states of one event, in search order.
+    """The distinct successor states of one event, in search order, from
+    at most ``MAX_SUCCESSORS`` answers.
 
     An empty guard yields GuardNotSatisfied; callers that expect determinism
     can reject a result longer than one.  ``carriers`` are the values pinned
@@ -548,31 +522,25 @@ def step(m: Machine, state: dict[str, Term], event_name: str,
     parts: list[Formula] = [C("eq", Var(k), t) for k, t in state.items()]
     parts += [C("eq", Var(k), t) for k, t in args.items()]
     parts.append(event_formula(m, ev, frames=True))
-    res = solve(conj(parts), budget=budget, max_solutions=max_successors)
+    res = solve(conj(parts), budget=budget, max_solutions=MAX_SUCCESSORS)
     if not res.solutions:
         if res.unsat:
             raise GuardNotSatisfied(f"{event_name} is not enabled in this state")
         raise VerifyError("no successor found within the budget")
     out: list[dict[str, Term]] = []
     seen = set()
-    hints, pinned = _hints(m), _pinned(m, carriers or {})
+    types, env = _types(m, set(m.var_names())), _type_env(_pinned(m, carriers or {}))
+    hints = _hints(m)
     for sol in res.solutions:
-        g = _ground_state(m, sol, hints, pinned)
+        g = _ground(types, env, sol, hints)
         if g is None:
             continue
         nxt: dict[str, Term] = {}
         for c in m.carriers:
             if c.name in state:
                 nxt[c.name] = state[c.name]
-        ok = True
         for v in m.var_names():
-            t = g.get(v + "_")
-            if t is None or not is_ground(t):
-                ok = False
-                break
-            nxt[v] = _canon(t)
-        if not ok:
-            continue
+            nxt[v] = _canon(g[v + "_"])
         key = tuple(sorted((k, pp_term(v)) for k, v in nxt.items()))
         if key not in seen:
             seen.add(key)

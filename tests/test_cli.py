@@ -488,3 +488,35 @@ def test_package_runs_as_a_module():
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "X = a\n"
+
+
+def test_verify_out_of_budget_says_why(capsys):
+    assert cli.main(["verify", "--budget", "1", GEARS]) == cli.UNKNOWN
+    out = capsys.readouterr().out
+    assert "gears/INIT/inv1" in out and "Unknown  (search budget exhausted)" in out
+
+
+def test_solve_past_its_timeout_is_unknown(capsys):
+    # The search on this goal does not terminate.
+    goal = "dom(S, {a}) & dom(S, {a, b})"
+    assert cli.main(["solve", "--timeout", "0.05", "-e", goal]) == cli.UNKNOWN
+    assert capsys.readouterr().out == "Unknown.\n"
+
+
+@pytest.mark.parametrize("cmd, code, out", [
+    ("solve", cli.REFUTED, "-- query 1\nX = 1\n-- query 2\nUnsat.\n"),
+    ("prove", cli.REFUTED,
+     "-- goal 1\nCounterexample.\nX neq 1\n-- goal 2\nCounterexample.\nX neq 2\n"),
+])
+def test_each_query_of_a_program_is_headed_by_its_number(tmp_path, capsys, cmd, code, out):
+    path = tmp_path / "two.slog"
+    path.write_text("?- X = 1.\n?- X = 2 & X = 3.\n")
+    assert cli.main([cmd, str(path)]) == code
+    assert capsys.readouterr().out == out
+
+
+def test_a_carriers_line_without_a_value_names_the_file_line(machine_file, tmp_path,
+                                                             capsys):
+    code, argv = _animate(machine_file("n >= 0"), tmp_path, "", carriers="\ns\n")
+    assert code == cli.USAGE
+    assert capsys.readouterr().err == f"{argv[-1]}:2: expected 'name = set'\n"

@@ -8,11 +8,14 @@ assumed.
 from importlib import resources
 
 import pytest
+from oracle import holds
 from setsolve import verifier
 from setsolve.engine import solve
 from setsolve.formulas import And, conj, formula_vars
 from setsolve.machines import parse_machine
 from setsolve.printer import pp_term
+from setsolve.terms import EMPTY, Atom, Pair, mkset
+from setsolve.typecheck import TBasic, TEnum, TInt, TProd, TSet, TypeEnv
 
 CORPUS = resources.files("setsolve") / "data" / "corpus"
 
@@ -184,8 +187,9 @@ def test_an_invariant_the_witness_cannot_evaluate_is_assumed_before_a_disproof()
 
 
 def test_invariants_over_variables_the_po_never_mentions_hold_on_the_witness():
-    # Each declared variable the query leaves free takes its first candidate,
-    # on which every subset invariant holds, so the witness passes.
+    # t1..t5 are variables of the query through their subset invariants,
+    # which it assumes; the answer leaves them unbound, so each takes its
+    # first candidate, the full set, on which those invariants hold.
     r = _result(_CLEARING % ("", "", ""), "clearing/clear/inv1/INV")
     assert (r.status, r.hyps_used) == ("Disproved", ())
     assert pp_term(r.counterexample["s_"]) == "{}"
@@ -200,3 +204,55 @@ def test_a_free_integer_variable_takes_its_value_from_the_invariant_over_it():
     r = _result(text, "clearing/clear/inv1/INV")
     assert (r.status, r.hyps_used) == ("Disproved", ())
     assert pp_term(r.counterexample["n"]) == "0"
+
+
+_K = """\
+machine k
+context
+  pos = {a, b}
+end
+variables
+  x : pos
+  y : pos
+end
+invariants
+  inv1: y neq x
+end
+init
+  act1: x := a
+  act2: y := b
+end
+event e
+  then
+    act1: y := a
+  end
+"""
+
+
+def test_a_variable_of_an_enumerated_type_takes_a_member_in_the_witness():
+    # The answer leaves y unbound beside y neq a; its type gives it b.
+    m = parse_machine(_K)
+    po = next(p for p in verifier.generate_pos(m) if p.kind == "INV")
+    r = verifier.discharge(po, hints=verifier._hints(m))
+    assert r.status == "Disproved"
+    assert {k: pp_term(v) for k, v in r.counterexample.items()} == {
+        "pos": "{a,b}", "x": "a", "y": "b", "y_": "a"}
+    assert holds(conj([po.fixed, po.neg_goal]), r.counterexample)
+
+
+@pytest.mark.parametrize("ty, cands", [
+    (TBasic("pos"), [Atom("a"), Atom("b")]),
+    (TSet(TBasic("pos")), [mkset([Atom("a"), Atom("b")]), EMPTY]),
+    (TSet(TProd((TBasic("pos"), TBasic("bool")))), [
+        mkset([Pair(Atom("a"), Atom("true")), Pair(Atom("b"), Atom("true"))]),
+        mkset([Pair(Atom("a"), Atom("false")), Pair(Atom("b"), Atom("false"))]),
+        mkset([Pair(Atom(x), Atom(y)) for x in "ab" for y in ("true", "false")]),
+        EMPTY]),
+    (TInt(), []),
+    (TBasic("abstract"), []),
+    (TSet(TBasic("abstract")), []),
+], ids=["enum", "set", "relation", "int", "carrier", "carrier-set"])
+def test_the_candidates_of_a_type(ty, cands):
+    env = TypeEnv()
+    env.synonyms["pos"] = TEnum(("a", "b"))
+    assert verifier._candidates(ty, env) == cands

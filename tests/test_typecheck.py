@@ -171,6 +171,41 @@ event e
     assert typecheck_machine(parse_machine(wrong))
 
 
+def test_each_event_scopes_its_own_parameters():
+    # Two events name their parameter p, each of its own type.
+    text = """
+machine m4
+context
+  pos = {a, b}
+end
+variables
+  x : pos
+  f : stype([pos, bool])
+end
+invariants
+  inv1: x in pos
+end
+init
+  act1: x := a
+  act2: f := cp(pos, {true})
+end
+event e1
+  any p where
+    grd1: p in pos
+  then
+    act1: x := p
+  end
+event e2
+  any p where
+    grd1: p = f
+  then
+    act1: f := p
+  end
+"""
+    assert typecheck_machine(parse_machine(text)) == []
+    assert typecheck_machine(parse_machine(text.replace("act1: x := p", "act1: f := p")))
+
+
 _M = """
 machine m3
 context
