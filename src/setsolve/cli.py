@@ -7,7 +7,7 @@ replays an event trace.  Exit codes: 0 success (all proved / satisfiable),
 1 a definitive negative (unsatisfiable query, counterexample, disproved
 obligation), 2 unknown, 3 usage, parse or type errors.  ``prove`` names the
 cause of an unknown: ``budget``, ``timeout``, ``ungroundable`` (an answer
-that does not ground) or ``ill_sorted``.
+that does not ground to a model of the goal) or ``ill_sorted``.
 """
 from __future__ import annotations
 
@@ -18,15 +18,15 @@ import sys
 from typing import Optional
 
 from .engine import Result, Solution, ground_complete, solve
-from .formulas import Formula, IllFormed, Neg, Program
+from .formulas import Formula, IllFormed, Neg, Program, formula_vars
 from .machines import parse_machine
 from .negate import NotNegatable
 from .parser import ParseError, parse_formula, parse_program, parse_term
 from .printer import pp_formula, pp_term
-from .terms import Term
+from .terms import IllSorted, Term, Var, subst_term
 from .typecheck import check_program
 from .verifier import (
-    GuardNotSatisfied, VerifyError, initial_state, report_json, step,
+    GuardNotSatisfied, VerifyError, _holds, initial_state, report_json, step,
     typecheck_machine, verify_machine,
 )
 
@@ -148,7 +148,7 @@ def cmd_prove(ns) -> int:
         if res.unsat and not res.ill_sorted:
             print("Theorem.")
             theorem += 1
-        elif res.solutions and ground_complete(res.solutions[0]) is not None:
+        elif res.solutions and _refutes(res):
             print("Counterexample.")
             print(_answer_line(res.solutions[0]))
             refuted += 1
@@ -162,6 +162,22 @@ def cmd_prove(ns) -> int:
     if unknown:
         return UNKNOWN
     return OK
+
+
+def _refutes(res: Result) -> bool:
+    """Does the first answer ground to a model of the formula ``solve``
+    searched?  Its clause locals take the values the answer gives them, and
+    a grounding that leaves a term of it ill-sorted is no model."""
+    sol = res.solutions[0]
+    model = ground_complete(sol)
+    if model is None:
+        return False
+    try:
+        values = {n: subst_term(model, sol.store.subst.get(n, Var(n)))
+                  for n in formula_vars(res.query)}
+    except IllSorted:
+        return False
+    return _holds(res.query, values)
 
 
 def cmd_typecheck(ns) -> int:

@@ -306,6 +306,7 @@ class Result:
     ill_sorted: Optional[str] = None  # the first ill-sorted term that cut a branch
     clones: int = 0                   # branch stores made
     max_depth: int = 0                # the deepest stack of pending stores
+    query: Optional[Formula] = None   # the formula searched: NNF, calls inlined
 
     @property
     def unsat(self) -> bool:
@@ -333,7 +334,7 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
     init = items_of(f)
     steps = 0
     if init is None:
-        return Result([], True, False, steps)
+        return Result([], True, False, steps, query=f)
     for i, it in enumerate(init):
         if it not in init[:i]:  # ``C & C`` is ``C``
             root.enqueue(it)
@@ -403,7 +404,7 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
 
     complete = (not exhausted) and not stack
     cut = root.sort_cuts[0] if root.sort_cuts else None
-    return Result(sols, complete, exhausted, steps, cut, clones, max_depth)
+    return Result(sols, complete, exhausted, steps, cut, clones, max_depth, f)
 
 
 def _apply_branch(store: Store, branch: list, stamp: int) -> bool:

@@ -15,9 +15,18 @@ case-split discipline: membership drives elements into variable sets,
 negative constraints introduce fresh witnesses, and union-style constraints
 peel one listed element per step so every chain of descendants shrinks.
 
+Membership lists an element once: ``x in S`` over a variable ``S`` binds
+``S = {x / N}`` for a fresh ``N`` (the bind ``_rule_eq`` would make) and
+posts ``x nin N``, since ``x in S`` holds exactly when ``S`` is ``x`` added
+to a set without ``x``.  So no branch lists ``x`` in ``N`` a second time
+and refutes its goal again over the copy.  A set that ``Store.facts`` shows
+asserted ``pfun`` gets no ``nin``: the ``pfun`` rule already keeps each
+listed pair out of the rest.
+
 ``rewrite`` drops each branch that holds ``false`` or a constraint false on
-sight, and returns ``[]`` when none is left: ``t neq t``, ``x nin {x / _}``
-and ``x in {}``, exactly the forms whose own rule fails from syntax alone.
+sight, and returns ``[]`` when none is left: ``t neq t``, ``x nin {x / _}``,
+``x in {}`` and ``npair`` of a pair, exactly the forms whose own rule fails
+from syntax alone.
 ``false`` is an ``or`` alternative as written, or one that substitution
 left ill-sorted (``formulas.subst_formula`` records that cut).  Each is
 false under every substitution, so the branch has no solution, and
@@ -152,7 +161,8 @@ def rewrite(c: Constraint, store):
 
 
 def _false_on_sight(e) -> bool:
-    """``false``, ``t neq t``, ``x nin {x / _}`` or ``x in {}``."""
+    """``false``, ``t neq t``, ``x nin {x / _}``, ``x in {}`` or ``npair``
+    of a pair."""
     if type(e) is not Constraint:
         return type(e) is FalseF
     k = e.kind
@@ -161,6 +171,8 @@ def _false_on_sight(e) -> bool:
     if k == "nin":
         s = e.args[1]
         return type(s) is ExtSet and s.head == e.args[0]
+    if k == "npair":
+        return type(e.args[0]) is Pair
     return k == "in" and type(e.args[1]) is EmptySet
 
 
@@ -233,7 +245,11 @@ def _rule_in(store, x, s):
     if isinstance(s, Var):
         if s.name in term_vars(x):
             return []  # no well-founded solution
-        return [[C("eq", s, ExtSet(x, store.gen.fresh()))]]
+        n = store.gen.fresh()
+        bind = Bind(((s.name, ExtSet(x, n)),))
+        if store.facts.get(s.name, 0) & FUN:
+            return [[bind]]  # the ``pfun`` rule lists each pair once
+        return [[bind, C("nin", x, n)]]
     if isinstance(s, CP):
         n1, n2 = store.gen.fresh(), store.gen.fresh()
         return [[C("eq", x, Pair(n1, n2)), C("in", n1, s.left), C("in", n2, s.right)]]

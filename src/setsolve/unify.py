@@ -11,6 +11,8 @@ product against an interval, it is split into mutual inclusion: two
 Extensional sets unify modulo permutation and absorption through the
 four-way decomposition on ``{t/A} = {s/B}``: match heads and tails, absorb
 the head on either side, or swap both heads through a fresh common tail.
+When ``t`` and ``s`` are the same term, the swap binds ``A`` and ``B`` to
+one term, an instance of the ``A = B`` branch, so only three are left.
 The occurs check is relaxed in set-tail position: ``X = {t/X}`` denotes
 "X contains t" and rebinds X with a fresh open tail; any other cyclic
 equation fails.
@@ -125,13 +127,15 @@ def _set_eq_branches(a: Term, b: Term, gen: VarGen):
     if isinstance(a, ExtSet) and isinstance(b, ExtSet):
         t, rest_a = a.head, a.tail
         s, rest_b = b.head, b.tail
-        fresh = gen.fresh()
-        return [
+        out = [
             ([(t, s), (rest_a, rest_b)], []),
             ([(t, s), (a, rest_b)], []),
             ([(t, s), (rest_a, b)], []),
-            ([(rest_a, ExtSet(s, fresh)), (rest_b, ExtSet(t, fresh))], []),
         ]
+        if t != s:
+            fresh = gen.fresh()
+            out.append(([(rest_a, ExtSet(s, fresh)), (rest_b, ExtSet(t, fresh))], []))
+        return out
 
     if isinstance(a, CP) and isinstance(b, CP):
         return [

@@ -407,11 +407,26 @@ def test_insertion_mutant_counterexample_fits_the_declared_types(tmp_path, capsy
     # the lemma is refuted instead of ending in an ungroundable residue.
     ("comp(R, S, T) & dom(T, D) & dom(R, E) implies subset(D, E)", cli.OK,
      "Theorem.\n"),
-    ("X in A implies X in B", cli.REFUTED, "Counterexample.\nA = {X/_N1}, X nin B\n"),
+    # The answer says that the tail excludes the element it lists.
+    ("X in A implies X in B", cli.REFUTED,
+     "Counterexample.\nA = {X/_N1}, X nin B, X nin _N1\n"),
+    # X = a makes {a/X} ill-sorted: {a/a} is no set, so it is no model.
+    ("neg(X in {a/X})", cli.UNKNOWN, "Unknown (ungroundable).\n"),
 ])
 def test_prove_calls_only_a_grounded_answer_a_counterexample(capsys, goal, code, out):
     assert cli.main(["prove", "-e", goal]) == code
     assert capsys.readouterr().out == out
+
+
+def test_prove_checks_a_counterexample_with_the_clause_locals_it_binds(capsys, tmp_path):
+    # ``Po`` is local to the clause: the check reads the value the answer
+    # gives it, so the counterexample stands.
+    path = tmp_path / "run.slog"
+    path.write_text(
+        "step(P, G, H) :- Po in P & applyTo(G, Po, true) & foplus(G, Po, false, H).\n"
+        "?- neg(P = {a, b} & step(P, cp(P, {true}), H)).\n")
+    assert cli.main(["prove", str(path)]) == cli.REFUTED
+    assert capsys.readouterr().out.startswith("Counterexample.\nH = {")
 
 
 def test_prove_says_why_it_does_not_know(capsys, monkeypatch):

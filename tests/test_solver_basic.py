@@ -25,6 +25,7 @@ def unsat(run, text, **kw):
 # Sets of the pairs [a, a] and [a, b] and the non-pair a, for the oracle's
 # bounded search.
 RELS = subsets([("a:a", "a:a"), ("a:a", "a:b"), "a:a"])
+INTS = [-1, 0, 1, 2]
 
 
 def refuted(run, text, pools):
@@ -62,6 +63,11 @@ def test_membership(run):
     unsat(run, "4 in {1,2,3}")
     unsat(run, "X in {}")
     unsat(run, "1 in X & X = {2}")
+    # ``x in S`` binds ``S = {x / N}`` and keeps ``x`` out of ``N``, unless
+    # ``S`` is asserted ``pfun``, whose rule lists each pair once.
+    assert cli._answer_line(sat(run, "X in A").solutions[0]) == "A = {X/_N1}, X nin _N1"
+    res = sat(run, "X in A & pfun(A)")
+    assert all(c.kind != "nin" for c in res.solutions[0].residual)
 
 
 def test_non_membership(run):
@@ -70,6 +76,23 @@ def test_non_membership(run):
     unsat(run, "2 nin {1,2}")
     unsat(run, "X in A & X nin A")
     sat(run, "X nin A & A = {1,2}")
+    # A product or an interval that is not ground: the rule splits it.
+    sat(run, "[a, b] nin cp(A, B) & a in A")
+    refuted(run, "[a, b] nin cp(A, B) & a in A & b in B",
+            {"A": subsets(["a:a", "a:b"]), "B": subsets(["a:a", "a:b"])})
+    sat(run, "X nin int(1, N) & 0 < X & N > 3")
+    sat(run, "a nin int(L, H)")
+    refuted(run, "X nin int(L, H) & L =< X & X =< H",
+            {"X": INTS, "L": INTS, "H": INTS})
+
+
+def test_a_pair_outside_a_product_clones_no_store_for_npair(run):
+    # ``npair`` of a pair is false on sight, so only the two alternatives
+    # that put a component outside its factor are left.
+    res = run("[X, Y] nin cp(S, T)", max_solutions=10)
+    assert (len(res.solutions), res.clones) == (2, 1)
+    for sol in res.solutions:
+        assert all(c.kind != "npair" for c in sol.residual)
 
 
 def test_union(run):
@@ -133,10 +156,13 @@ def test_inclusion(run):
 
 
 def test_composition(run):
-    """``comp(R, R, {[a, b]})`` takes 24 steps: the inner ``foreach`` of the
+    """``comp(R, R, {[a, b]})`` takes 28 steps: the inner ``foreach`` of the
     cover instantiates ``N neq M or [X, Z] in T`` with ``N`` and ``M`` the
     same term, and ``rewrite`` drops that ``t neq t`` alternative before the
-    store is cloned, one step sooner than when it was queued to fail."""
+    store is cloned, one step sooner than when it was queued to fail.  The
+    two witness memberships bind ``R`` directly, two ``eq`` pops fewer, and
+    post ``[a, N] nin R1`` and ``[N, b] nin R2``, which take six pops and
+    one clone to show that the two pairs differ."""
     sat(run, "comp({[1,2]}, {[2,5]}, {[1,5]})")
     sat(run, "comp({[1,2]}, {[3,5]}, {})")
     sat(run, "comp({[1,2],[2,2]}, {[2,7]}, X)")
@@ -156,7 +182,7 @@ def test_composition(run):
     sat(run, "comp({[a, b]}, S, {[a, d]})")
     unsat(run, "comp({[a, b]}, S, {[c, d]})")
     # The same variable on both sides: R = {[a,N], [N,b]} with N not a or b.
-    assert sat(run, "comp(R, R, {[a, b]})").steps == 24
+    assert sat(run, "comp(R, R, {[a, b]})").steps == 28
     unsat(run, "neg(comp(R, S, T) & dom(T, D) & dom(R, E) implies subset(D, E))")
     sat(run, "neg(comp(R, S, T) & dom(T, D) & dom(R, E) implies subset(D, EE))")
 
@@ -247,6 +273,9 @@ def test_range(run):
     unsat(run, "ran({[1,2]}, {1})")
     sat(run, "nran({[1,2]}, {1})")
     unsat(run, "nran({[1,2]}, {2})")
+    # Over a variable relation, ``nran`` is rewritten, not evaluated.
+    sat(run, "nran(R, {b}) & dom(R, {a})")
+    refuted(run, "nran(R, T) & ran(R, T)", {"R": RELS, "T": subsets(["a:a", "a:b"])})
 
 
 def test_application(run):

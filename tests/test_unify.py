@@ -2,8 +2,10 @@
 import random
 
 import oracle
+from conftest import certify, certify_unsat
 from setsolve.engine import solve
 from setsolve.formulas import C
+from setsolve.parser import parse_formula
 from setsolve.terms import (
     CP, EMPTY, Atom, ExtSet, Int, Interval, Pair, Str, Var, VarGen, mkset,
     subst_term,
@@ -45,6 +47,34 @@ def test_element_choice_branches():
     got = unify(mkset([Var("X")], tail=Var("A")), ints(1, 2))
     picks = {subst_term(s, Var("X")) for s, _ in got}
     assert Int(1) in picks and Int(2) in picks
+
+
+def test_two_listed_sets_with_the_same_head_have_no_swap_branch():
+    # The swap branch would bind A and B to one term, an instance of A = B.
+    a, A, B = Atom("a"), Var("A"), Var("B")
+    got = unify(mkset([a], tail=A), mkset([a], tail=B))
+    assert [s for s, _ in got] == [{"A": B}, {"B": mkset([a], tail=A)},
+                                   {"A": mkset([a], tail=B)}]
+    # Heads that may still differ keep all four.
+    assert len(unify(mkset([Var("X")], tail=A), mkset([Var("Y")], tail=B))) == 4
+
+
+SETS = oracle.subsets(["a:a", "a:b", "a:c"])
+INTS = [-1, 0, 1, 2, 3]
+
+
+def test_two_products_unify_factor_by_factor_or_through_an_empty_factor():
+    f = parse_formula("cp(A, B) = cp(C, D) & a in A & d in D")
+    certify(f, solve(f))
+    f = parse_formula("cp(A, B) = cp(C, D) & a in A & b in B & C = {c}")
+    certify_unsat(f, solve(f), {"A": SETS, "B": SETS, "C": SETS, "D": SETS})
+
+
+def test_two_intervals_unify_bound_by_bound_or_both_empty():
+    f = parse_formula("int(L, H) = int(1, N) & N > 0")
+    certify(f, solve(f))
+    f = parse_formula("int(L, 2) = int(1, N) & L > 1 & N > 1")
+    certify_unsat(f, solve(f), {"L": INTS, "N": INTS})
 
 
 def test_tail_occurs_is_membership_not_failure():
