@@ -231,12 +231,16 @@ class Store:
         return None
 
     def park(self, c: Constraint) -> None:
-        # The residue is a set (see the module docstring).  A scan is cheaper
-        # here than hashing the constraint, and comparing whole entries
-        # compares the variable sets first, which rules most entries out.
-        entry = (frozenset(formula_vars(c)), c)
-        if entry not in self.parked:
-            self.parked.append(entry)
+        # The residue is a set (see the module docstring), and ``a neq b`` is
+        # ``b neq a``.  A scan is cheaper here than hashing the constraint,
+        # and comparing whole entries compares the variable sets first, which
+        # rules most entries out.
+        vs = frozenset(formula_vars(c))
+        parked = self.parked
+        if (vs, c) in parked or (
+                c.kind == "neq" and (vs, Constraint("neq", c.args[::-1])) in parked):
+            return
+        parked.append((vs, c))
 
     def apply_bind(self, delta: dict[str, Term]) -> None:
         self.subst = compose(self.subst, delta)

@@ -23,6 +23,19 @@ and refutes its goal again over the copy.  A set that ``Store.facts`` shows
 asserted ``pfun`` gets no ``nin``: the ``pfun`` rule already keeps each
 listed pair out of the rest.
 
+A function lists each point once, by two more rules that read the same
+``FUN`` bit.  ``npfun({[x, y] / s})`` holds exactly when ``s`` maps ``x``
+to some ``c neq y`` or ``s`` is itself no function, so it branches on
+those two, the first first; when ``s`` is a variable asserted ``pfun``,
+the second branch has no solution and is left out.  The first branch also
+replaces the generic guess of two fresh pairs ``[n1, n2]`` and
+``[n1, n3]``, whose memberships each split over the listed head.
+``dom(r, {h / t})`` over a variable ``r`` asserted ``pfun`` binds
+``r = {[h, n] / r1}`` with ``{h / m} = {h / t}`` for the domain ``m`` of
+``r1``, as for any relation, and also posts ``h nin m``: a function has
+one pair over ``h``, so ``r1`` can be chosen as ``r`` without that pair,
+whose domain lacks ``h``, and no answer is lost.
+
 ``rewrite`` drops each branch that holds ``false`` or a constraint false on
 sight, and returns ``[]`` when none is left: ``t neq t``, ``x nin {x / _}``,
 ``x in {}`` and ``npair`` of a pair, exactly the forms whose own rule fails
@@ -445,6 +458,15 @@ def _rule_pfun(store, f):
 
 def _rule_npfun(store, f):
     g = store.gen
+    if isinstance(f, ExtSet) and isinstance(f.head, Pair):
+        # ``{[x, y] / s}`` is no function exactly when ``s`` maps ``x`` to
+        # another value or is itself no function.
+        x, y = f.head.first, f.head.second
+        c, s = g.fresh(), f.tail
+        out = [[C("in", Pair(x, c), s), C("neq", c, y)]]
+        if not (isinstance(s, Var) and store.facts.get(s.name, 0) & FUN):
+            out.append([C("npfun", s)])
+        return out
     n1, n2, n3, n = g.fresh(), g.fresh(), g.fresh(), g.fresh()
     return [
         [C("in", Pair(n1, n2), f), C("in", Pair(n1, n3), f), C("neq", n2, n3)],
@@ -488,11 +510,16 @@ def _rule_dom(store, r, d):
                     C("dom", r1, mkset(rest)),
                 ]]
             n, r1, m = g.fresh(), g.fresh(), g.fresh()
-            return [[
+            branch = [
                 C("eq", r, ExtSet(Pair(d.head, n), r1)),
                 C("dom", r1, m),
                 C("eq", ExtSet(d.head, m), d),
-            ]]
+            ]
+            if store.facts.get(r.name, 0) & FUN:
+                # A function has one pair over ``d.head``: take ``r1`` as
+                # the rest, whose domain lacks it.
+                branch.append(C("nin", d.head, m))
+            return [branch]
     return None
 
 

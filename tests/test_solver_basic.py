@@ -3,10 +3,11 @@ import pytest
 from conftest import certify, certify_unsat
 from oracle import subsets
 from setsolve import cli
-from setsolve.engine import ground_complete, solve
+from setsolve.engine import Store, ground_complete, solve
 from setsolve.formulas import C
 from setsolve.parser import parse_formula
-from setsolve.terms import EMPTY, Atom, Int, Interval, Pair, Var, mkset
+from setsolve.rules import FUN, SET, rewrite
+from setsolve.terms import EMPTY, Atom, ExtSet, Int, Interval, Pair, Var, VarGen, mkset
 
 
 def sat(run, text, **kw):
@@ -235,6 +236,50 @@ def test_partial_function(run):
     unsat(run, "npfun({[1,2],[2,3]})")
 
 
+def _rewrite(text, functions=()):
+    """The branches ``rewrite`` gives ``text`` in a store that has shown
+    each variable named in ``functions`` to be asserted ``pfun``."""
+    store = Store(VarGen())
+    for name in functions:
+        store.facts[name] = SET | FUN
+    return rewrite(parse_formula(text), store)
+
+
+N1, N2, N3 = Var("_N1"), Var("_N2"), Var("_N3")
+A, B, S = Atom("a"), Atom("b"), Var("S")
+
+
+def test_npfun_of_a_listed_pair_asks_the_tail_for_another_image():
+    other = [C("in", Pair(A, N1), S), C("neq", N1, B)]
+    assert _rewrite("npfun({[a, b] / S})") == [other, [C("npfun", S)]]
+    # A tail asserted ``pfun`` is a function, so only the first branch is left.
+    assert _rewrite("npfun({[a, b] / S})", functions=["S"]) == [other]
+    # A listed tail keeps its branch, whatever is known of its own tail.
+    tail = ExtSet(Pair(B, B), S)
+    assert _rewrite("npfun({[a, b], [b, b] / S})", functions=["S"]) == [
+        [C("in", Pair(A, N1), tail), C("neq", N1, B)], [C("npfun", tail)]]
+
+
+def test_dom_of_a_function_keeps_the_listed_head_out_of_the_rests_domain():
+    R, D = Var("R"), Var("D")
+    branch = [C("eq", R, ExtSet(Pair(A, N1), N2)), C("dom", N2, N3),
+              C("eq", ExtSet(A, N3), ExtSet(A, D))]
+    assert _rewrite("dom(R, {a / D})") == [branch]
+    assert _rewrite("dom(R, {a / D})", functions=["R"]) == [branch + [C("nin", A, N3)]]
+
+
+def test_npfun_of_a_listed_pair_gives_each_answer_once(run):
+    # ``S`` holds ``[a, N]`` with ``N neq X`` in one answer, not also in a
+    # second one with the ``neq`` flipped.
+    res = run("npfun({[a, X] / S})", max_solutions=10)
+    assert res.complete
+    assert [cli._answer_line(s) for s in res.solutions] == [
+        "S = {[a,_N1]/_N2}, _N1 neq X, [a,_N1] nin _N2",
+        "S = {[_N3,_N4],[_N3,_N5]/_N8}, _N4 neq _N5, [_N3,_N5] nin _N8, [_N3,_N4] nin _N8",
+        "S = {_N6/_N9}, npair(_N6), _N6 nin _N9",
+    ]
+
+
 def test_domain(run):
     sat(run, "dom({[1,2],[3,4]}, {1,3})")
     sat(run, "dom(F, {1}) & pfun(F) & ran(F, {7})")
@@ -265,6 +310,10 @@ def test_a_repeated_constraint_is_parked_once(run):
     res = run("X neq Y & X neq Y & [a, b] nin S & [a, b] nin S")
     assert res.complete and len(res.solutions) == 1
     assert cli._answer_line(res.solutions[0]) == "X neq Y, [a,b] nin S"
+    # ``neq`` is symmetric: its swapped copy is the same constraint.
+    assert cli._answer_line(run("X neq Y & Y neq X").solutions[0]) == "X neq Y"
+    line = cli._answer_line(run("comp(R, R, {[a, b]})").solutions[0])
+    assert line.count("a neq _N1") == 1 and "_N1 neq a" not in line
 
 
 def test_range(run):

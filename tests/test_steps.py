@@ -88,6 +88,23 @@ also tried the carrier ``{po, po / N}`` and refuted the same goal again
 over it.  Union commutativity (``EXAMPLE_STEPS``' first query) went from
 242 steps and 63 clones to 148 and 33: rule 1 alone gives 152 and rule 2
 alone 234.
+
+A function lists each point once too, by two rules over the ``FUN`` bit of
+``Store.facts`` (see ``rules``), and that moved each carrier-free INV search
+on purpose, from 183 steps and 39 clones to 92 and 18, for every carrier.
+No INIT or WD count moved, and neither did ``doors/start_GearExtend/inv2``.
+
+* Rule 1: ``npfun({[x, y] / s})`` asks ``s`` for a pair ``[x, c]`` with
+  ``c neq y``, or for ``npfun(s)``, and drops the second branch when ``s``
+  is asserted ``pfun``.  The updated function ``{[po, v] / F}`` shares
+  its tail ``F`` with the old one, which ``inv1`` asserts ``pfun``, so the
+  negated goal's ``npfun`` of it takes one branch instead of guessing two
+  fresh pairs and splitting each membership over the listed head.  Alone:
+  123 steps and 30 clones.
+* Rule 2: ``dom(r, {h / t})`` over a variable ``r`` asserted ``pfun`` also
+  posts ``h nin m`` for the domain ``m`` of the rest of ``r``.  So
+  ``{po / m} = {po / N}``, from ``inv1``'s ``dom`` over the carrier, has
+  only its ``m = N`` branch left alive.  Alone: 152 steps and 27 clones.
 """
 import pytest
 from setsolve import verifier
@@ -106,13 +123,13 @@ PO_STEPS = {
     "gears_intermediate/INIT/inv1": [12],
     "gears_intermediate/INIT/inv2": [25],
     "gears/INIT/inv1": [7],
-    "gears/make_GearExtended/inv1/INV": [183],
+    "gears/make_GearExtended/inv1/INV": [92],
     "gears/make_GearExtended/grd1/wd1/WD": [66],
-    "gears/start_GearRetract/inv1/INV": [183],
+    "gears/start_GearRetract/inv1/INV": [92],
     "gears/start_GearRetract/grd1/wd1/WD": [66],
     "doors/INIT/inv1": [17],
     "doors/INIT/inv2": [5],
-    "doors/start_GearExtend/inv1/INV": [183],
+    "doors/start_GearExtend/inv1/INV": [92],
     "doors/start_GearExtend/inv2/INV": [3],
     "doors/start_GearExtend/grd2/wd1/WD": [171],
 }
@@ -200,8 +217,8 @@ def test_gears_inv_steps_do_not_depend_on_the_carrier(cases, monkeypatch, member
         "positionsdg = {front, right, left}", f"positionsdg = {{{members}}}")
     got = _po_steps(parse_machine(text), monkeypatch)
     assert {k: v for k, v in got.items() if k.endswith("/INV")} == {
-        "gears/make_GearExtended/inv1/INV": [183],
-        "gears/start_GearRetract/inv1/INV": [183],
+        "gears/make_GearExtended/inv1/INV": [92],
+        "gears/start_GearRetract/inv1/INV": [92],
     }
 
 
@@ -294,6 +311,14 @@ def test_park_keeps_one_of_two_equal_constraints():
     store.park(C("nin", mkset([Pair(Atom("a"), Atom("b"))]), Var("S")))
     store.park(C("nin", LISTED, T))
     assert [c for _, c in store.parked] == [C("nin", LISTED, S), C("nin", LISTED, T)]
+
+
+def test_park_keeps_one_of_a_neq_and_its_swapped_copy():
+    store = Store(VarGen())
+    store.park(C("neq", R, S))
+    store.park(C("neq", S, R))
+    store.park(C("neq", S, T))
+    assert [c for _, c in store.parked] == [C("neq", R, S), C("neq", S, T)]
 
 
 def test_a_clone_cannot_move_or_drop_another_branchs_items():
