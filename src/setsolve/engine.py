@@ -63,10 +63,13 @@ that renames their bound names away from the incoming terms.
 
 Each store keeps ``facts``: the bits ``INT``, ``SET`` and ``FUN`` (a set
 asserted ``pfun``) that the constraints of its branch have shown of each
-variable.  ``enqueue`` fills it under the substitution (see ``SHOWS``), and
-a bind to another variable passes the bits on.  It only grows, since a sort
-once shown holds on the branch, so a pop has nothing to undo; a clone
-copies it, since one ``or`` alternative says nothing of its sibling.
+variable.  ``enqueue`` fills it under the substitution from every argument
+of an item, by its ``SIG`` position (``SHOWS``) and its structure
+(``Store._show``); ``ground_complete`` shows the answer's terms the same
+way, so the search and grounding sort by one rule.  A bind to another
+variable passes the bits on.  ``facts`` only grows, since a sort once shown
+holds on the branch, so a pop has nothing to undo; a clone copies it,
+since one ``or`` alternative says nothing of its sibling.
 
 Sorts follow one rule, read from ``formulas.SIG`` (see ``rules``): a
 non-set where a set belongs, or a non-integer where an integer belongs, is
@@ -87,8 +90,8 @@ from typing import Optional
 from . import arith, groundeval
 from .arith import ArithStore
 from .formulas import (
-    INT_POS, SET_POS, And, Constraint, FalseF, Formula, IllFormed, Implies, Neg,
-    PredCall, Program, TrueF, all_var_names, arg_vars, expand_calls,
+    INT_POS, SET_POS, SIG, And, Constraint, FalseF, Formula, IllFormed, Implies,
+    Neg, PredCall, Program, TrueF, all_var_names, arg_vars, expand_calls,
     formula_vars, subst_formula,
 )
 from .negate import nnf
@@ -110,10 +113,11 @@ PRIO = {
 }
 N_PRIO = 5
 
-# The bits each kind shows of the variable at an argument position.
-SHOWS = {k: tuple([(i, (SET | FUN) if k == "pfun" else SET) for i in SET_POS[k]]
-                  + [(i, INT) for i in INT_POS[k]])
-         for k in SET_POS}
+# The bits each kind shows of its arguments, one per position: SET (and FUN
+# for ``pfun``) at a set position, INT at an integer one, else 0.
+SHOWS = {k: tuple((SET | FUN if k == "pfun" else SET) if i in SET_POS[k]
+                  else INT if i in INT_POS[k] else 0 for i in range(len(sig)))
+         for k, sig in SIG.items()}
 
 
 def _prio(item: QItem, subst: dict[str, Term] = {}) -> int:
@@ -197,32 +201,46 @@ class Store:
             q.append((stamp, item))
         if item.q is not None:
             self._show(item.q.domain, SET)
-        for i, bits in SHOWS.get(item.kind, ()):
-            a = item.args[i]
-            if type(a) is Var:
+        for a, bits in zip(item.args, SHOWS.get(item.kind, ())):
+            if type(a) is Var:  # ``_show`` inline, for the commonest argument
                 a = self.subst.get(a.name, a)
                 if type(a) is Var:
-                    self.facts[a.name] = self.facts.get(a.name, 0) | bits
+                    if bits:
+                        self.facts[a.name] = self.facts.get(a.name, 0) | bits
                     continue
             self._show(a, bits)
 
     def _show(self, a, bits: int) -> None:
-        """Add ``bits`` to the facts of ``a`` if it is a variable, SET to the
-        variables of a product's factors, and INT to those of an interval's
-        bounds or an integer expression."""
-        if isinstance(a, Var):
-            a = self.subst.get(a.name, a)
-        if isinstance(a, Var):
-            self.facts[a.name] = self.facts.get(a.name, 0) | bits
-        elif isinstance(a, CP):
-            self._show(a.left, SET)
-            self._show(a.right, SET)
-        elif isinstance(a, Interval):
-            self._show(a.lo, INT)
-            self._show(a.hi, INT)
-        elif not isinstance(a, Term):
-            for n in arg_vars(a):
-                self._show(Var(n), INT)
+        """Add ``bits`` to the facts of ``a`` if it is a variable, and show
+        the sorts its structure gives the variables inside it: a listed
+        set's tail and a product's factors are sets, an interval's bounds and
+        the variables of an integer expression are integers.  Set heads and
+        pair components are walked with no bits of their own."""
+        while True:
+            if type(a) is Var:
+                a = self.subst.get(a.name, a)
+                if type(a) is Var:
+                    if bits:
+                        self.facts[a.name] = self.facts.get(a.name, 0) | bits
+                    return
+            cls = type(a)
+            if cls is ExtSet:
+                self._show(a.head, 0)
+                a, bits = a.tail, SET
+            elif cls is Pair:
+                self._show(a.first, 0)
+                a, bits = a.second, 0
+            elif cls is CP:
+                self._show(a.left, SET)
+                a, bits = a.right, SET
+            elif cls is Interval:
+                self._show(a.lo, INT)
+                a, bits = a.hi, INT
+            else:
+                if not isinstance(a, Term):
+                    for n in arg_vars(a):
+                        self._show(Var(n), INT)
+                return
 
     def pop(self) -> Optional[tuple[int, QItem]]:
         for q in self.queues:
@@ -440,7 +458,7 @@ def _extract(store: Store, query_vars: set[str]) -> Optional[Solution]:
         t = subst_term(store.subst, Var(v))
         if t != Var(v):
             bindings[v] = t
-    residual = [subst_formula(store.subst, c, store.gen) for _, c in store.parked]
+    residual = [c for _, c in store.parked]  # normal under the substitution
     return Solution(bindings, residual, frozenset(query_vars), store)
 
 
@@ -456,43 +474,20 @@ def ground_complete(sol: Solution,
     """
     hints = hints or {}
     store = sol.store
-    need: set[str] = set()
+    need = {v for v in sol.query_vars if v not in store.subst}
+    # The answer's terms show the sorts of the variables they hold.
     for t in sol.bindings.values():
         need |= term_vars(t)
+        store._show(t, 0)
     for c in sol.residual:
         need |= formula_vars(c)
-    for v in sol.query_vars:
-        if v not in store.subst:
-            need.add(v)
+        for a in c.args:
+            store._show(a, 0)
     if not need:
         return dict(sol.bindings) if _residual_ok(sol.residual, {}) else None
 
     model = store.arith.model()
     set_sorted, int_sorted = store._scan_sorts()
-    # Variables sitting in structural positions of the answer terms carry
-    # their sort with them: set tails must be sets, interval bounds integers.
-    stack = list(sol.bindings.values())
-    for c in sol.residual:
-        stack.extend(a for a in c.args if isinstance(a, Term))
-    while stack:
-        t = stack.pop()
-        if isinstance(t, ExtSet):
-            if isinstance(t.tail, Var):
-                set_sorted.add(t.tail.name)
-            stack.append(t.head)
-            stack.append(t.tail)
-        elif isinstance(t, Pair):
-            stack.append(t.first)
-            stack.append(t.second)
-        elif isinstance(t, CP):
-            for s in (t.left, t.right):
-                if isinstance(s, Var):
-                    set_sorted.add(s.name)
-                stack.append(s)
-        elif isinstance(t, Interval):
-            for s in (t.lo, t.hi):
-                if isinstance(s, Var):
-                    int_sorted.add(s.name)
 
     a1, a2 = Atom("_e1"), Atom("_e2")
     arith_vars = store.arith.vars()

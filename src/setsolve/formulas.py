@@ -116,6 +116,7 @@ class Or(Formula):
     parts: tuple[Formula, ...]
     # A queue item: ``rules.rewrite`` decides it like a constraint.
     kind = "or"
+    args = ()
     q = None
 
 

@@ -412,6 +412,9 @@ def test_insertion_mutant_counterexample_fits_the_declared_types(tmp_path, capsy
      "Counterexample.\nA = {X/_N1}, X nin B, X nin _N1\n"),
     # X = a makes {a/X} ill-sorted: {a/a} is no set, so it is no model.
     ("neg(X in {a/X})", cli.UNKNOWN, "Unknown (ungroundable).\n"),
+    # A product's factors and a listed set's tail ground to sets, not atoms.
+    ("neg(cp(A, B) = {})", cli.REFUTED, "Counterexample.\nA = {}\n"),
+    ("neg({a / D} = {a / E})", cli.REFUTED, "Counterexample.\nD = E\n"),
 ])
 def test_prove_calls_only_a_grounded_answer_a_counterexample(capsys, goal, code, out):
     assert cli.main(["prove", "-e", goal]) == code

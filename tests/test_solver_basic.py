@@ -3,7 +3,7 @@ import pytest
 from conftest import certify, certify_unsat
 from oracle import subsets
 from setsolve import cli
-from setsolve.engine import Store, ground_complete, solve
+from setsolve.engine import Store, _apply_branch, ground_complete, solve
 from setsolve.formulas import C
 from setsolve.parser import parse_formula
 from setsolve.rules import FUN, SET, rewrite
@@ -306,6 +306,31 @@ def test_a_sort_shown_in_one_branch_stays_out_of_its_sibling(run):
     assert cli._answer_line(res.solutions[0]) == "Z = 2, X neq Y"
 
 
+@pytest.mark.parametrize("text, names", [
+    ("cp(A, B) = E", ["A", "B"]),
+    ("{a / D} = E", ["D"]),
+    ("[{a / D}, F] = E", ["D"]),
+])
+def test_enqueue_shows_the_sorts_a_terms_structure_gives(text, names):
+    # ``eq`` gives its arguments no sort, but a product's factors and a
+    # listed set's tail are sets wherever the term stands.
+    store = Store(VarGen())
+    store.enqueue(parse_formula(text))
+    assert store.facts == dict.fromkeys(names, SET)
+
+
+def test_a_sort_shown_in_an_or_alternative_stays_out_of_its_sibling():
+    store = Store(VarGen())
+    store.enqueue(parse_formula("{a / D} = E or X = Y"))
+    assert store.facts == {}  # an ``or`` shows nothing of its alternatives
+    _, item = store.pop()
+    first, second = rewrite(item, store)
+    sibling = store.clone()
+    assert _apply_branch(store, first, store.binds)
+    assert _apply_branch(sibling, second, sibling.binds)
+    assert store.facts == {"D": SET} and sibling.facts == {}
+
+
 def test_a_repeated_constraint_is_parked_once(run):
     res = run("X neq Y & X neq Y & [a, b] nin S & [a, b] nin S")
     assert res.complete and len(res.solutions) == 1
@@ -382,8 +407,9 @@ def test_ground_complete_reads_interval_bounds(run):
     g = ground_complete(res.solutions[0])
     assert g["N"].value > 0
     assert g["X"] == Interval(Int(1), g["N"])
-    # N is an integer only through the interval; sat grounds it.
-    sat(run, "X = int(1, N) & N neq 0")
+    # The interval shows N to be an integer, so ``neq`` splits into ``lt``.
+    res = sat(run, "X = int(1, N) & N neq 0")
+    assert cli._answer_line(res.solutions[0]) == "X = int(1,N), N < 0"
 
 
 @pytest.mark.parametrize("text", [
@@ -401,6 +427,9 @@ def test_ground_complete_reads_interval_bounds(run):
     # also inside a pair.
     "cp(A, B) = {[a, b]}",
     "[cp(A, B), 1] = [{[a, b]}, 1]",
+    # ``eq`` has no set position; the factors and the tails are still sets.
+    "cp(A, B) = {}",
+    "{a / D} = {a / E}",
 ])
 def test_a_product_argument_is_solved_and_certified(run, text):
     sat(run, text)
