@@ -239,6 +239,9 @@ def _rule_neq(store, a, b):
     vb = b.name if isinstance(b, Var) else None
     other = b if va else a
     bits = store.facts.get(va, 0) | store.facts.get(vb, 0)
+    if (bits & SET and isinstance(other, NON_SETS)) or \
+       (bits & INT and _definite_set(other)):
+        return [[]]  # a set is never an ur-element, an integer never a set
     if _definite_set(other) or bits & SET:
         n = store.gen.fresh()
         return [[C("in", n, a), C("nin", n, b)], [C("in", n, b), C("nin", n, a)]]

@@ -3,7 +3,7 @@ import pytest
 from conftest import certify, certify_unsat
 from oracle import subsets
 from setsolve import cli
-from setsolve.engine import Store, _apply_branch, ground_complete, solve
+from setsolve.engine import Store, ground_complete, solve
 from setsolve.formulas import C
 from setsolve.parser import parse_formula
 from setsolve.rules import FUN, SET, rewrite
@@ -55,6 +55,19 @@ def test_disequality(run):
     unsat(run, "X neq X")
     sat(run, "[X,2] neq [1,Y]")
     unsat(run, "X >= 1 & X =< 1 & Y >= 1 & Y =< 1 & X neq Y")
+    # A set is never an ur-element, and an integer never a set.
+    for text, answer in [("X = {a / N} & N neq 0", "X = {a/N}"),
+                         ("X = {a / N} & N neq b", "X = {a/N}"),
+                         ("N neq 0 & a in N", "N = {a/_N1}, a nin _N1"),
+                         ("X = int(1, N) & N neq {}", "X = int(1,N)")]:
+        assert cli._answer_line(sat(run, text).solutions[0]) == answer
+    # X = {a / D} shows the tail D to be a set, so D neq E splits on an
+    # element of one side that the other lacks instead of parking.
+    res = sat(run, "X = {a / D} & D neq E", max_solutions=10)
+    assert res.complete and [cli._answer_line(s) for s in res.solutions] == [
+        "D = {_N1/_N2}, X = {a,_N1/_N2}, _N1 nin E, _N1 nin _N2",
+        "E = {_N1/_N3}, X = {a/D}, _N1 nin D, _N1 nin _N3",
+    ]
 
 
 def test_membership(run):
@@ -299,11 +312,13 @@ def test_pfun_follows_a_bind_to_another_variable(run):
 
 
 def test_a_sort_shown_in_one_branch_stays_out_of_its_sibling(run):
-    # The subset branch dies on Z = 1; in the Z = 2 branch nothing shows X or
-    # Y to be a set, so X neq Y stays parked.
-    res = run("Z = 2 & (subset(X, A) & Z = 1 or Z = 2) & foreach(W in {1}, X neq Y)")
-    assert res.complete and len(res.solutions) == 1
-    assert cli._answer_line(res.solutions[0]) == "Z = 2, X neq Y"
+    # The first alternative shows X to be a set (at a set position, or as a
+    # listed set's tail) and dies on Z = 1; in the Z = 2 branch nothing shows
+    # X or Y to be a set, so X neq Y stays parked.
+    for shows in ["subset(X, A)", "{a / X} = A"]:
+        res = run(f"Z = 2 & ({shows} & Z = 1 or Z = 2) & foreach(W in {{1}}, X neq Y)")
+        assert res.complete and len(res.solutions) == 1
+        assert cli._answer_line(res.solutions[0]) == "Z = 2, X neq Y"
 
 
 @pytest.mark.parametrize("text, names", [
@@ -317,18 +332,6 @@ def test_enqueue_shows_the_sorts_a_terms_structure_gives(text, names):
     store = Store(VarGen())
     store.enqueue(parse_formula(text))
     assert store.facts == dict.fromkeys(names, SET)
-
-
-def test_a_sort_shown_in_an_or_alternative_stays_out_of_its_sibling():
-    store = Store(VarGen())
-    store.enqueue(parse_formula("{a / D} = E or X = Y"))
-    assert store.facts == {}  # an ``or`` shows nothing of its alternatives
-    _, item = store.pop()
-    first, second = rewrite(item, store)
-    sibling = store.clone()
-    assert _apply_branch(store, first, store.binds)
-    assert _apply_branch(sibling, second, sibling.binds)
-    assert store.facts == {"D": SET} and sibling.facts == {}
 
 
 def test_a_repeated_constraint_is_parked_once(run):
