@@ -20,28 +20,34 @@ full set and then ``{}``; one typed as a relation between two, each
 constant total function, the full product and then ``{}``.  Any other type
 gives no candidates and the solver's default pools apply.
 
-An INV obligation is discharged in this order:
+INV and WD obligations are discharged in this order, INIT ones from step 3:
 
-  1. Goal conjuncts that are conjuncts of the hypotheses (those over
-     variables the event does not write) are not negated: the hypotheses
-     state them.  This is done when the obligation is generated, and the
-     query stays equivalent to the one over the whole goal.
-  2. The remaining goal conjuncts are grouped by shared variables, carrier
-     names aside.  Each group is refuted against only the hypotheses
-     connected to it through such variables, with the carriers left free.
-     An unsatisfiable query shows that a subset of the hypotheses entails
-     its group, so if every group is refuted (with no ill-sorted cut) the
-     obligation is proved.  This is the hypothesis selection of Event-B
-     provers, and its cost does not grow with the carriers.
+  1. Goal conjuncts of an INV obligation that are conjuncts of the
+     hypotheses (those over variables the event does not write) are not
+     negated: the hypotheses state them.  This is done when the obligation
+     is generated, and the query stays equivalent to the one over the whole
+     goal.
+  2. The negated goal is refuted with the carriers left free.  An INV
+     obligation groups its remaining goal conjuncts by shared variables,
+     carrier names aside, and refutes each group against only the
+     hypotheses connected to it through such variables.  A WD obligation
+     refutes its one negated goal against the hypotheses and invariants
+     connected to it; the carrier equalities mention only carriers, so they
+     drop out.  An unsatisfiable query shows that a subset of the
+     hypotheses entails the goal, for every carrier, so if every query is
+     refuted (with no ill-sorted cut) the obligation is proved.  This is
+     the hypothesis selection of Event-B provers, and its cost does not
+     grow with the carriers.
   3. Otherwise one query is solved with the carriers pinned to their
      members: the hypotheses, the negated goal, and every invariant of the
      machine, as an Event-B obligation assumes them all.  Only this stage
-     yields counterexamples and the causes of an Unknown.  A proof here
-     records as its hypotheses used the invariants linked to the negated
-     goal through shared variables, carriers aside; a proof from stage 2
-     records none.
+     yields counterexamples and the causes of an Unknown.
 
-INIT and WD obligations go straight to stage 3.
+A proof records as its hypotheses used the invariants linked to the
+negated goal through the hypotheses and shared variables, carriers aside:
+the ones a WD query of stage 2 slices in.  An INV query of stage 2 slices
+in no invariant, so a proof from it records none.  INIT obligations skip
+stage 2: a falsified one would pay for a carrier-free answer it throws away.
 """
 from __future__ import annotations
 
@@ -84,7 +90,7 @@ class PO:
 class POResult:
     po: PO
     status: str                # Proved | Disproved | Unknown
-    hyps_used: tuple[str, ...]  # of a Proved from the pinned search, else ()
+    hyps_used: tuple[str, ...]  # linked invariants of a Proved; () from INV stage 2
     iterations: int            # always 1; the JSON report and perfbench read it
     time_ms: float
     counterexample: Optional[dict[str, Term]] = None
@@ -93,6 +99,7 @@ class POResult:
     # Why an Unknown: budget, ungroundable (the answer does not ground to a
     # well-typed witness on which the query holds) or ill_sorted.
     cause: str = ""
+    stage: str = "pinned"      # the stage that decided it: carrier_free | pinned
 
 
 class VerifyError(Exception):
@@ -305,20 +312,31 @@ def _linked(po: PO) -> tuple[str, ...]:
     return tuple(label for label, f in po.pool if id(f) in reached)
 
 
-def _proved_carrier_free(po: PO, budget: int) -> tuple[bool, int]:
-    """Stage 2: refute the negation of each group of goal conjuncts against
-    the hypotheses connected to it, with the carriers not pinned.  Returns
-    whether every group was refuted, and the steps spent."""
+def _proved_carrier_free(po: PO, budget: int) -> tuple[Optional[tuple[str, ...]], int]:
+    """Stage 2: refute the negated goal with the carriers not pinned.  An
+    INV PO refutes the negation of each group of goal conjuncts against the
+    hypotheses connected to it; a WD PO refutes its negated goal against the
+    hypotheses and invariants connected to it.  Returns the labels of the
+    invariants sliced in when every query was refuted, else None, and the
+    steps spent."""
     carriers = {c.name for c in po.carriers}
-    fixed = conjuncts(po.fixed)
+    parts = conjuncts(po.fixed)
+    if po.kind == "WD":
+        parts += [f for _, f in po.pool]
+        goals = [(formula_vars(po.neg_goal) - carriers, po.neg_goal)]
+    else:
+        goals = [(vs, Neg(conj(group)))
+                 for vs, group in _groups(conjuncts(po.neg_goal.body), carriers)]
+    used: set[int] = set()
     steps = 0
-    for vs, group in _groups(conjuncts(po.neg_goal.body), carriers):
-        sliced = _connected(fixed, vs, carriers)
-        res = solve(conj(sliced + [Neg(conj(group))]), budget=budget)
+    for vs, neg in goals:
+        sliced = _connected(parts, vs, carriers)
+        res = solve(conj(sliced + [neg]), budget=budget)
         steps += res.steps
         if not res.unsat or res.ill_sorted:
-            return False, steps
-    return True, steps
+            return None, steps
+        used |= {id(p) for p in sliced}
+    return tuple(label for label, f in po.pool if id(f) in used), steps
 
 
 def _typed_hints(types: tuple[tuple[str, object], ...], env: TypeEnv, sol: Solution,
@@ -375,10 +393,10 @@ def discharge(po: PO, *, budget: int = 200_000,
         return POResult(po, status, hyps_used, 1,
                         (time.perf_counter() - t0) * 1000.0, steps=steps, **kw)
 
-    if po.kind == "INV":
-        proved, steps = _proved_carrier_free(po, budget)
-        if proved:
-            return done("Proved")
+    if po.kind != "INIT":
+        hyps_used, steps = _proved_carrier_free(po, budget)
+        if hyps_used is not None:
+            return done("Proved", hyps_used, stage="carrier_free")
 
     query = conj([po.fixed, po.neg_goal] + [f for _, f in po.pool])
     res = solve(query, budget=budget, max_solutions=1)
@@ -431,6 +449,7 @@ def report_json(m: Machine, results: list[POResult]) -> dict:
             row["note"] = r.note
         if r.cause:
             row["cause"] = r.cause
+        row["stage"] = r.stage
         rows.append(row)
     return {
         "machine": m.name,

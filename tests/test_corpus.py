@@ -68,3 +68,18 @@ def test_verify_output_is_the_golden_and_the_report_fits_the_schema(
         assert doc["machine"] == case.expected["machine"]
         assert doc["summary"]["total"] == int(case.expected["pos"])
         assert doc["summary"]["proved"] == doc["summary"]["total"]
+
+
+def test_the_report_names_the_stage_that_decided_each_po(cases):
+    schema = json.loads((resources.files("setsolve") / "data" / "report.schema.json")
+                        .read_text())
+    m = cases["gears.smch"].parsed
+    doc = verifier.report_json(m, verifier.verify_machine(m))
+    jsonschema.validate(doc, schema)
+    assert {r["id"]: r["stage"] for r in doc["pos"]} == {
+        "gears/INIT/inv1": "pinned",
+        "gears/make_GearExtended/inv1/INV": "carrier_free",
+        "gears/make_GearExtended/grd1/wd1/WD": "carrier_free",
+        "gears/start_GearRetract/inv1/INV": "carrier_free",
+        "gears/start_GearRetract/grd1/wd1/WD": "carrier_free",
+    }

@@ -4,7 +4,8 @@ The first falsified POs of the seed-1 mutants of ``gears`` and
 ``gears_intermediate``, as ``perfbench/disproofs.py`` builds and checks
 them, are Disproved with a witness its enumeration accepts.  So is every
 falsified INV PO of those mutants, and every INV PO the enumeration finds
-valid is Proved.  ``doors`` is left out: its enumeration of states
+valid is Proved.  Every WD PO of those mutants gets the result of the
+pinned search alone.  ``doors`` is left out: its enumeration of states
 dominates the time of a full build.
 """
 import sys
@@ -22,18 +23,23 @@ import disproofs  # noqa: E402
 SLICE = 20
 
 
+def _mutants(seed: int):
+    """The key and machine of each mutant of ``gears`` and
+    ``gears_intermediate`` for ``seed``."""
+    texts = {name: corpus_text(name) for name, _ in disproofs.BASES}
+    for mu in disproofs.generate_mutants(texts, seed):
+        if mu.base != "doors.smch":
+            yield mu.key, machines.parse_machine(mu.text)
+
+
 def _mutant_pos(seed: int):
     """Each PO of each mutant of ``gears`` and ``gears_intermediate`` for
     ``seed``, with the mutant's key and machine and its enumeration."""
-    texts = {name: corpus_text(name) for name, _ in disproofs.BASES}
     good_states: dict = {}
-    for mu in disproofs.generate_mutants(texts, seed):
-        if mu.base == "doors.smch":
-            continue
-        m = machines.parse_machine(mu.text)
+    for key, m in _mutants(seed):
         space = disproofs.Space(m, oracle, good_states)
         for po in verifier.generate_pos(m):
-            yield mu.key, m, po, space
+            yield key, m, po, space
 
 
 def _falsified(seed: int):
@@ -64,3 +70,23 @@ def test_every_inv_po_of_the_mutants_gets_the_verdict_of_the_enumeration():
             assert r.status == "Proved", (key, po.po_id, r.status, r.note)
         verdicts[r.status] += 1
     assert verdicts == {"Disproved": 6, "Proved": 114}
+
+
+def test_every_wd_po_of_the_mutants_gets_the_result_of_the_pinned_search(monkeypatch):
+    # Agreement only: some of these are wrongly Disproved by both paths
+    # (ROADMAP, Known defects), and this test does not say which.
+    items = [(po, verifier._hints(m)) for _, m in _mutants(1)
+             for po in verifier.generate_pos(m) if po.kind == "WD"]
+    assert len(items) == 114
+
+    def results():
+        return [verifier.discharge(po, hints=hints) for po, hints in items]
+
+    staged = results()
+    monkeypatch.setattr(verifier, "_proved_carrier_free", lambda po, budget: (None, 0))
+    pinned = results()
+    for a, b in zip(staged, pinned):
+        assert (a.status, a.hyps_used, a.counterexample, a.note, a.cause) == (
+            b.status, b.hyps_used, b.counterexample, b.note, b.cause), a.po.po_id
+        assert b.stage == "pinned"
+    assert sum(r.stage == "carrier_free" for r in staged) == 108
