@@ -27,27 +27,25 @@ INV and WD obligations are discharged in this order, INIT ones from step 3:
      negated: the hypotheses state them.  This is done when the obligation
      is generated, and the query stays equivalent to the one over the whole
      goal.
-  2. The negated goal is refuted with the carriers left free.  An INV
-     obligation groups its remaining goal conjuncts by shared variables,
-     carrier names aside, and refutes each group against only the
-     hypotheses connected to it through such variables.  A WD obligation
-     refutes its one negated goal against the hypotheses and invariants
-     connected to it; the carrier equalities mention only carriers, so they
-     drop out.  An unsatisfiable query shows that a subset of the
-     hypotheses entails the goal, for every carrier, so if every query is
-     refuted (with no ill-sorted cut) the obligation is proved.  This is
-     the hypothesis selection of Event-B provers, and its cost does not
-     grow with the carriers.
+  2. The negated goal is refuted with the carriers left free, in one query,
+     against its slice: the hypotheses connected to it through shared
+     variables, carrier names aside.  A WD obligation's slice also takes in
+     the invariants connected that way; the carrier equalities mention only
+     carriers, so they drop out.  An unsatisfiable query (with no
+     ill-sorted cut) shows that a subset of the hypotheses entails the
+     goal, for every carrier, so the obligation is proved.  This is the
+     hypothesis selection of Event-B provers, and its cost does not grow
+     with the carriers.
   3. Otherwise one query is solved with the carriers pinned to their
      members: the hypotheses, the negated goal, and every invariant of the
      machine, as an Event-B obligation assumes them all.  Only this stage
      yields counterexamples and the causes of an Unknown.
 
-A proof records as its hypotheses used the invariants linked to the
-negated goal through the hypotheses and shared variables, carriers aside:
-the ones a WD query of stage 2 slices in.  An INV query of stage 2 slices
-in no invariant, so a proof from it records none.  INIT obligations skip
-stage 2: a falsified one would pay for a carrier-free answer it throws away.
+A proof records as its hypotheses used the invariants in the slice of its
+negated goal over the hypotheses and every invariant, carriers aside: the
+ones a WD query of stage 2 slices in.  An INV query of stage 2 slices in no
+invariant, so a proof from it records none.  INIT obligations skip stage 2:
+a falsified one would pay for a carrier-free answer it throws away.
 """
 from __future__ import annotations
 
@@ -280,63 +278,45 @@ def _hints(m: Machine) -> dict[str, list[Term]]:
     return out
 
 
-def _groups(parts: list[Formula], free: set[str]) -> list[tuple[set[str], list[Formula]]]:
-    """``parts`` split into groups linked by shared variables outside
-    ``free``, each with those variables; order within a group is kept."""
-    groups: list[tuple[set[str], list[Formula]]] = []
-    for p in parts:
-        vs = formula_vars(p) - free
-        linked = [g for g in groups if g[0] & vs]
-        for g in linked:
-            groups.remove(g)
-            vs |= g[0]
-        groups.append((vs, [q for g in linked for q in g[1]] + [p]))
-    return groups
-
-
 def _connected(parts: list[Formula], seed: set[str], free: set[str]) -> list[Formula]:
     """The parts reachable from variables ``seed`` through shared variables
-    outside ``free``, in their order: the groups of ``parts`` that meet
-    ``seed``."""
-    picked = {id(p) for vs, group in _groups(parts, free) if vs & seed for p in group}
-    return [p for p in parts if id(p) in picked]
+    outside ``free``, in their order."""
+    links = [formula_vars(p) - free for p in parts]
+    picked = [False] * len(parts)
+    reached, grown = set(seed), True
+    while grown:
+        grown = False
+        for i, vs in enumerate(links):
+            if not picked[i] and vs & reached:
+                picked[i] = grown = True
+                reached |= vs
+    return [p for p, hit in zip(parts, picked) if hit]
 
 
-def _linked(po: PO) -> tuple[str, ...]:
-    """The labels of the invariants of ``po.pool`` linked to the negated
-    goal through the hypotheses and shared variables, carriers aside."""
+def _slice(po: PO, pool: tuple[tuple[str, Formula], ...]) -> list[Formula]:
+    """The conjuncts of ``po.fixed`` and the invariants of ``pool`` linked
+    to the negated goal through shared variables, carriers aside."""
     carriers = {c.name for c in po.carriers}
-    pool = [f for _, f in po.pool]
-    seed = formula_vars(po.neg_goal) - carriers
-    reached = {id(p) for p in _connected(conjuncts(po.fixed) + pool, seed, carriers)}
-    return tuple(label for label, f in po.pool if id(f) in reached)
+    parts = conjuncts(po.fixed) + [f for _, f in pool]
+    return _connected(parts, formula_vars(po.neg_goal) - carriers, carriers)
+
+
+def _labels(po: PO, parts: list[Formula]) -> tuple[str, ...]:
+    """The labels of the invariants of ``po.pool`` that are among ``parts``."""
+    ids = {id(p) for p in parts}
+    return tuple(label for label, f in po.pool if id(f) in ids)
 
 
 def _proved_carrier_free(po: PO, budget: int) -> tuple[Optional[tuple[str, ...]], int]:
-    """Stage 2: refute the negated goal with the carriers not pinned.  An
-    INV PO refutes the negation of each group of goal conjuncts against the
-    hypotheses connected to it; a WD PO refutes its negated goal against the
-    hypotheses and invariants connected to it.  Returns the labels of the
-    invariants sliced in when every query was refuted, else None, and the
-    steps spent."""
-    carriers = {c.name for c in po.carriers}
-    parts = conjuncts(po.fixed)
-    if po.kind == "WD":
-        parts += [f for _, f in po.pool]
-        goals = [(formula_vars(po.neg_goal) - carriers, po.neg_goal)]
-    else:
-        goals = [(vs, Neg(conj(group)))
-                 for vs, group in _groups(conjuncts(po.neg_goal.body), carriers)]
-    used: set[int] = set()
-    steps = 0
-    for vs, neg in goals:
-        sliced = _connected(parts, vs, carriers)
-        res = solve(conj(sliced + [neg]), budget=budget)
-        steps += res.steps
-        if not res.unsat or res.ill_sorted:
-            return None, steps
-        used |= {id(p) for p in sliced}
-    return tuple(label for label, f in po.pool if id(f) in used), steps
+    """Stage 2: refute the negated goal against its slice, with the carriers
+    not pinned.  A WD PO's slice also takes in the invariants.  Returns the
+    labels of the invariants sliced in when the query is refuted, else
+    None, and the steps spent."""
+    sliced = _slice(po, po.pool if po.kind == "WD" else ())
+    res = solve(conj(sliced + [po.neg_goal]), budget=budget)
+    if not res.unsat or res.ill_sorted:
+        return None, res.steps
+    return _labels(po, sliced), res.steps
 
 
 def _typed_hints(types: tuple[tuple[str, object], ...], env: TypeEnv, sol: Solution,
@@ -405,7 +385,7 @@ def discharge(po: PO, *, budget: int = 200_000,
         if res.ill_sorted:
             return done("Unknown", note=f"ill-sorted term: {res.ill_sorted}",
                         cause="ill_sorted")
-        return done("Proved", _linked(po))
+        return done("Proved", _labels(po, _slice(po, po.pool)))
     if res.solutions:
         witness = _ground(po.types, _type_env(po.carriers), res.solutions[0], hints)
         if witness is not None and _holds(query, witness):

@@ -1,9 +1,9 @@
 """How the verifier discharges INV obligations.
 
 Goal conjuncts the hypotheses already state are not negated; the rest are
-refuted group by group with the carriers left free, and only when that
-fails is the query solved with the carriers pinned and every invariant
-assumed.
+refuted in one query, against the hypotheses linked to them, with the
+carriers left free.  Only when that fails is the query solved with the
+carriers pinned and every invariant assumed.
 """
 from importlib import resources
 
@@ -59,6 +59,43 @@ def test_a_proof_is_refuted_again_from_only_the_invariants_it_records(name):
         pool = dict(r.po.pool)
         res = solve(conj([r.po.fixed, r.po.neg_goal] + [pool[label] for label in r.hyps_used]))
         assert res.unsat and not res.ill_sorted, r.po.po_id
+
+
+# Once the carrier is set aside, the three conjuncts of inv1 share no
+# variable: each primed one is linked only to its own action.
+SWAP = """\
+machine swap
+context
+  pos = {a, b}
+end
+variables
+  x : pos
+  y : pos
+  s : stype(pos)
+end
+invariants
+  inv1: x in pos & y in pos & subset(s, pos)
+  inv2: x neq y
+end
+init
+  act1: x := a
+  act2: y := b
+  act3: s := {}
+end
+event swap
+  then
+    act1: x := y
+    act2: y := x
+    act3: s := {}
+end
+"""
+
+
+def test_a_goal_of_unlinked_conjuncts_is_proved_carrier_free_in_one_query():
+    results = verifier.verify_machine(parse_machine(SWAP))
+    assert [r.status for r in results] == ["Proved"] * 4
+    assert [(r.po.po_id, r.stage) for r in results if r.po.kind == "INV"] == [
+        ("swap/swap/inv1/INV", "carrier_free"), ("swap/swap/inv2/INV", "carrier_free")]
 
 
 def test_gears_over_five_members_is_proved():

@@ -5,6 +5,7 @@ from setsolve.formulas import And, C, Constraint, TrueF
 from setsolve.machines import MachineError, WDOcc, parse_machine
 from setsolve.parser import ParseError
 from setsolve.terms import Atom, Int, Interval, Var
+from setsolve.verifier import verify_machine
 
 _HEAD = """\
 machine m
@@ -62,6 +63,42 @@ def test_wd_pre_holds_earlier_conjuncts():
     assert occ.site == "grd1"
     assert occ.pre == C("in", Var("p"), Var("s"))
     assert occ.apply == C("applyTo", Var("f"), Var("p"), Var("m1"))
+
+
+_BUMP = """\
+machine bump
+context
+  pos = {a, b}
+end
+variables
+  g : stype([pos, int])
+end
+invariants
+  inv1: pfun(g) & dom(g, pos)
+end
+init
+  act1: g := cp(pos, {0})
+end
+event bump
+  any p
+  where
+    grd1: p in pos & (g(p) + 1) > 0
+  then
+    act1: g(p) := 1
+end
+"""
+
+
+def test_a_parenthesised_integer_expression_lifts_its_application_once():
+    # ``(g(p) + 1)`` is first read as a formula, which lifts ``g(p)``;
+    # the backtrack to an integer expression must drop that lift.
+    m = parse_machine(_BUMP)
+    (g,) = m.event("bump").guards
+    lift = C("applyTo", Var("g"), Var("p"), Var("m1"))
+    assert g.formula == And((C("in", Var("p"), Var("pos")), lift,
+                             C("lt", Int(0), ABin("+", Var("m1"), Int(1)))))
+    assert [occ.apply for occ in g.wd] == [lift]
+    assert [r.status for r in verify_machine(m)] == ["Proved"] * 3
 
 
 def test_fold_merges_defining_equality():

@@ -2,6 +2,9 @@
 import random
 
 import pytest
+from conftest import certify
+from setsolve.arith import ABin
+from setsolve.engine import solve
 from setsolve.formulas import And, C, Constraint, Implies, Neg, Or, PredCall, conj, disj
 from setsolve.parser import ParseError, Parser, parse_formula, parse_program
 from setsolve.printer import pp_formula, pp_term
@@ -56,6 +59,12 @@ def test_infix_comparisons_desugar():
     assert parse_formula("X > 3") == C("lt", Int(3), Var("X"))
     assert parse_formula("X neq Y") == C("neq", Var("X"), Var("Y"))
     assert parse_formula("X nin Y") == C("nin", Var("X"), Var("Y"))
+
+
+def test_a_parenthesised_integer_expression_backtracks_to_a_comparison():
+    f = parse_formula("(X + 1) < 3 & X > 0")
+    assert f == And((C("lt", ABin("+", Var("X"), Int(1)), Int(3)), C("lt", Int(0), Var("X"))))
+    certify(f, solve(f))
 
 
 def test_constraints_and_calls():

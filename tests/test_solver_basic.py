@@ -61,6 +61,9 @@ def test_disequality(run):
                          ("N neq 0 & a in N", "N = {a/_N1}, a nin _N1"),
                          ("X = int(1, N) & N neq {}", "X = int(1,N)")]:
         assert cli._answer_line(sat(run, text).solutions[0]) == answer
+    # A listed set against an ur-element holds outright, whatever it lists.
+    for text in ["{X} neq a", "{X / T} neq 1"]:
+        assert cli._answer_line(sat(run, text).solutions[0]) == "Sat."
     # X = {a / D} shows the tail D to be a set, so D neq E splits on an
     # element of one side that the other lacks instead of parking.
     res = sat(run, "X = {a / D} & D neq E", max_solutions=10)
@@ -157,6 +160,10 @@ def test_disjointness(run):
     sat(run, "ndisj({1,2}, {2,3})")
     unsat(run, "ndisj({1}, {2})")
     unsat(run, "ndisj(A, A) & A = {}")
+    # Over a variable, ndisj asks for an element of both; so does a negated
+    # disj.
+    for text in ["ndisj(A, {a})", "neg(disj(A, {a / B}))"]:
+        assert cli._answer_line(sat(run, text).solutions[0]) == "A = {a/_N2}, a nin _N2"
 
 
 def test_inclusion(run):

@@ -3,10 +3,9 @@
 Step counts are the machine-independent cost of a search.  A change to the
 solver core that is meant to be a pure speedup must leave every one of them
 as it is; a change to the search order moves them on purpose, and re-pins
-them here to exact values.  Each INV obligation of the corpus is proved by
-one query per group of goal conjuncts with the carriers left free, and each
-WD obligation by one query for its negated goal, so neither count grows
-with the carrier.
+them here to exact values.  Each INV and WD obligation of the corpus is proved
+by one query for its negated goal with the carriers left free, so neither
+count grows with the carrier.
 
 The store parks each residual constraint once: ``pfun``, ``applyTo`` and
 ``foplus`` each post the same "x is not in the domain" constraint, and a
@@ -116,6 +115,13 @@ WD count on purpose, ``gears`` from 66 steps to 28 and ``doors`` from 171
 to 76, and the pinned query no longer runs for them.  The pinned ``gears``
 search grew with the carrier, 38 steps over 2 members and 212 over 6; the
 carrier-free one takes 28 at every size.  No INIT or INV count moved.
+
+An INV obligation's negated goal is refuted in one query, against the
+hypotheses linked to any of its conjuncts, instead of one query per group of
+conjuncts that share variables.  No corpus count moved, since each corpus
+goal is one group.  ``SWAP_STEPS`` pins a goal of three unlinked conjuncts:
+its three queries took 3, 3 and 2 steps, and the one query takes 18, since
+each branch of the negated conjunction also carries the other two slices.
 """
 import pytest
 from setsolve import verifier
@@ -125,12 +131,13 @@ from setsolve.formulas import C
 from setsolve.machines import parse_machine
 from setsolve.parser import parse_formula
 from setsolve.terms import EMPTY, Atom, Pair, Var, VarGen, mkset
+from test_discharge import SWAP
 
 EXAMPLE_STEPS = [148, 62, 35, 12, 3]
 
-# Steps of every solve call in a PO's discharge: one per carrier-free goal
-# group of an INV obligation or one for the negated goal of a WD, then one
-# for the pinned query if needed.
+# Steps of every solve call in a PO's discharge: one carrier-free query for
+# the negated goal of an INV or WD obligation, then one for the pinned query
+# if needed.
 PO_STEPS = {
     "gears_intermediate/INIT/inv1": [12],
     "gears_intermediate/INIT/inv2": [25],
@@ -231,6 +238,14 @@ def test_gears_inv_steps_do_not_depend_on_the_carrier(cases, monkeypatch, member
     assert {k: v for k, v in got.items() if k.endswith(("/INV", "/WD"))} == {
         k: v for k, v in PO_STEPS.items()
         if k.startswith("gears/") and k.endswith(("/INV", "/WD"))}
+
+
+SWAP_STEPS = {"swap/swap/inv1/INV": [18], "swap/swap/inv2/INV": [4]}
+
+
+def test_a_goal_of_unlinked_conjuncts_takes_one_carrier_free_query(monkeypatch):
+    got = _po_steps(parse_machine(SWAP), monkeypatch)
+    assert {k: v for k, v in got.items() if k.endswith("/INV")} == SWAP_STEPS
 
 
 @pytest.mark.parametrize("name", ["gears_intermediate.smch", "gears.smch", "doors.smch"])
