@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import sys
 from typing import Optional
@@ -47,7 +48,7 @@ class _Timeout(Exception):
 
 def _with_timeout(seconds: Optional[float], thunk):
     """Run ``thunk`` under a wall-clock limit; None means no limit."""
-    if not seconds:
+    if seconds is None:
         return thunk()
 
     def alarm(signum, frame):
@@ -296,12 +297,37 @@ def cmd_animate(ns) -> int:
     return OK
 
 
+def _budget(text: str) -> int:
+    """A ``--budget``: a whole number of rewrite steps, 0 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"a budget is a whole number of steps, 0 or more, not {text!r}")
+    return n
+
+
+def _seconds(text: str) -> float:
+    """A ``--timeout``: seconds above 0 and at most 1e9 (the interval timer
+    takes at most 2**63 ns, about 9.2e9 s)."""
+    try:
+        s = float(text)
+    except ValueError:
+        s = math.nan
+    if not 0 < s <= 1e9:
+        raise argparse.ArgumentTypeError(
+            f"a timeout is a number of seconds above 0 and at most 1e9, not {text!r}")
+    return s
+
+
 def _common_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=int, default=200_000,
+    p.add_argument("--budget", type=_budget, default=200_000,
                    help="rewrite step budget (default 200000)")
     p.add_argument("--trace", action="store_true",
                    help="log every rewrite step to stderr, one JSON object a line")
-    p.add_argument("--timeout", type=float, default=None, metavar="S",
+    p.add_argument("--timeout", type=_seconds, default=None, metavar="S",
                    help="wall clock limit in seconds")
 
 
@@ -337,7 +363,7 @@ def build_argv() -> argparse.ArgumentParser:
     p.add_argument("--po", default=None, help="check one obligation by name")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="write the machine report as JSON")
-    p.add_argument("--budget", type=int, default=200_000,
+    p.add_argument("--budget", type=_budget, default=200_000,
                    help="rewrite step budget per attempt (default 200000)")
     p.set_defaults(run=cmd_verify)
 
@@ -347,7 +373,7 @@ def build_argv() -> argparse.ArgumentParser:
                    help="trace file: one 'event param=value ...' per line")
     p.add_argument("--carriers", default=None, metavar="FILE",
                    help="values for abstract carrier sets, 'name = set' lines")
-    p.add_argument("--budget", type=int, default=200_000,
+    p.add_argument("--budget", type=_budget, default=200_000,
                    help="rewrite step budget per step (default 200000)")
     p.set_defaults(run=cmd_animate)
 

@@ -61,7 +61,7 @@ from typing import Optional
 from .formulas import (
     And, C, Constraint, Formula, Implies, KINDS, QPayload, TrueF, conj, disj,
 )
-from .parser import ParseError, Parser, Tok
+from .parser import ParseError, Parser
 from .terms import Atom, Pair, Term, Var, mkset
 from .typecheck import TBasic, TEnum, TSet
 
@@ -194,23 +194,26 @@ class _MParser(Parser):
         self.site = ""
         self.lift_vars: set[str] = set()
         self.m_counter = 0
-        self.words = {t.val for t in self.toks}  # a lifted name is none of these
+        self.words = set(self.toks)  # a lifted name is none of these
         self.in_init = False
 
-    def name_tok(self, what: str) -> Tok:
-        t = self.next()
-        if t.kind != "atom":
-            raise MachineError(f"expected {what}, found {t.val!r}", t.line, t.col)
-        return t
+    def name_tok(self, what: str) -> int:
+        """Read a word; its index, for the errors it may cause."""
+        k = self.i
+        if not self.is_atom(self.toks[k]):
+            raise self.err(f"expected {what}, found {self.toks[k]!r}")
+        self.i += 1
+        return k
 
-    def declare(self, t: Tok, what: str) -> str:
-        if t.val in _RESERVED:
-            raise MachineError(f"{t.val!r} is reserved and cannot name a {what}",
-                               t.line, t.col)
-        if t.val.endswith("_"):
-            raise MachineError("names ending in _ are reserved for next-state "
-                               "variables", t.line, t.col)
-        return t.val
+    def declare(self, k: int, what: str) -> str:
+        """The name that word ``k`` declares."""
+        name = self.toks[k]
+        if name in _RESERVED:
+            raise self.err(f"{name!r} is reserved and cannot name a {what}", k)
+        if name.endswith("_"):
+            raise self.err("names ending in _ are reserved for next-state "
+                           "variables", k)
+        return name
 
     # scope
 
@@ -221,14 +224,6 @@ class _MParser(Parser):
             if name in s:
                 return True
         return False
-
-    def resolve(self, t: Tok) -> Term:
-        if t.val.endswith("_"):
-            raise MachineError("names ending in _ are reserved for next-state "
-                               "variables", t.line, t.col)
-        if self.in_scope(t.val):
-            return Var(t.val)
-        return Atom(t.val)
 
     def fresh_m(self) -> str:
         while True:
@@ -249,12 +244,11 @@ class _MParser(Parser):
         init: list[Action] = []
         events: list[Event] = []
         seen: set[str] = set()
-        while self.peek().kind != "eof":
-            t = self.peek()
-            if t.val in ("context", "variables", "invariants", "init"):
-                if t.val in seen:
-                    raise MachineError(f"duplicate {t.val} block", t.line, t.col)
-                seen.add(t.val)
+        while t := self.toks[self.i]:
+            if t in ("context", "variables", "invariants", "init"):
+                if t in seen:
+                    raise self.err(f"duplicate {t} block")
+                seen.add(t)
             if self.at("context"):
                 self.next()
                 carriers.extend(self.context_block())
@@ -277,25 +271,26 @@ class _MParser(Parser):
                 self.next()
                 events.append(self.event_block({e.name for e in events}))
             else:
-                raise self.err(f"unexpected {t.val!r} at machine level")
+                raise self.err(f"unexpected {t!r} at machine level")
+        # These are found at the end of the input, and reported there.
         if not variables:
-            raise MachineError("machine has no variables block")
+            raise self.err("machine has no variables block")
         if not init:
-            raise MachineError("machine has no init block")
+            raise self.err("machine has no init block")
         assigned = {a.writes for a in init}
         missing = [v.name for v in variables if v.name not in assigned]
         if missing:
-            raise MachineError(f"init does not assign {', '.join(missing)}")
+            raise self.err(f"init does not assign {', '.join(missing)}")
         return Machine(name, tuple(carriers), tuple(variables),
                        tuple(invariants), tuple(init), tuple(events))
 
     def context_block(self) -> list[Carrier]:
         out: list[Carrier] = []
         while not self.at("end"):
-            t = self.name_tok("a carrier name")
-            name = self.declare(t, "carrier")
+            k = self.name_tok("a carrier name")
+            name = self.declare(k, "carrier")
             if name in self.carriers or name in self.mvars:
-                raise MachineError(f"duplicate name {name!r}", t.line, t.col)
+                raise self.err(f"duplicate name {name!r}", k)
             members: Optional[tuple[str, ...]] = None
             if self.at("="):
                 self.next()
@@ -304,11 +299,9 @@ class _MParser(Parser):
                     lambda: self.declare(self.name_tok("a member"), "member"))
                 self.expect("}")
                 if len(elems) < 2:
-                    raise MachineError("a carrier needs at least two members",
-                                       t.line, t.col)
+                    raise self.err("a carrier needs at least two members", k)
                 if len(set(elems)) != len(elems):
-                    raise MachineError("carrier members must be distinct",
-                                       t.line, t.col)
+                    raise self.err("carrier members must be distinct", k)
                 members = tuple(elems)
             self.carriers[name] = members
             out.append(Carrier(name, members))
@@ -318,10 +311,10 @@ class _MParser(Parser):
     def variables_block(self) -> list[MachineVar]:
         out: list[MachineVar] = []
         while not self.at("end"):
-            t = self.name_tok("a variable name")
-            name = self.declare(t, "variable")
+            k = self.name_tok("a variable name")
+            name = self.declare(k, "variable")
             if name in self.mvars or name in self.carriers:
-                raise MachineError(f"duplicate name {name!r}", t.line, t.col)
+                raise self.err(f"duplicate name {name!r}", k)
             ty = None
             if self.at(":"):
                 self.next()
@@ -348,32 +341,30 @@ class _MParser(Parser):
         try:
             while not self.at("end"):
                 label = self.label(labels)
-                out.append(self.action(label, primed=False))
+                k = self.i
+                a = self.action(label, primed=False)
+                if any(b.writes == a.writes for b in out):
+                    raise self.err(f"init assigns {a.writes} twice", k)
+                out.append(a)
         finally:
             self.in_init = False
         self.expect("end")
-        seen: set[str] = set()
-        for a in out:
-            if a.writes in seen:
-                raise MachineError(f"init assigns {a.writes} twice")
-            seen.add(a.writes)
         return out
 
     def event_block(self, taken: set[str]) -> Event:
-        t = self.name_tok("an event name")
-        name = self.declare(t, "event")
+        k = self.name_tok("an event name")
+        name = self.declare(k, "event")
         if name in taken:
-            raise MachineError(f"duplicate event {name!r}", t.line, t.col)
+            raise self.err(f"duplicate event {name!r}", k)
         params: list[str] = []
         if self.at("any"):
             self.next()
 
             def param() -> None:
-                p = self.name_tok("a parameter name")
-                pname = self.declare(p, "parameter")
+                k = self.name_tok("a parameter name")
+                pname = self.declare(k, "parameter")
                 if self.in_scope(pname) or pname in params:
-                    raise MachineError(f"parameter {pname!r} shadows another name",
-                                       p.line, p.col)
+                    raise self.err(f"parameter {pname!r} shadows another name", k)
                 params.append(pname)
 
             self.comma_list(param)
@@ -392,26 +383,26 @@ class _MParser(Parser):
                 self.next()
                 while not self.at("end"):
                     label = self.label(labels)
-                    actions.append(self.action(label, primed=True))
+                    k = self.i
+                    a = self.action(label, primed=True)
+                    if any(b.writes == a.writes for b in actions):
+                        raise self.err(f"event {name} assigns {a.writes} twice", k)
+                    actions.append(a)
         finally:
             self.scopes.pop()
         self.expect("end")
-        seen: set[str] = set()
-        for a in actions:
-            if a.writes in seen:
-                raise MachineError(f"event {name} assigns {a.writes} twice")
-            seen.add(a.writes)
         return Event(name, tuple(params), tuple(guards), tuple(actions))
 
     def label(self, taken: set[str]) -> str:
-        t = self.name_tok("a label")
-        if t.val in taken:
-            raise MachineError(f"duplicate label {t.val!r}", t.line, t.col)
-        if t.val in _KEYWORDS:
-            raise MachineError(f"{t.val!r} cannot be a label", t.line, t.col)
-        taken.add(t.val)
+        k = self.name_tok("a label")
+        label = self.toks[k]
+        if label in taken:
+            raise self.err(f"duplicate label {label!r}", k)
+        if label in _KEYWORDS:
+            raise self.err(f"{label!r} cannot be a label", k)
+        taken.add(label)
         self.expect(":")
-        return t.val
+        return label
 
     # --- guard and invariant bodies --------------------------------------------
 
@@ -441,18 +432,18 @@ class _MParser(Parser):
                 self.next()
                 continue
             break
-        if self.at("or", "atom") or self.at("implies", "atom"):
+        if self.at("or") or self.at("implies"):
             # The body is not a plain conjunction after all.  Applications
             # stay hoisted in front; the structure is rebuilt from the parts.
             left: Formula = conj(parts)
-            while self.at("or", "atom"):
+            while self.at("or"):
                 self.next()
                 g = self.and_formula()
                 for (c, chain) in self.drain():
                     self.occs.append(WDOcc(c, chain, TrueF(), site))
                     lifted.append(c)
                 left = disj([left, g])
-            if self.at("implies", "atom"):
+            if self.at("implies"):
                 self.next()
                 rhs = self.formula()
                 for (c, chain) in self.drain():
@@ -513,42 +504,39 @@ class _MParser(Parser):
         del self.frames[-1][frame:]
         del self.occs[occs:]
 
-    def call(self, t: Tok) -> Formula:
-        if t.kind == "atom" and t.val in KINDS and not self.in_scope(t.val) \
-                and self.peek(1).val == "(":
-            if t.val in ("dec", "foplus"):
-                raise MachineError(f"{t.val} cannot be used in a machine formula",
-                                   t.line, t.col)
+    def call(self, t: str) -> Formula:
+        k = self.i
+        if t in KINDS and not self.in_scope(t) and self.toks[k + 1] == "(":
+            if t in ("dec", "foplus"):
+                raise self.err(f"{t} cannot be used in a machine formula")
             self.next()
             self.expect("(")
             args = self.comma_list(self.aexpr)
             self.expect(")")
-            return self.constraint(t.val, args, t)
+            return self.constraint(t, args, k)
         return self.infix_constraint()
 
     def quantifier(self) -> Formula:
-        kw = self.next().val
+        kw = self.next()
         self.expect("(")
         names: list[str] = []
         if self.at("["):
             self.next()
-            t1 = self.name_tok("a binder")
+            k1 = self.name_tok("a binder")
             self.expect(",")
-            t2 = self.name_tok("a binder")
+            k2 = self.name_tok("a binder")
             self.expect("]")
-            for t in (t1, t2):
-                nm = self.declare(t, "binder")
+            for k in (k1, k2):
+                nm = self.declare(k, "binder")
                 if self.in_scope(nm) or nm in names:
-                    raise MachineError(f"binder {nm!r} shadows another name",
-                                       t.line, t.col)
+                    raise self.err(f"binder {nm!r} shadows another name", k)
                 names.append(nm)
             binder: Term = Pair(Var(names[0]), Var(names[1]))
         else:
-            t1 = self.name_tok("a binder")
-            nm = self.declare(t1, "binder")
+            k = self.name_tok("a binder")
+            nm = self.declare(k, "binder")
             if self.in_scope(nm):
-                raise MachineError(f"binder {nm!r} shadows another name",
-                                   t1.line, t1.col)
+                raise self.err(f"binder {nm!r} shadows another name", k)
             names.append(nm)
             binder = Var(nm)
         self.expect("in")
@@ -578,14 +566,20 @@ class _MParser(Parser):
         return Constraint(kw, (), q=QPayload(binder, dom, tuple(locals_),
                                              body, funcs))
 
-    def word(self, t: Tok) -> Term:
-        ref = self.resolve(t)
-        if self.at("(") and isinstance(ref, Var):
-            return self.application(ref, t)
-        if self.at("("):
-            raise MachineError(f"{t.val!r} is not a function or constraint",
-                               t.line, t.col)
-        return ref
+    def word(self, t: str) -> Term:
+        """The name in scope, or an atom; a name in scope before ``(`` is
+        applied."""
+        k = self.i - 1
+        if t.endswith("_"):
+            raise self.err("names ending in _ are reserved for next-state "
+                           "variables", k)
+        if not self.in_scope(t):
+            if self.toks[self.i] == "(":
+                raise self.err(f"{t!r} is not a function or constraint", k)
+            return Atom(t)
+        if self.toks[self.i] == "(":
+            return self.application(Var(t), k)
+        return Var(t)
 
     def sub_term(self) -> Term:
         """A term that may itself hold applications, in parentheses or not."""
@@ -594,15 +588,17 @@ class _MParser(Parser):
             raise self.err("expected a term, found an integer expression")
         return e
 
-    def application(self, fvar: Var, t: Tok) -> Var:
+    def application(self, fvar: Var, k: int) -> Var:
+        """``fvar(x)`` lifted to a fresh variable; an error is reported at
+        token ``k``, the function's name."""
         if self.in_init:
-            raise MachineError("the initialisation cannot read state through "
-                               "function application", t.line, t.col)
+            raise self.err("the initialisation cannot read state through "
+                           "function application", k)
         self.expect("(")
         arg = self.sub_term()
         if self.at(","):
-            raise MachineError("function application takes one argument; "
-                               "apply to a pair instead", t.line, t.col)
+            raise self.err("function application takes one argument; "
+                           "apply to a pair instead", k)
         self.expect(")")
         m = Var(self.fresh_m())
         c = C("applyTo", fvar, arg, m)
@@ -615,10 +611,10 @@ class _MParser(Parser):
         self.site = label
         self.frames.append([])
         self.occs = []
-        t = self.name_tok("an assignment target")
-        if t.val not in self.mvars:
-            raise MachineError(f"{t.val!r} is not a state variable", t.line, t.col)
-        target = t.val
+        k = self.name_tok("an assignment target")
+        target = self.toks[k]
+        if target not in self.mvars:
+            raise self.err(f"{target!r} is not a state variable", k)
         nxt = Var(target + "_") if primed else Var(target)
         lifted: list[Formula] = []
 
@@ -662,11 +658,7 @@ class _MParser(Parser):
 
 
 def parse_machine(text: str) -> Machine:
-    p = _MParser(text)
-    m = p.machine()
-    if p.peek().kind != "eof":
-        raise p.err(f"trailing input {p.peek().val!r}")
-    return m
+    return _MParser(text).machine()
 
 
 # --- formula assembly ---------------------------------------------------------

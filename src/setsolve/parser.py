@@ -5,14 +5,24 @@ letter or underscore are variables, everything else is an atom.  Clauses end
 with a period, ``:-`` introduces directives and clause bodies, ``?-``
 introduces queries, and ``%`` starts a line comment.
 
+The lexer is one pattern per grammar, built from its comment character and
+punctuation.  ``Parser.toks`` is the list of token strings as the text spells
+them, a string literal with its quotes, followed by ``""`` for the end.  A
+token's first character tells its class: a letter or ``_`` starts a word, a
+digit an integer, ``"`` a string, and anything else is punctuation.  Which
+words are variables, ``word_kind`` tells where the grammar asks.  A bad
+character or an unterminated string is reported before parsing starts.  The
+line and column of an error are computed only when it is raised: the first
+error of a parse runs the pattern again to find where each token starts.
+
 Machine files (``machines.py``) are written in the same constraint language,
-so ``machines._MParser`` subclasses :class:`Parser`.  The lexer (``tokenize``),
-the token helpers, types, terms, integer expressions, infix constraints and
-the ``formula``/``or_formula``/``and_formula``/``prim_formula`` chain are
+so ``machines._MParser`` subclasses :class:`Parser`.  The lexer, the token
+helpers, types, terms, integer expressions, infix constraints and the
+``formula``/``or_formula``/``and_formula``/``prim_formula`` chain are
 shared.  A subclass changes the lexical class attributes (comment character,
 punctuation, word classifier, error class) and overrides these hooks:
 
-* ``word`` turns a word token into a term (here: by case);
+* ``word`` turns a consumed word into a term (here: by case);
 * ``sub_term`` reads a term nested in a pair, set, ``cp`` or ``int``;
 * ``mark``/``reset`` save and restore the state a backtrack must undo;
 * ``call`` reads a formula that starts with a word (constraint or predicate
@@ -21,8 +31,8 @@ punctuation, word classifier, error class) and overrides these hooks:
 """
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .arith import ABin, ANeg
@@ -43,99 +53,51 @@ class ParseError(Exception):
         self.msg, self.line, self.col = msg, line, col
 
 
-@dataclass(slots=True)
-class Tok:
-    kind: str   # atom|var|int|str|punct|eof
-    val: str
-    line: int
-    col: int
-
-
 _PUNCT2 = (":-", "?-", "=<", ">=")
 _PUNCT1 = "()[]{},/=<>&.+-*?"
 
 
-# The rest of a word: ``\w`` is exactly ``str.isalnum()`` or ``_``.
-_WORD_REST = re.compile(r"\w*")
+@functools.cache
+def _lexer(comment: str, punct2: tuple[str, ...],
+           punct1: str) -> tuple[re.Pattern, re.Pattern]:
+    r"""A grammar's two patterns: blanks and comments, and one token with the
+    blanks and comments after it.
+
+    A token is a word (``\w`` after a letter or ``_``), a punctuation mark,
+    an integer (what ``int()`` reads) or a string literal with its quotes.
+    Where no token starts, at a bad character or at the end, the group
+    matches empty.  ``[^\W\d]`` also admits a numeral such as ``²``, which
+    starts no word; ``Parser.__init__`` rejects it.
+    """
+    skip = rf"[ \t\r\n]*(?:{re.escape(comment)}.*[ \t\r\n]*)*"
+    token = "|".join((
+        r"[^\W\d]\w*", *map(re.escape, punct2), f"[{re.escape(punct1)}]",
+        r"\d+", r'"[^"\\]*(?:\\[\s\S][^"\\]*)*"'))
+    return re.compile(skip), re.compile(f"({token}|){skip}")
+
+
+def _numeral(c: str) -> bool:
+    """``c`` is a numeral that is no letter and no digit ``int()`` reads."""
+    return c.isnumeric() and not (c.isalpha() or c.isdecimal())
+
+
+_ESCAPE = re.compile(r"\\(.)", re.S)
+
+
+def _unquote(lexeme: str) -> str:
+    """The value of a string literal: ``\\n`` is a newline, ``\\t`` a tab,
+    and a backslash before any other character stands for that character."""
+    return _ESCAPE.sub(lambda m: {"n": "\n", "t": "\t"}.get(m[1], m[1]),
+                       lexeme[1:-1])
 
 
 def _case_kind(word: str) -> str:
     return "var" if (word[0] == "_" or word[0].isupper()) else "atom"
 
 
-def tokenize(text: str, comment: str = "%", punct2: tuple[str, ...] = _PUNCT2,
-             punct1: str = _PUNCT1, word_kind: Callable[[str], str] = _case_kind,
-             error: type[ParseError] = ParseError) -> list[Tok]:
-    toks: list[Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    starts2 = {p[0] for p in punct2}
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_":  # the most common token first
-            j = _WORD_REST.match(text, i + 1).end()
-            word = text[i:j]
-            toks.append(Tok(word_kind(word), word, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch == comment:
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
-                               .get(text[j + 1], text[j + 1]))
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise error("unterminated string", line, col)
-            toks.append(Tok("str", "".join(out), line, col))
-            last = text.rfind("\n", i, j)
-            if last < 0:
-                col += j + 1 - i
-            else:
-                line += text.count("\n", i, j)
-                col = j - last + 1
-            i = j + 1
-            continue
-        if ch in starts2 and text[i:i + 2] in punct2:
-            toks.append(Tok("punct", text[i:i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if ch.isdecimal():  # what int() reads; "²" is a digit but no number
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            toks.append(Tok("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in punct1:
-            toks.append(Tok("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise error(f"unexpected character {ch!r}", line, col)
-    toks.append(Tok("eof", "", line, col))
-    return toks
-
+# Words that open a formula of their own: ``true``, ``false``, ``neg(...)``
+# and the quantifiers.
+_PRIM_WORDS = frozenset(("true", "false", "neg", "foreach", "exists"))
 
 # Infix constraint operators: the constraint kind, and whether the operands
 # swap (``A >= B`` is ``le(B, A)``).  The printer writes the unswapped ones.
@@ -156,51 +118,73 @@ class Parser:
     word_kind = staticmethod(_case_kind)
 
     def __init__(self, text: str):
-        self.toks = tokenize(text, self.COMMENT, self.PUNCT2, self.PUNCT1,
-                             self.word_kind, self.Error)
+        self.text = text
+        self.skip, self.lex = _lexer(self.COMMENT, self.PUNCT2, self.PUNCT1)
+        # One token string a match, and "" where no token starts: at the end,
+        # and before it at a bad character or an unterminated string.
+        self.toks = toks = self.lex.findall(text, self.skip.match(text).end())
         self.i = 0
+        bad = toks.index("")
+        if not text.isascii():  # a numeral such as "²" starts no word
+            bad = next((k for k in range(bad) if _numeral(toks[k][0])), bad)
+        if bad < len(toks) - 1:
+            c = text[self.starts[bad]]
+            raise self.err("unterminated string" if c == '"'
+                           else f"unexpected character {c!r}", bad)
 
-    def peek(self, ahead: int = 0) -> Tok:
-        # ``next`` never moves past the final eof token, so only a lookahead
-        # can run off the end.
-        try:
-            return self.toks[self.i + ahead]
-        except IndexError:
-            return self.toks[-1]
+    @functools.cached_property
+    def starts(self) -> list[int]:
+        """Where each token starts: the lexer runs again at the first error,
+        so that a backtrack over many failed readings pays for it once."""
+        found = self.lex.finditer(self.text, self.skip.match(self.text).end())
+        return [m.start() for m in found]
 
-    def next(self) -> Tok:
+    def err(self, msg: str, at: Optional[int] = None) -> ParseError:
+        """``msg`` at token ``at``, by default the current one."""
+        off = self.starts[self.i if at is None else at]
+        line = self.text.count("\n", 0, off) + 1
+        return self.Error(msg, line, off - self.text.rfind("\n", 0, off))
+
+    def peek(self) -> str:
+        return self.toks[self.i]
+
+    def next(self) -> str:
+        """The current token, after which the parser moves on, except at the
+        final ""."""
         t = self.toks[self.i]
-        if t.kind != "eof":
+        if t:
             self.i += 1
         return t
 
-    def expect(self, val: str) -> Tok:
-        t = self.next()
-        if t.val != val or t.kind not in ("punct", "atom"):
-            raise self.Error(f"expected {val!r}, found {t.val!r}", t.line, t.col)
-        return t
+    def expect(self, val: str) -> None:
+        if self.toks[self.i] != val:
+            raise self.err(f"expected {val!r}, found {self.toks[self.i]!r}")
+        self.i += 1
 
-    def at(self, val: str, kind: Optional[str] = None) -> bool:
-        t = self.toks[self.i]
-        return t.val == val and (kind is None or t.kind == kind)
+    def at(self, val: str) -> bool:
+        return self.toks[self.i] == val
+
+    def is_var(self, t: str) -> bool:
+        c = t[:1]
+        return (c.isalpha() or c == "_") and self.word_kind(t) == "var"
+
+    def is_atom(self, t: str) -> bool:
+        c = t[:1]
+        return (c.isalpha() or c == "_") and self.word_kind(t) == "atom"
 
     def comma_list(self, item: Callable[[], object]) -> list:
         """``item`` read once, and again after each comma."""
         out = [item()]
-        while self.at(","):
-            self.next()
+        while self.toks[self.i] == ",":
+            self.i += 1
             out.append(item())
         return out
 
-    def err(self, msg: str) -> ParseError:
-        t = self.peek()
-        return self.Error(msg, t.line, t.col)
-
     # --- hooks ----------------------------------------------------------------
 
-    def word(self, t: Tok) -> Term:
-        """The term a consumed word token denotes."""
-        return Var(t.val) if t.kind == "var" else Atom(t.val)
+    def word(self, t: str) -> Term:
+        """The term a consumed word denotes."""
+        return Var(t) if self.word_kind(t) == "var" else Atom(t)
 
     def sub_term(self) -> Term:
         return self.term()
@@ -214,36 +198,35 @@ class Parser:
     # --- terms and integer expressions -------------------------------------
 
     def term(self) -> Term:
-        t = self.peek()
-        if t.kind == "var":
-            self.next()
-            return self.word(t)
-        if t.kind == "int":
-            self.next()
-            return Int(int(t.val))
-        if t.kind == "str":
-            self.next()
-            return Str(t.val)
-        if t.val == "-":
-            self.next()
-            u = self.next()
-            if u.kind != "int":
-                raise self.Error("expected a number after -", u.line, u.col)
-            return Int(-int(u.val))
-        if t.val == "[":
-            return self.pair()
-        if t.val == "{":
-            return self.set_term()
-        if t.kind == "atom":
-            if t.val in ("cp", "int") and self.peek(1).val == "(":
+        i = self.i
+        t = self.toks[i]
+        c = t[:1]
+        if c.isalpha() or c == "_":
+            if (t == "cp" or t == "int") and self.toks[i + 1] == "(":
                 a, b = self._two_args()
                 try:
-                    return CP(a, b) if t.val == "cp" else Interval(a, b)
+                    return CP(a, b) if t == "cp" else Interval(a, b)
                 except IllSorted as e:
-                    raise self.Error(str(e), t.line, t.col) from None
-            self.next()
+                    raise self.err(str(e), i) from None
+            self.i = i + 1
             return self.word(t)
-        raise self.err(f"expected a term, found {t.val!r}")
+        if c.isdecimal():
+            self.i = i + 1
+            return Int(int(t))
+        if c == '"':
+            self.i = i + 1
+            return Str(_unquote(t))
+        if t == "-":
+            u = self.toks[i + 1]
+            if not u[:1].isdecimal():
+                raise self.err("expected a number after -", i + 1)
+            self.i = i + 2
+            return Int(-int(u))
+        if t == "[":
+            return self.pair()
+        if t == "{":
+            return self.set_term()
+        raise self.err(f"expected a term, found {t!r}")
 
     def _two_args(self) -> tuple[Term, Term]:
         self.next()
@@ -280,32 +263,32 @@ class Parser:
     # These three read the current token once and test its value.
     def aexpr(self):
         e = self.amul()
-        while (op := self.toks[self.i].val) == "+" or op == "-":
-            self.next()
+        while (op := self.toks[self.i]) == "+" or op == "-":
+            self.i += 1
             e = ABin(op, e, self.amul())
         return e
 
     def amul(self):
         e = self.aunary()
-        while (t := self.toks[self.i]).val == "*":
-            self.next()
+        while (t := self.toks[self.i]) == "*":
+            self.i += 1
             e = ABin("*", e, self.aunary())
-        if (t.val == "div" or t.val == "mod") and t.kind == "atom":
-            raise self.err(f"'{t.val}' is not supported: integer "
+        if t == "div" or t == "mod":
+            raise self.err(f"'{t}' is not supported: integer "
                            f"expressions use +, - and *")
         return e
 
     def aunary(self):
-        val = self.toks[self.i].val
-        if val == "-":
-            nxt = self.peek(1)
-            if nxt.kind == "int":
+        t = self.toks[self.i]
+        if t == "-":
+            nxt = self.toks[self.i + 1]
+            if nxt[:1].isdecimal():
                 self.i += 2
-                return Int(-int(nxt.val))
-            self.next()
+                return Int(-int(nxt))
+            self.i += 1
             return ANeg(self.aunary())
-        if val == "(":
-            self.next()
+        if t == "(":
+            self.i += 1
             e = self.aexpr()
             self.expect(")")
             return e
@@ -314,67 +297,69 @@ class Parser:
     # --- types --------------------------------------------------------------
 
     def type_expr(self):
-        t = self.peek()
-        if t.kind == "var":
-            self.next()
-            return TNameVar(t.val)
-        if self.at("["):
-            self.next()
+        k = self.i
+        t = self.toks[k]
+        if self.is_var(t):
+            self.i += 1
+            return TNameVar(t)
+        if t == "[":
+            self.i += 1
             parts = self.comma_list(self.type_expr)
             self.expect("]")
             if len(parts) < 2:
-                raise self.Error("product type needs at least two components",
-                                 t.line, t.col)
+                raise self.err("product type needs at least two components", k)
             return TProd(tuple(parts))
-        if t.kind != "atom":
-            raise self.err(f"expected a type, found {t.val!r}")
-        self.next()
+        if not self.is_atom(t):
+            raise self.err(f"expected a type, found {t!r}")
+        self.i += 1
         if self.at("?"):
-            raise self.Error("ur-element types are not supported", t.line, t.col)
-        if t.val == "int":
+            raise self.err("ur-element types are not supported", k)
+        if t == "int":
             return TInt()
-        if t.val == "str":
+        if t == "str":
             return TStr()
-        if t.val == "etype":
+        if t == "etype":
             self.expect("(")
             self.expect("[")
             members = self.comma_list(self._atom_name)
             self.expect("]")
             self.expect(")")
             if len(members) < 2:
-                raise self.Error("etype needs at least two members", t.line, t.col)
+                raise self.err("etype needs at least two members", k)
             return TEnum(tuple(members))
-        if t.val == "stype":
+        if t == "stype":
             self.expect("(")
             inner = self.type_expr()
             self.expect(")")
             return TSet(inner)
-        return TBasic(t.val)
+        return TBasic(t)
 
     def _atom_name(self) -> str:
-        t = self.next()
-        if t.kind != "atom":
-            raise self.Error(f"expected an atom, found {t.val!r}", t.line, t.col)
-        return t.val
+        t = self.toks[self.i]
+        if not self.is_atom(t):
+            raise self.err(f"expected an atom, found {t!r}")
+        self.i += 1
+        return t
 
     def _local_name(self) -> str:
-        t = self.next()
-        if t.kind != "var":
-            raise self.Error("locals must be variables", t.line, t.col)
-        return t.val
+        t = self.toks[self.i]
+        if not self.is_var(t):
+            raise self.err("locals must be variables")
+        self.i += 1
+        return t
 
     # --- formulas -------------------------------------------------------------
 
     def formula(self) -> Formula:
         left = self.or_formula()
-        if self.at("implies", "atom"):
+        if self.at("implies"):
             self.next()
             return Implies(left, self.formula())
         return left
 
     def or_formula(self) -> Formula:
         parts = [self.and_formula()]
-        while self.at("or", "atom"):
+        while self.at("or"):
             self.next()
             parts.append(self.and_formula())
         return disj(parts) if len(parts) > 1 else parts[0]
@@ -387,24 +372,24 @@ class Parser:
         return conj(parts) if len(parts) > 1 else parts[0]
 
     def prim_formula(self) -> Formula:
-        t = self.peek()
-        if t.kind == "atom":
-            opens = self.peek(1).val == "("
-            if t.val == "true" and not opens:
+        t = self.toks[self.i]
+        if t in _PRIM_WORDS:
+            opens = self.toks[self.i + 1] == "("
+            if t == "true" and not opens:
                 self.next()
                 return TrueF()
-            if t.val == "false" and not opens:
+            if t == "false" and not opens:
                 self.next()
                 return FalseF()
-            if t.val == "neg" and opens:
+            if t == "neg" and opens:
                 self.next()
                 self.expect("(")
                 f = self.formula()
                 self.expect(")")
                 return Neg(f)
-            if t.val in ("foreach", "exists") and opens:
+            if t in ("foreach", "exists") and opens:
                 return self.quantifier()
-        if self.at("("):
+        if t == "(":
             # A parenthesis can open a formula or an integer expression;
             # backtrack if the formula reading fails.
             save = self.mark()
@@ -412,25 +397,26 @@ class Parser:
                 self.next()
                 f = self.formula()
                 self.expect(")")
-                if self._at_infix():
-                    raise self.Error("backtrack", t.line, t.col)
+                if self.toks[self.i] in INFIX_OPS:
+                    raise self.Error("backtrack")
                 return f
             except ParseError:
                 self.reset(save)
                 return self.infix_constraint()
         return self.call(t)
 
-    def call(self, t: Tok) -> Formula:
+    def call(self, t: str) -> Formula:
         """``dec``, a constraint or a predicate call; failing those, an
         infix constraint."""
-        if t.kind != "atom":
+        if not self.is_atom(t):
             return self.infix_constraint()
-        if self.peek(1).val != "(":
-            if self._tok_infix(self.peek(1)):
+        k = self.i
+        if self.toks[k + 1] != "(":
+            if self.toks[k + 1] in INFIX_OPS:
                 return self.infix_constraint()
             self.next()
-            return PredCall(t.val, ())
-        if t.val == "dec":
+            return PredCall(t, ())
+        if t == "dec":
             self.next()
             self.expect("(")
             v = self.term()
@@ -438,61 +424,52 @@ class Parser:
             ty = self.type_expr()
             self.expect(")")
             if not isinstance(v, Var):
-                raise self.Error("dec needs a variable", t.line, t.col)
+                raise self.err("dec needs a variable", k)
             return Constraint("dec", (v, ty))
-        if t.val in ("cp", "int"):
+        if t in ("cp", "int"):
             return self.infix_constraint()
-        save = self.i
-        name = self.next().val
+        self.next()
         self.expect("(")
         args = self.comma_list(self.aexpr)
         self.expect(")")
-        if self._at_infix():
+        if self.toks[self.i] in INFIX_OPS:
             # It was a term after all (no term functors exist, so the
             # only legal reading is an error further up).
-            self.i = save
+            self.i = k
             return self.infix_constraint()
-        if name in KINDS:
-            return self.constraint(name, args, t)
-        return PredCall(name, tuple(args))
+        if t in KINDS:
+            return self.constraint(t, args, k)
+        return PredCall(t, tuple(args))
 
-    def constraint(self, kind: str, args: list, t: Tok) -> Constraint:
+    def constraint(self, kind: str, args: list, at: int) -> Constraint:
         """``kind(args)``, after checking its arity and that integer
-        expressions stand only in the integer positions of its signature."""
+        expressions stand only in the integer positions of its signature;
+        an error is reported at token ``at``."""
         if ARITY.get(kind) != len(args):
-            raise self.Error(f"{kind} takes {ARITY.get(kind)} arguments",
-                             t.line, t.col)
+            raise self.err(f"{kind} takes {ARITY.get(kind)} arguments", at)
         for i, a in enumerate(args):
             if not isinstance(a, Term) and i not in INT_POS[kind]:
-                raise self.Error(f"argument {i + 1} of {kind} must be a term, "
-                                 "not an integer expression", t.line, t.col)
+                raise self.err(f"argument {i + 1} of {kind} must be a term, "
+                               "not an integer expression", at)
         return Constraint(kind, tuple(args))
 
-    def _tok_infix(self, t: Tok) -> bool:
-        return t.val in INFIX_OPS and t.kind in ("punct", "atom")
-
-    def _at_infix(self) -> bool:
-        return self._tok_infix(self.peek())
-
     def infix_constraint(self) -> Formula:
-        t = self.peek()
+        k = self.i
         a = self.aexpr()
-        op = self.peek()
-        if not self._at_infix():
-            raise self.Error(f"expected a constraint operator, found {op.val!r}",
-                             op.line, op.col)
-        self.next()
+        op = self.toks[self.i]
+        if op not in INFIX_OPS:
+            raise self.err(f"expected a constraint operator, found {op!r}")
+        self.i += 1
         b = self.aexpr()
-        kind, swap = INFIX_OPS[op.val]
+        kind, swap = INFIX_OPS[op]
         if swap:
             a, b = b, a
         if kind == "is" and not isinstance(a, Term):
-            raise self.Error("the left side of is must be a variable or number",
-                             t.line, t.col)
-        return self.constraint(kind, [a, b], t)
+            raise self.err("the left side of is must be a variable or number", k)
+        return self.constraint(kind, [a, b], k)
 
     def quantifier(self) -> Formula:
-        kw = self.next().val
+        kw = self.next()
         self.expect("(")
         if self.at("["):
             binder: Term = self.pair()
@@ -500,10 +477,11 @@ class Parser:
                     and isinstance(binder.second, Var)):
                 raise self.err("quantifier pattern must be a pair of variables")
         else:
-            t = self.next()
-            if t.kind != "var":
-                raise self.Error("quantifier needs a variable", t.line, t.col)
-            binder = Var(t.val)
+            t = self.toks[self.i]
+            if not self.is_var(t):
+                raise self.err("quantifier needs a variable")
+            self.i += 1
+            binder = Var(t)
         self.expect("in")
         dom = self.term()
         self.expect(",")
@@ -533,8 +511,8 @@ class Parser:
         pred_types: dict = {}
         type_defs: dict = {}
         queries: list[Formula] = []
-        while self.peek().kind != "eof":
-            t = self.peek()
+        while self.toks[self.i]:
+            k = self.i
             if self.at(":-"):
                 self.next()
                 self.directive(pred_types, type_defs)
@@ -548,15 +526,15 @@ class Parser:
             cl = self.clause()
             key = (cl.name, len(cl.params))
             if key in clauses:
-                raise self.Error(f"duplicate clause for {cl.name}/{len(cl.params)}",
-                                 t.line, t.col)
+                raise self.err(f"duplicate clause for {cl.name}/{len(cl.params)}", k)
             clauses[key] = cl
             self.expect(".")
         return Program(clauses, pred_types, type_defs, queries)
 
     def directive(self, pred_types: dict, type_defs: dict) -> None:
-        t = self.next()
-        if t.val == "dec_p_type" and t.kind == "atom":
+        t = self.toks[self.i]
+        if t == "dec_p_type":
+            self.next()
             self.expect("(")
             name = self._atom_name()
             self.expect("(")
@@ -565,7 +543,8 @@ class Parser:
             self.expect(")")
             pred_types[(name, len(sig))] = tuple(sig)
             return
-        if t.val == "def_type" and t.kind == "atom":
+        if t == "def_type":
+            self.next()
             self.expect("(")
             name = self._atom_name()
             self.expect(",")
@@ -573,25 +552,25 @@ class Parser:
             self.expect(")")
             type_defs[name] = ty
             return
-        raise self.Error(f"unknown directive {t.val!r}", t.line, t.col)
+        raise self.err(f"unknown directive {t!r}")
 
     def clause(self) -> Clause:
-        t = self.next()
-        if t.kind != "atom":
-            raise self.Error(f"expected a clause head, found {t.val!r}", t.line, t.col)
-        name = t.val
+        name = self.toks[self.i]
+        if not self.is_atom(name):
+            raise self.err(f"expected a clause head, found {name!r}")
+        self.next()
         params: list[str] = []
         if self.at("("):
             self.next()
 
             def param() -> None:
-                p = self.next()
-                if p.kind != "var":
-                    raise self.Error("clause parameters must be distinct variables",
-                                     p.line, p.col)
-                if p.val in params:
-                    raise self.Error(f"duplicate parameter {p.val}", p.line, p.col)
-                params.append(p.val)
+                p = self.toks[self.i]
+                if not self.is_var(p):
+                    raise self.err("clause parameters must be distinct variables")
+                if p in params:
+                    raise self.err(f"duplicate parameter {p}")
+                self.i += 1
+                params.append(p)
 
             self.comma_list(param)
             self.expect(")")
@@ -607,8 +586,8 @@ def parse_formula(text: str) -> Formula:
     f = p.formula()
     if p.at("."):
         p.next()
-    if p.peek().kind != "eof":
-        raise p.err(f"trailing input {p.peek().val!r}")
+    if p.peek():
+        raise p.err(f"trailing input {p.peek()!r}")
     return f
 
 
@@ -619,6 +598,6 @@ def parse_program(text: str) -> Program:
 def parse_term(text: str) -> Term:
     p = Parser(text)
     t = p.term()
-    if p.peek().kind != "eof":
-        raise p.err(f"trailing input {p.peek().val!r}")
+    if p.peek():
+        raise p.err(f"trailing input {p.peek()!r}")
     return t

@@ -521,6 +521,24 @@ def test_solve_past_its_timeout_is_unknown(capsys):
     assert capsys.readouterr().out == "Unknown.\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--timeout", "nan", "-e", "X = 1"], "--timeout: a timeout is"),
+    (["solve", "--timeout", "inf", "-e", "X = 1"], "--timeout: a timeout is"),
+    (["prove", "--timeout", "-1", "-e", "X = 1"], "--timeout: a timeout is"),
+    (["solve", "--timeout", "0", "-e", "X = 1"], "--timeout: a timeout is"),
+    (["solve", "--timeout", "1e10", "-e", "X = 1"], "--timeout: a timeout is"),
+    (["solve", "--budget", "-5", "-e", "X = 1"], "--budget: a budget is"),
+    (["verify", "--budget", "-5", GEARS], "--budget: a budget is"),
+    (["animate", "--budget", "-5", "--trace", "t.txt", GEARS], "--budget: a budget is"),
+])
+def test_a_timeout_or_budget_out_of_range_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as ei:
+        cli.main(argv)
+    assert ei.value.code == cli.USAGE
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
+
+
 @pytest.mark.parametrize("cmd, code, out", [
     ("solve", cli.REFUTED, "-- query 1\nX = 1\n-- query 2\nUnsat.\n"),
     ("prove", cli.REFUTED,

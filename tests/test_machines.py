@@ -169,6 +169,26 @@ def test_machine_error_is_a_parse_error_with_a_line():
     assert ei.value.line == 10 and ei.value.col > 0
 
 
+@pytest.mark.parametrize("text, message", [
+    (_HEAD + 'invariants\n  inv1: n = 0 & "a\nb" = "c" & )\nend\n' + _INIT,
+     "11:12: expected a term, found ')'"),
+    (_HEAD + "invariants\n\tinv1: n = = 0\nend\n" + _INIT,
+     "10:12: expected a term, found '='"),
+    ((_HEAD + "invariants\n  inv1: n = 0\n  inv2: n = = 0\nend\n" + _INIT)
+     .replace("\n", "\r\n"), "11:13: expected a term, found '='"),
+    (_HEAD + _INIT[:-len("end\n")], "12:1: expected a label, found ''"),
+    (_HEAD, "9:1: machine has no init block"),
+    # The lexer runs first, so its error wins over an earlier syntax error.
+    (_HEAD + "invariants\n  inv1: n = = 0\nend\n" + _INIT + "# $\nevent e\n $",
+     "18:2: unexpected character '$'"),
+    (_HEAD + 'invariants\n  inv1: n = "a\\', "10:13: unterminated string"),
+])
+def test_error_positions(text, message):
+    with pytest.raises(MachineError) as ei:
+        parse_machine(text)
+    assert str(ei.value) == message
+
+
 
 @pytest.mark.parametrize("invariant, first", [
     ("n in int(0, 3)", C("in", Var("n"), Interval(Int(0), Int(3)))),

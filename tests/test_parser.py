@@ -18,7 +18,7 @@ from test_groundeval import rnd_constraint, rnd_term
 def term(text):
     p = Parser(text)
     t = p.term()
-    assert p.peek().kind == "eof"
+    assert p.peek() == ""
     return t
 
 
@@ -35,6 +35,7 @@ def test_term_shapes():
     assert term("start_GearExtend") == Atom("start_GearExtend")
     assert term("Upper") == Var("Upper")
     assert term("_X1") == Var("_X1")
+    assert term("é²") == Atom("é²")
 
 
 def test_nested_set_tails_merge():
@@ -121,6 +122,24 @@ def test_a_string_over_two_lines_moves_the_position_to_the_second():
     with pytest.raises(ParseError) as e:
         parse_program('?- X = "a\nb" & Y = $.')
     assert str(e.value) == "2:10: unexpected character '$'"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('?- X = "a\nb" & Y = = 1.', "2:10: expected a term, found '='"),
+    ("?-\tX = = 1.", "1:8: expected a term, found '='"),
+    ("?- X = 1.\r\n?- Y = = 1.", "2:8: expected a term, found '='"),
+    ("p(X) :- X = 1", "1:14: expected '.', found ''"),
+    ("p(X) :- X = 1 % done", "1:21: expected '.', found ''"),
+    # The lexer runs first, so its error wins over an earlier syntax error.
+    ("?- X = = 1.\n?- Y = $.", "2:8: unexpected character '$'"),
+    ('?- X = "ab\\', "1:8: unterminated string"),
+    # A numeral that is no letter starts no word; a letter that is a numeral does.
+    ("?- X = 一二 & Y = Ⅷ.", "1:17: unexpected character 'Ⅷ'"),
+])
+def test_error_positions(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_program(text)
+    assert str(e.value) == message
 
 
 def test_comments_are_ignored():
