@@ -71,6 +71,28 @@ variable passes the bits on.  ``facts`` only grows, since a sort once shown
 holds on the branch, so a pop has nothing to undo; a clone copies it,
 since one ``or`` alternative says nothing of its sibling.
 
+Each store also keeps ``outputs``, an index of functional outputs.
+``un``, ``comp``, ``dom``, ``ran``, ``inv`` and ``id`` are total functions
+of their inputs, their output the last argument (``formulas.FUNCTIONAL``),
+so ``F(x, y1) & F(x, y2)`` is ``F(x, y1) & y2 = y1``: the simpagation rule
+of Constraint Handling Rules.  When ``enqueue`` meets ``F(in, y)`` whose
+inputs are all unbound variables, keyed by ``F`` and their names (``un``'s
+two sorted, since its inputs commute), it records ``y`` if the index holds
+no output for them; it queues ``y = y0`` in the item's place if the index
+holds a ``y0`` that differs under the substitution, and the item itself if
+it holds ``y`` again (so ``C & C`` takes the steps of ``C``).  A complement
+``nF(in, y)`` becomes ``y neq y0``; with no ``y0`` yet it is recorded, and
+the ``F`` that later fills the entry also queues ``y neq y0``.  The index
+only grows: every branch of a rewrite entails the constraint it rewrote,
+so a recorded output stays true on the branch, and a clone copies it.
+Two guards keep the sort rule below.  An output that is an ur-element (an
+atom, integer, string or pair) is neither recorded nor merged, so the
+rewrite's sort check still cuts it; nor is a product or interval, whose
+rewrite lists it again under the same inputs and must not be merged with
+its own entry.  And a bind of a variable whose ``facts`` hold ``SET`` to an
+ur-element raises ``IllSorted``, since a merge can kill a branch before the
+item that would show the ill-sorted term pops.
+
 Sorts follow one rule, read from ``formulas.SIG`` (see ``rules``): a
 non-set where a set belongs, or a non-integer where an integer belongs, is
 ill-sorted (``IllSorted``).  Such a term cuts the smallest part that holds
@@ -90,15 +112,15 @@ from typing import Optional
 from . import arith, groundeval
 from .arith import ArithStore
 from .formulas import (
-    INT_POS, SET_POS, SIG, And, Constraint, FalseF, Formula, IllFormed, Implies,
-    Neg, PredCall, Program, TrueF, all_var_names, arg_vars, expand_calls,
-    formula_vars, subst_formula,
+    COMPLEMENT, FUNCTIONAL, INT_POS, SET_POS, SIG, And, Constraint, FalseF,
+    Formula, IllFormed, Implies, Neg, PredCall, Program, TrueF, all_var_names,
+    arg_vars, expand_calls, formula_vars, subst_formula,
 )
 from .negate import nnf
 from .rules import FUN, INT, SET, Bind, rewrite
 from .terms import (
-    CP, Atom, EMPTY, EmptySet, ExtSet, IllSorted, Int, Interval, Pair, Term,
-    Var, VarGen, compose, is_ground, mkset, subst_term, term_vars,
+    CP, NON_SETS, Atom, EMPTY, EmptySet, ExtSet, IllSorted, Int, Interval, Pair,
+    Term, Var, VarGen, compose, is_ground, mkset, subst_term, term_vars,
 )
 
 
@@ -118,6 +140,12 @@ N_PRIO = 5
 SHOWS = {k: tuple((SET | FUN if k == "pfun" else SET) if i in SET_POS[k]
                   else INT if i in INT_POS[k] else 0 for i in range(len(sig)))
          for k, sig in SIG.items()}
+
+# Each functional kind and its complement, by the functional kind.
+FUNCTION_OF = {k: f for f in FUNCTIONAL for k in (f, COMPLEMENT[f])}
+# The outputs the index records and merges: a variable, ``{}`` or a listed
+# set.
+OUTPUTS = (Var, ExtSet, EmptySet)
 
 
 def _prio(item: QItem, subst: dict[str, Term] = {}) -> int:
@@ -166,8 +194,8 @@ def items_of(f: Formula) -> Optional[list[QItem]]:
 
 
 class Store:
-    __slots__ = ("subst", "binds", "queues", "parked", "facts", "arith",
-                 "gen", "sort_cuts")
+    __slots__ = ("subst", "binds", "queues", "parked", "facts", "outputs",
+                 "arith", "gen", "sort_cuts")
 
     def __init__(self, gen: VarGen):
         self.subst: dict[str, Term] = {}
@@ -175,6 +203,7 @@ class Store:
         self.queues: list[deque] = [deque() for _ in range(N_PRIO)]  # (stamp, item)
         self.parked: list[tuple[frozenset, Constraint]] = []
         self.facts: dict[str, int] = {}  # sort bits by variable, see above
+        self.outputs: dict[tuple, object] = {}  # functional outputs, see above
         self.arith = ArithStore()
         self.gen = gen
         # The ill-sorted terms that cut a branch; every clone shares the
@@ -188,17 +217,13 @@ class Store:
         s.queues = [deque(q) for q in self.queues]
         s.parked = list(self.parked)
         s.facts = dict(self.facts)
+        s.outputs = dict(self.outputs)
         s.arith = self.arith.copy()
         s.gen = self.gen
         s.sort_cuts = self.sort_cuts
         return s
 
     def enqueue(self, item: QItem, stamp: int = STALE, front: bool = False) -> None:
-        q = self.queues[_prio(item, self.subst)]
-        if front:
-            q.appendleft((stamp, item))
-        else:
-            q.append((stamp, item))
         if item.q is not None:
             self._show(item.q.domain, SET)
         for a, bits in zip(item.args, SHOWS.get(item.kind, ())):
@@ -209,6 +234,54 @@ class Store:
                         self.facts[a.name] = self.facts.get(a.name, 0) | bits
                     continue
             self._show(a, bits)
+        f = FUNCTION_OF.get(item.kind)
+        if f is not None:
+            merged = self._merge(item, f)
+            if merged is not item:
+                item, stamp = merged, self.binds
+        q = self.queues[_prio(item, self.subst)]
+        if front:
+            q.appendleft((stamp, item))
+        else:
+            q.append((stamp, item))
+
+    def _merge(self, item: Constraint, f: str) -> Constraint:
+        """What to queue for ``item``, an ``F`` or ``nF`` of the functional
+        kind ``f``, under the index of outputs (see the module docstring)."""
+        *ins, out = item.args
+        subst = self.subst
+        names = []
+        for a in ins:
+            if type(a) is Var:
+                a = subst.get(a.name, a)
+                if type(a) is Var:
+                    names.append(a.name)
+                    continue
+            return item
+        if f == "un":
+            names.sort()
+        if type(subst.get(out.name, out) if type(out) is Var else out) not in OUTPUTS:
+            return item  # an ur-element, product or interval (see above)
+        outputs, key = self.outputs, (f, *names)
+        known = outputs.get(key)
+        if known is None:
+            apart = (COMPLEMENT[f], *names)
+            if item.kind == f:
+                outputs[key] = out
+                for y in outputs.get(apart, ()):
+                    self.enqueue(Constraint("neq", (y, out)))
+            else:
+                outputs[apart] = outputs.get(apart, ()) + (out,)
+            return item
+        try:
+            y, y2 = subst_term(subst, known), subst_term(subst, out)
+        except IllSorted:
+            return item  # the rewrite's sort check cuts it
+        if type(y) not in OUTPUTS:
+            return item
+        if item.kind != f:
+            return Constraint("neq", (y2, y))
+        return item if y2 == y else Constraint("eq", (y2, y))
 
     def _show(self, a, bits: int) -> None:
         """Add ``bits`` to the facts of ``a`` if it is a variable, and show
@@ -268,6 +341,8 @@ class Store:
             t = self.subst[name] if name in facts else None
             if isinstance(t, Var):
                 facts[t.name] = facts.get(t.name, 0) | facts[name]
+            elif isinstance(t, NON_SETS) and facts[name] & SET:
+                raise IllSorted(f"not a set: {t!r}")
         keys = set(delta)
         kept = []
         for vs, c in self.parked:

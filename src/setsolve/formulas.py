@@ -51,6 +51,9 @@ SET_POS = {k: tuple(i for i, s in enumerate(sig) if isinstance(s, tuple) and s[0
 INT_POS = {k: tuple(i for i, s in enumerate(sig) if s == INT) for k, sig in SIG.items()}
 _NEGATED = {"n" + k: k for k in SIG if "n" + k in SIG}
 COMPLEMENT = _NEGATED | {k: nk for nk, k in _NEGATED.items()}
+# The kinds that are total functions of their inputs: the output is the last
+# argument.  ``un``'s two inputs commute.
+FUNCTIONAL = ("un", "comp", "dom", "ran", "inv", "id")
 # ``dec(X, type)`` is a typing directive; its second argument is a type.
 ARITY = {k: len(sig) for k, sig in SIG.items()} | {"dec": 2}
 KINDS = frozenset(ARITY) | {"foreach", "exists"}

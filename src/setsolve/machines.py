@@ -420,9 +420,11 @@ class _MParser(Parser):
         parts: list[Formula] = []
         lifted: list[Formula] = []
         while True:
-            pre = conj(list(items)) if items else TrueF()
             f = self.prim_formula()
-            for (c, chain) in self.drain():
+            drained = self.drain()
+            if drained:
+                pre = conj(list(items)) if items else TrueF()
+            for (c, chain) in drained:
                 self.occs.append(WDOcc(c, chain, pre, site))
                 items.append(c)
                 lifted.append(c)

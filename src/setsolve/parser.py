@@ -212,7 +212,7 @@ class Parser:
             return self.word(t)
         if c.isdecimal():
             self.i = i + 1
-            return Int(int(t))
+            return Int(self.number(i))
         if c == '"':
             self.i = i + 1
             return Str(_unquote(t))
@@ -221,12 +221,19 @@ class Parser:
             if not u[:1].isdecimal():
                 raise self.err("expected a number after -", i + 1)
             self.i = i + 2
-            return Int(-int(u))
+            return Int(-self.number(i + 1))
         if t == "[":
             return self.pair()
         if t == "{":
             return self.set_term()
         raise self.err(f"expected a term, found {t!r}")
+
+    def number(self, at: int) -> int:
+        """The value of the integer literal at token ``at``."""
+        try:
+            return int(self.toks[at])
+        except ValueError:  # more digits than ``int()`` converts
+            raise self.err("integer literal too long", at) from None
 
     def _two_args(self) -> tuple[Term, Term]:
         self.next()
@@ -284,7 +291,7 @@ class Parser:
             nxt = self.toks[self.i + 1]
             if nxt[:1].isdecimal():
                 self.i += 2
-                return Int(-int(nxt))
+                return Int(-self.number(self.i - 1))
             self.i += 1
             return ANeg(self.aunary())
         if t == "(":

@@ -36,6 +36,14 @@ replaces the generic guess of two fresh pairs ``[n1, n2]`` and
 one pair over ``h``, so ``r1`` can be chosen as ``r`` without that pair,
 whose domain lacks ``h``, and no answer is lost.
 
+A variable input has at most one output per functional kind on a branch
+(``un``, ``comp``, ``dom``, ``ran``, ``inv`` and ``id``; see
+``Store.outputs``): the store queues ``y2 = y1`` for a second ``dom(r, y2)``
+over a variable ``r`` instead of the constraint, and ``y2 neq y1`` for a
+``ndom(r, y2)``.  So these rules never split two outputs of one variable
+against each other; only a rule that binds an input meets a second
+constraint over it, which then holds a listed or fresh input.
+
 ``rewrite`` drops each branch that holds ``false`` or a constraint false on
 sight, and returns ``[]`` when none is left: ``t neq t``, ``x nin {x / _}``,
 ``x in {}`` and ``npair`` of a pair, exactly the forms whose own rule fails

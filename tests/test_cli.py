@@ -80,11 +80,19 @@ def test_trace_writes_one_json_object_per_step(capsys):
 
 
 def test_trace_shows_the_step_an_ill_sorted_term_cuts(capsys):
-    assert cli.main(["solve", "-e", "X = a & 1 in X", "--trace"]) == cli.REFUTED
+    assert cli.main(["solve", "-e", "X = a & X < 3", "--trace"]) == cli.REFUTED
     events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert [e["step"] for e in events] == [1, 2]
     assert events[1] == {
-        "step": 2, "kind": "in", "constraint": "1 in a", "result": "ill_sorted"}
+        "step": 2, "kind": "lt", "constraint": "a < 3", "result": "ill_sorted"}
+
+
+def test_a_bind_of_a_variable_shown_a_set_to_an_atom_cuts_at_the_bind(capsys):
+    # ``1 in X`` shows X a set when it is queued, so the bind X = a is cut
+    # before ``1 in a`` could pop.
+    assert cli.main(["solve", "-e", "X = a & 1 in X", "--trace"]) == cli.REFUTED
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert events == [{"step": 1, "kind": "eq", "constraint": "X = a", "result": 1}]
 
 
 def test_trace_shows_an_or_step_like_any_other(capsys):
@@ -98,6 +106,19 @@ def test_trace_shows_an_or_step_like_any_other(capsys):
 def test_stray_character_is_a_usage_error(machine_file, capsys):
     assert cli.main(["verify", machine_file("n >= 0 $")]) == cli.USAGE
     assert "unexpected character '$'" in capsys.readouterr().err
+
+
+LONG = "1" * 5000  # more digits than ``int()`` converts
+
+
+def test_an_integer_literal_too_long_for_int_is_a_parse_error(capsys):
+    assert cli.main(["solve", "-e", f"X = -{LONG}"]) == cli.USAGE
+    assert capsys.readouterr().err == "1:6: integer literal too long\n"
+
+
+def test_an_integer_literal_too_long_for_int_is_a_machine_error(machine_file, capsys):
+    assert cli.main(["verify", machine_file(f"n = {LONG}")]) == cli.USAGE
+    assert capsys.readouterr().err.endswith(".smch:10:13: integer literal too long\n")
 
 
 def _animate(machine, tmp_path, trace, carriers=None):
@@ -356,6 +377,10 @@ def test_copy_is_proved_from_the_invariant_it_links_to(tmp_path, capsys):
     "F = a implies npfun(F)",
     "X = a implies 3 =< X",
     "nun(1, 2, 3)",
+    # Merging the two ``un`` kills the branch before ``A = 1`` reaches them:
+    # the bind itself is cut, since A is shown a set.
+    "neg(un(A, B, C) & un(B, A, D) & C neq D & A = 1)",
+    "neg(un(A, B, C) & nun(A, B, C) & A = 1)",
 ])
 def test_prove_does_not_count_an_ill_sorted_death_as_a_proof(capsys, goal):
     # The negated goal dies of the ill-sorted {a/1} whichever way the goal
@@ -410,8 +435,9 @@ def test_insertion_mutant_counterexample_fits_the_declared_types(tmp_path, capsy
     # The answer says that the tail excludes the element it lists.
     ("X in A implies X in B", cli.REFUTED,
      "Counterexample.\nA = {X/_N1}, X nin B, X nin _N1\n"),
-    # X = a makes {a/X} ill-sorted: {a/a} is no set, so it is no model.
-    ("neg(X in {a/X})", cli.UNKNOWN, "Unknown (ungroundable).\n"),
+    # X = a makes {a/X} ill-sorted: {a/a} is no set.  The tail X is shown
+    # a set, so the bind X = a is cut.
+    ("neg(X in {a/X})", cli.UNKNOWN, "Unknown (ill_sorted).\n"),
     # A product's factors and a listed set's tail ground to sets, not atoms.
     ("neg(cp(A, B) = {})", cli.REFUTED, "Counterexample.\nA = {}\n"),
     ("neg({a / D} = {a / E})", cli.REFUTED, "Counterexample.\nD = E\n"),
@@ -516,7 +542,7 @@ def test_verify_out_of_budget_says_why(capsys):
 
 def test_solve_past_its_timeout_is_unknown(capsys):
     # The search on this goal does not terminate.
-    goal = "dom(S, {a}) & dom(S, {a, b})"
+    goal = "inv(S, T) & dom(S, {a}) & ran(T, {a, b})"
     assert cli.main(["solve", "--timeout", "0.05", "-e", goal]) == cli.UNKNOWN
     assert capsys.readouterr().out == "Unknown.\n"
 

@@ -1,6 +1,9 @@
-"""Property test: conjunctions of ``comp``, ``dom`` and ``ran``, and of
-``un``, ``disj`` and ``subset`` over sets, over two or three atoms and an
-element variable get sound answers.  A Sat answer must
+"""Property test: conjunctions of ``comp``, ``dom``, ``ran``, ``inv`` and
+the complements ``ncomp``, ``ndom`` and ``nran``, and of ``un``, ``nun``,
+``disj`` and ``subset`` over sets, over two or three atoms and an element
+variable get sound answers.  Some goals pair two functional constraints,
+or one and its complement, over the same variable inputs, which the store
+merges into an equation or a ``neq`` of their outputs.  A Sat answer must
 ground to a model the oracle accepts, an Unsat answer must leave the
 oracle's bounded search with nothing to find, and no answer may keep a
 ``comp`` whose third argument lists a pair.  A differential test over the
@@ -47,22 +50,48 @@ def _terms(atoms):
 
 
 @st.composite
+def _twins(draw, rel, dset):
+    """Two functional constraints over the same variable inputs, the second
+    of the same kind as the first or its complement; ``un``'s inputs may
+    be swapped."""
+    kind = draw(st.sampled_from(("comp", "dom", "ran", "inv", "un")))
+    if kind == "un":
+        ins, out = list(draw(st.permutations(SETS))), dset
+    else:
+        n = 2 if kind == "comp" else 1
+        ins = [draw(st.sampled_from(RELATIONS)) for _ in range(n)]
+        out = rel if kind in ("comp", "inv") else dset
+    first = f"{kind}({', '.join(ins + [draw(out)])})"
+    if kind == "un" and draw(st.booleans()):
+        ins.reverse()
+    second = draw(st.sampled_from((kind, "n" + kind)))
+    return f"{first} & {second}({', '.join(ins + [draw(out)])})"
+
+
+@st.composite
 def goals(draw):
     """A conjunction of one to three constraints, each argument a variable
     or a listed relation or set over the first two or three atoms.  A pair
     component or a set element may also be the element variable, so that
-    two listed pairs can meet at terms the solver cannot yet tell apart."""
+    two listed pairs can meet at terms the solver cannot yet tell apart.
+    One constraint may be a pair of functional ones over the same inputs."""
     atoms = ATOMS[:draw(st.integers(2, 3))]
     _, rel, dset = _terms(atoms)
+    comp3 = st.tuples(rel, rel, st.one_of(st.just("{}"), rel))
     constraint = st.one_of(
         # ``comp(r, s, {})`` is how the machines say "x is not in dom(F)".
-        st.tuples(rel, rel, st.one_of(st.just("{}"), rel)).map(
-            lambda a: "comp({}, {}, {})".format(*a)),
+        comp3.map(lambda a: "comp({}, {}, {})".format(*a)),
+        comp3.map(lambda a: "ncomp({}, {}, {})".format(*a)),
         st.tuples(rel, dset).map(lambda a: "dom({}, {})".format(*a)),
+        st.tuples(rel, dset).map(lambda a: "ndom({}, {})".format(*a)),
         st.tuples(rel, dset).map(lambda a: "ran({}, {})".format(*a)),
+        st.tuples(rel, dset).map(lambda a: "nran({}, {})".format(*a)),
+        st.tuples(rel, rel).map(lambda a: "inv({}, {})".format(*a)),
         st.tuples(dset, dset, dset).map(lambda a: "un({}, {}, {})".format(*a)),
+        st.tuples(dset, dset, dset).map(lambda a: "nun({}, {}, {})".format(*a)),
         st.tuples(dset, dset).map(lambda a: "disj({}, {})".format(*a)),
         st.tuples(dset, dset).map(lambda a: "subset({}, {})".format(*a)),
+        _twins(rel, dset),
     )
     parts = draw(st.lists(constraint, min_size=1, max_size=3))
     return " & ".join(parts), atoms
@@ -82,8 +111,25 @@ SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=N
                     suppress_health_check=[HealthCheck.too_slow])
 
 
+# A functional constraint and its complement, or two of them, over one input.
+TWINS = [
+    ("un(D, E, {a}) & un(E, D, {a, b})", ATOMS[:2]),
+    ("un(D, E, {a}) & nun(E, D, {a})", ATOMS[:2]),
+    ("dom(R, {a}) & ndom(R, {a, b})", ATOMS[:2]),
+    ("comp(R, R, {[a, b]}) & ncomp(R, R, S)", ATOMS[:2]),
+    ("inv(R, S) & inv(R, {[a, b]})", ATOMS[:2]),
+]
+
+
+def _twin_examples(test):
+    for goal in TWINS:
+        test = example(goal)(test)
+    return test
+
+
 @SETTINGS
 @given(goals())
+@_twin_examples
 def test_comp_dom_ran_answers_are_sound(goal):
     text, atoms = goal
     f = parse_formula(text)
@@ -108,6 +154,7 @@ def _verdict(res):
 
 @SETTINGS
 @given(goals())
+@_twin_examples
 def test_a_goal_posted_twice_is_solved_as_once(goal):
     text, _ = goal
     once = solve(parse_formula(text), budget=1_000)
@@ -242,9 +289,7 @@ def test_a_function_lists_each_point_once_and_keeps_every_answer(goal):
     listed head out of the rest's domain, lose no answer: a Sat answer
     grounds to a model the oracle accepts, and an Unsat one leaves the
     oracle's bounded search with nothing to find.  Running out of budget
-    gives Unknown, which checks nothing: ``dom`` and ``ndom`` of one
-    variable over a domain of two atoms do not terminate, as two ``dom``
-    do (a known defect)."""
+    gives Unknown, which checks nothing."""
     text, atoms = goal
     f = parse_formula(text)
     res = solve(f, budget=1_000)

@@ -142,6 +142,16 @@ def test_error_positions(text, message):
     assert str(e.value) == message
 
 
+@pytest.mark.parametrize("before, column", [
+    ("?- X = ", 8), ("?- X = -", 9), ("?- X is 1 + -", 14),
+], ids=["term", "negated-term", "negated-factor"])
+def test_an_integer_literal_too_long_for_int_is_a_parse_error(before, column):
+    # More digits than ``int()`` converts.
+    with pytest.raises(ParseError) as e:
+        parse_program(before + "1" * 5000 + ".")
+    assert str(e.value) == f"1:{column}: integer literal too long"
+
+
 def test_comments_are_ignored():
     prog = parse_program("""
         % only comments and one query

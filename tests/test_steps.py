@@ -122,6 +122,20 @@ conjuncts that share variables.  No corpus count moved, since each corpus
 goal is one group.  ``SWAP_STEPS`` pins a goal of three unlinked conjuncts:
 its three queries took 3, 3 and 2 steps, and the one query takes 18, since
 each branch of the negated conjunction also carries the other two slices.
+
+A variable input has one output per functional kind (see ``engine``): a
+second ``un``, ``comp``, ``dom``, ``ran``, ``inv`` or ``id`` over the same
+unbound inputs is queued as an equation of the two outputs, and a
+complement as their ``neq``.  That moved two ``EXAMPLE_STEPS`` counts on
+purpose.  Union commutativity with two outputs, the first query, went from
+148 steps and 33 clones to 2 and 0: ``un(B, A, D)`` becomes ``D = C``, and
+``C neq C`` fails.  The second, ``un(A, B, C)`` against ``nun(B, A, C)``,
+went from 62 steps to 1: the ``nun`` becomes ``C neq C``.  No ``PO_STEPS``,
+``SET_GOAL_STEPS`` or ``SWAP_STEPS`` count moved.  The union search that
+lists each element once is now pinned on a goal whose two ``un`` share
+their inputs only after ``M = Q`` binds; it took 149 steps before and 153
+now, since four ``un`` that its splits emit over the same inputs become
+equations, which bind where the ``un`` would have parked.
 """
 import pytest
 from setsolve import verifier
@@ -133,7 +147,7 @@ from setsolve.parser import parse_formula
 from setsolve.terms import EMPTY, Atom, Pair, Var, VarGen, mkset
 from test_discharge import SWAP
 
-EXAMPLE_STEPS = [148, 62, 35, 12, 3]
+EXAMPLE_STEPS = [2, 1, 35, 12, 3]
 
 # Steps of every solve call in a PO's discharge: one carrier-free query for
 # the negated goal of an INV or WD obligation, then one for the pinned query
@@ -192,9 +206,53 @@ def test_a_member_of_its_own_listed_set_fails_in_one_step():
 
 
 def test_union_commutativity_fails_each_branch_that_lists_an_element_twice():
+    # The two ``un`` share no inputs until ``M = Q`` binds, so the search
+    # splits them.
+    res = solve(parse_formula("neg(un(M, P, T) & un(P, Q, W) & M = Q implies T = W)"))
+    assert res.unsat
+    assert (res.steps, res.clones) == (153, 33)
+
+
+def test_union_commutativity_merges_the_outputs_of_the_two_uns():
     res = solve(parse_formula("neg(un(M, P, T) & un(P, M, W) implies T = W)"))
     assert res.unsat
-    assert (res.steps, res.clones) == (148, 33)
+    assert (res.steps, res.clones) == (2, 0)
+
+
+# Goals whose search enumerated relations of 1, 2, 3, ... pairs, or re-listed
+# the third argument of a ``comp``, until the budget ran out.
+MERGED_STEPS = {
+    "dom(S, {a}) & dom(S, {a, b})": 1,
+    "ran(S, {a}) & ran(S, {a, b})": 1,
+    "dom(S, {a}) & S = {[a, 1] / T} & dom(T, {a, b})": 4,
+    "dom(S, A) & dom(S, {a, b}) & A = {a}": 2,
+    "dom(S, {a, b}) & ndom(S, {a, b})": 1,
+    "comp(R, R, R) & comp(R, R, {[a, b]})": 2,
+    # A complement queued before its function gets a ``neq`` when the
+    # function is queued.
+    "ndom(S, {a, b}) & dom(S, {a, b})": 1,
+    "nun(A, B, C) & un(B, A, C)": 1,
+}
+
+
+@pytest.mark.parametrize("goal, steps", MERGED_STEPS.items())
+def test_two_functional_constraints_over_one_input_share_its_output(goal, steps):
+    res = solve(parse_formula(goal))
+    assert res.unsat and res.ill_sorted is None
+    assert res.steps == steps
+
+
+def test_an_ur_element_output_is_left_to_the_sort_check():
+    res = solve(parse_formula("dom(S, D) & ndom(S, 1)"))
+    assert res.unsat and res.ill_sorted == "not a set: Int(value=1)"
+
+
+def test_an_interval_output_is_not_merged_with_its_own_listing():
+    # ``dom(R, D)`` pops as ``dom(R, int(1, 2))`` and is rewritten to
+    # ``dom(R, {1, 2})``: merging that with ``D`` would drop the ``dom``.
+    goal = "dom(R, D) & D = int(1, 2) & (R = {[1, a]} or R = {[2, a]})"
+    res = solve(parse_formula(goal))
+    assert res.unsat
 
 
 def test_a_neq_of_two_pairs_drops_the_component_that_is_equal():
