@@ -49,17 +49,12 @@ A quiescent store is an answer: the substitution plus the parked residue.
 Unsatisfiability is only reported when every branch failed within budget;
 running out of budget degrades the verdict, never flips it.
 
-The substitution is kept idempotent, and two kinds of item are normal under
-it (substituting them changes nothing), so the loop does not substitute them
-again.  Parked constraints are normal: a bind that touches one wakes it.
-Queued items carry a stamp, the store's bind count when the rule that
-emitted them ran; an item whose stamp equals the current bind count was
-built from an already substituted constraint and fresh variables, and no
-bind has happened since.  An ``or`` was substituted when it was popped, so
-an alternative that is a single constraint is queued with the current
-stamp.  Woken and root items and the parts of an emitted conjunction are
-queued stale, and quantifier items are substituted at every pop, because
-that renames their bound names away from the incoming terms.
+The substitution is kept idempotent.  Parked constraints are normal under
+it (substituting them changes nothing), because a bind that touches one
+wakes it.  Every queued item is read under the substitution when it is
+popped; ``subst_formula`` returns an item that it does not change as the
+same object, and for a quantifier the same reading renames its bound names
+away from the incoming terms.
 
 Each store keeps ``facts``: the bits ``INT``, ``SET`` and ``FUN`` (a set
 asserted ``pfun``) that the constraints of its branch have shown of each
@@ -125,7 +120,6 @@ from .terms import (
 
 
 QItem = object  # Constraint | Or
-STALE = -1  # the stamp of a queued item that may not be normal
 
 GEN = 3  # the level of a generator
 PRIO = {
@@ -194,13 +188,12 @@ def items_of(f: Formula) -> Optional[list[QItem]]:
 
 
 class Store:
-    __slots__ = ("subst", "binds", "queues", "parked", "facts", "outputs",
+    __slots__ = ("subst", "queues", "parked", "facts", "outputs",
                  "arith", "gen", "sort_cuts")
 
     def __init__(self, gen: VarGen):
         self.subst: dict[str, Term] = {}
-        self.binds = 0  # number of apply_bind calls, the stamp of new items
-        self.queues: list[deque] = [deque() for _ in range(N_PRIO)]  # (stamp, item)
+        self.queues: list[deque] = [deque() for _ in range(N_PRIO)]
         self.parked: list[tuple[frozenset, Constraint]] = []
         self.facts: dict[str, int] = {}  # sort bits by variable, see above
         self.outputs: dict[tuple, object] = {}  # functional outputs, see above
@@ -213,7 +206,6 @@ class Store:
     def clone(self) -> "Store":
         s = Store.__new__(Store)
         s.subst = self.subst  # apply_bind replaces it, nothing mutates it
-        s.binds = self.binds
         s.queues = [deque(q) for q in self.queues]
         s.parked = list(self.parked)
         s.facts = dict(self.facts)
@@ -223,7 +215,7 @@ class Store:
         s.sort_cuts = self.sort_cuts
         return s
 
-    def enqueue(self, item: QItem, stamp: int = STALE, front: bool = False) -> None:
+    def enqueue(self, item: QItem, front: bool = False) -> None:
         if item.q is not None:
             self._show(item.q.domain, SET)
         for a, bits in zip(item.args, SHOWS.get(item.kind, ())):
@@ -236,14 +228,12 @@ class Store:
             self._show(a, bits)
         f = FUNCTION_OF.get(item.kind)
         if f is not None:
-            merged = self._merge(item, f)
-            if merged is not item:
-                item, stamp = merged, self.binds
+            item = self._merge(item, f)
         q = self.queues[_prio(item, self.subst)]
         if front:
-            q.appendleft((stamp, item))
+            q.appendleft(item)
         else:
-            q.append((stamp, item))
+            q.append(item)
 
     def _merge(self, item: Constraint, f: str) -> Constraint:
         """What to queue for ``item``, an ``F`` or ``nF`` of the functional
@@ -315,7 +305,7 @@ class Store:
                         self._show(Var(n), INT)
                 return
 
-    def pop(self) -> Optional[tuple[int, QItem]]:
+    def pop(self) -> Optional[QItem]:
         for q in self.queues:
             if q:
                 return q.popleft()
@@ -335,7 +325,6 @@ class Store:
 
     def apply_bind(self, delta: dict[str, Term]) -> None:
         self.subst = compose(self.subst, delta)
-        self.binds += 1
         facts = self.facts
         for name in delta:
             t = self.subst[name] if name in facts else None
@@ -351,14 +340,14 @@ class Store:
                 # becomes reducible exactly when a binding touches it, and
                 # letting it run before older generative items fails doomed
                 # branches early.
-                self.enqueue(c, STALE, front=True)
+                self.enqueue(c, front=True)
             else:
                 kept.append((vs, c))
         self.parked = kept
         # A generator the bind lowers (see ``_prio``) moves to the front of
         # its new level, ahead of the woken constraints, keeping its order.
         gens, subst = self.queues[GEN], self.subst
-        levels = [_prio(item, subst) for _, item in gens]
+        levels = [_prio(item, subst) for item in gens]
         if min(levels, default=GEN) < GEN:
             self.queues[GEN] = deque(e for e, lv in zip(gens, levels) if lv == GEN)
             for e, lv in zip(reversed(gens), reversed(levels)):
@@ -448,22 +437,19 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
             if steps >= budget:
                 exhausted = True
                 break
-            popped = store.pop()
-            if popped is None:
+            item = store.pop()
+            if item is None:
                 sol = _extract(store, query_vars)
                 if sol is not None:
                     sols.append(sol)
                 break
-            stamp, item = popped
             steps += 1
             # A bind can leave a term of this item ill-sorted.  Substituting
             # cuts an ``or`` alternative or empties a ``foreach`` that holds
             # it; a term held by neither kills the store.
             c = item
             try:
-                if stamp != store.binds or item.q is not None:
-                    c = subst_formula(store.subst, item, store.gen,
-                                      store.sort_cuts)
+                c = subst_formula(store.subst, item, store.gen, store.sort_cuts)
                 out = rewrite(c, store)
             except IllSorted as e:
                 store.sort_cuts.append(str(e))
@@ -480,18 +466,14 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
             if not out:
                 dead = True
                 break
-            # Emissions are normal until the next bind, even one in their
-            # own branch: unify can leave a residual constraint on the variable
-            # it binds.
-            stamp = store.binds
             if len(out) > 1:
                 for branch in reversed(out[1:]):
                     s2 = store.clone()
-                    if _apply_branch(s2, branch, stamp):
+                    if _apply_branch(s2, branch):
                         stack.append(s2)
                 clones += len(out) - 1
                 max_depth = max(max_depth, len(stack))
-            if not _apply_branch(store, out[0], stamp):
+            if not _apply_branch(store, out[0]):
                 dead = True
                 break
         if exhausted:
@@ -504,7 +486,7 @@ def solve(formula: Formula, program: Optional[Program] = None, *,
     return Result(sols, complete, exhausted, steps, cut, clones, max_depth, f)
 
 
-def _apply_branch(store: Store, branch: list, stamp: int) -> bool:
+def _apply_branch(store: Store, branch: list) -> bool:
     for em in branch:
         if isinstance(em, Bind):
             try:
@@ -513,7 +495,7 @@ def _apply_branch(store: Store, branch: list, stamp: int) -> bool:
                 store.sort_cuts.append(str(e))
                 return False
         elif isinstance(em, Constraint):
-            store.enqueue(em, stamp)
+            store.enqueue(em)
         else:
             sub = items_of(em)
             if sub is None:

@@ -336,31 +336,17 @@ def _rule_un(store, a, b, c):
 
 def _un_split_third(store, a, b, c):
     t, c1 = c.head, c.tail
+    g = store.gen
     out = []
     # The element t belongs to a, to b, or to both; in each case remove it
     # everywhere and unite what is left.
-    for placement in ("a", "b", "ab"):
+    for in_a, in_b in ((True, False), (False, True), (True, True)):
         for peeled in (False, True):
-            g = store.gen
             n3 = g.fresh()
-            branch: list = [C("nin", t, n3)]
-            if placement in ("a", "ab"):
-                n1 = g.fresh()
-                branch += [C("eq", a, ExtSet(t, n1)), C("nin", t, n1)]
-                left: Term = n1
-            else:
-                branch += [C("nin", t, a)]
-                left = a
-            if placement in ("b", "ab"):
-                n2 = g.fresh()
-                branch += [C("eq", b, ExtSet(t, n2)), C("nin", t, n2)]
-                right: Term = n2
-            else:
-                branch += [C("nin", t, b)]
-                right = b
-            branch.append(C("un", left, right, n3))
-            branch.append(C("eq", c1, ExtSet(t, n3) if peeled else n3))
-            out.append(branch)
+            ea, left = _peel(g, t, a, in_a)
+            eb, right = _peel(g, t, b, in_b)
+            out.append([C("nin", t, n3), *ea, *eb, C("un", left, right, n3),
+                        C("eq", c1, ExtSet(t, n3) if peeled else n3)])
     return out
 
 
@@ -371,28 +357,22 @@ def _un_split_side(store, src, other, c, left: bool):
     g = store.gen
     for src_more in (False, True):
         for other_has in (False, True):
-            n3 = g.fresh()
-            branch: list = [C("eq", c, ExtSet(t, n3)), C("nin", t, n3)]
-            if src_more:
-                n1 = g.fresh()
-                branch += [C("eq", rest, ExtSet(t, n1)), C("nin", t, n1)]
-                s_rest: Term = n1
-            else:
-                branch += [C("nin", t, rest)]
-                s_rest = rest
-            if other_has:
-                n2 = g.fresh()
-                branch += [C("eq", other, ExtSet(t, n2)), C("nin", t, n2)]
-                o_rest: Term = n2
-            else:
-                branch += [C("nin", t, other)]
-                o_rest = other
-            if left:
-                branch.append(C("un", s_rest, o_rest, n3))
-            else:
-                branch.append(C("un", o_rest, s_rest, n3))
-            out.append(branch)
+            ec, n3 = _peel(g, t, c, True)
+            es, s_rest = _peel(g, t, rest, src_more)
+            eo, o_rest = _peel(g, t, other, other_has)
+            parts = (s_rest, o_rest) if left else (o_rest, s_rest)
+            out.append([*ec, *es, *eo, C("un", *parts, n3)])
     return out
+
+
+def _peel(gen, t, s, has):
+    """List ``t`` once in ``s``: with ``has``, ``s = {t / n}`` and
+    ``t nin n`` for a fresh ``n``, which is the rest; without, ``t nin s``,
+    and ``s`` is the rest.  Returns the emissions and the rest."""
+    if has:
+        n = gen.fresh()
+        return [C("eq", s, ExtSet(t, n)), C("nin", t, n)], n
+    return [C("nin", t, s)], s
 
 
 def _rule_nun(store, a, b, c):
@@ -645,12 +625,8 @@ def _rule_nid(store, a, r):
 
 
 def _rule_comp(store, r, s, t):
-    if isinstance(r, EmptySet) or isinstance(s, EmptySet):
-        return [[C("eq", t, EMPTY)]]
-    if isinstance(r, Interval):
-        return [[C("lt", r.hi, r.lo), C("eq", t, EMPTY)]]
-    if isinstance(s, Interval):
-        return [[C("lt", s.hi, s.lo), C("eq", t, EMPTY)]]
+    if isinstance(r, (EmptySet, Interval)) or isinstance(s, (EmptySet, Interval)):
+        return _comp_empty(store, r, s, t)
     if isinstance(r, ExtSet):
         h = r.head
         if not isinstance(h, Pair):
@@ -685,6 +661,24 @@ def _rule_comp(store, r, s, t):
             C("eq", t, CP(m, s.right)),
         ]]
     return _comp_cover(store, r, s, t)
+
+
+def _comp_empty(store, r, s, t):
+    """``comp(r, s, t)`` with ``r`` or ``s`` ``{}`` or an interval: ``t`` is
+    ``{}``, and both arguments are relations.  An interval holds no pair, so
+    it must be empty; a listed element must be a pair, and a variable tail
+    a relation, which ``dom`` of it asserts."""
+    branch = [C("eq", t, EMPTY)]
+    for a in (r, s):
+        elems, tail = set_parts(a)
+        for e in elems:
+            if not isinstance(e, Pair):
+                return _make_pair(store, e, C("comp", r, s, t))
+        if isinstance(tail, Interval):
+            branch.append(C("lt", tail.hi, tail.lo))
+        elif isinstance(tail, Var):
+            branch.append(C("dom", tail, store.gen.fresh()))
+    return [branch]
 
 
 def _comp_split(store, head_args, rest_args, t):
@@ -776,21 +770,17 @@ def _rule_apply(store, f, x, y):
         return [[C("in", x, f.left), C("eq", f.right, mkset([y]))]]
     if isinstance(f, Interval):
         return []
-    g = store.gen.fresh()
-    return [[
-        C("eq", f, ExtSet(Pair(x, y), g)),
-        C("nin", Pair(x, y), g),
-        C("comp", mkset([Pair(x, x)]), g, EMPTY),
-    ]]
+    listed, g = _peel(store.gen, Pair(x, y), f, True)
+    return [[*listed, C("comp", mkset([Pair(x, x)]), g, EMPTY)]]
 
 
 def _rule_foplus(store, f, x, y, out):
     gen = store.gen
-    z, h = gen.fresh(), gen.fresh()
+    z = gen.fresh()
+    listed, h = _peel(gen, Pair(x, z), f, True)
     xx = mkset([Pair(x, x)])
     return [
-        [C("eq", f, ExtSet(Pair(x, z), h)),
-         C("nin", Pair(x, z), h),
+        [*listed,
          C("comp", xx, h, EMPTY),
          C("eq", out, ExtSet(Pair(x, y), h))],
         [C("comp", xx, f, EMPTY),

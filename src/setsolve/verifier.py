@@ -346,7 +346,7 @@ def _typed_hints(types: tuple[tuple[str, object], ...], env: TypeEnv, sol: Solut
 
 
 def _ground(types: tuple[tuple[str, object], ...], env: TypeEnv, sol: Solution,
-            hints: Optional[dict[str, list[Term]]]) -> Optional[dict[str, Term]]:
+            hints: Optional[dict[str, list[Term]]] = None) -> Optional[dict[str, Term]]:
     """``sol`` completed to a ground witness from the candidates of the
     types declared in ``types``, or None when that fails or leaves a
     declared value outside its type.  ``env`` resolves those types."""
@@ -403,8 +403,7 @@ def verify_machine(m: Machine, *, budget: int = 200_000,
     if errors:
         raise VerifyError("type errors:\n" + "\n".join(errors))
     pos = [po for po in generate_pos(m) if po_id is None or po.po_id == po_id]
-    hints = _hints(m)
-    return [discharge(po, budget=budget, hints=hints) for po in pos]
+    return [discharge(po, budget=budget) for po in pos]
 
 
 def report_json(m: Machine, results: list[POResult]) -> dict:
@@ -484,8 +483,7 @@ def initial_state(m: Machine, *, budget: int = 200_000,
         if res.unsat:
             raise VerifyError("the initialisation is unsatisfiable")
         raise VerifyError("no initial state found within the budget")
-    g = _ground(_types(m, set()), _type_env(_pinned(m, carriers)),
-                res.solutions[0], _hints(m))
+    g = _ground(_types(m, set()), _type_env(_pinned(m, carriers)), res.solutions[0])
     if g is None:
         raise VerifyError("the initial state could not be grounded")
     state: dict[str, Term] = {}
@@ -529,9 +527,8 @@ def step(m: Machine, state: dict[str, Term], event_name: str,
     out: list[dict[str, Term]] = []
     seen = set()
     types, env = _types(m, set(m.var_names())), _type_env(_pinned(m, carriers or {}))
-    hints = _hints(m)
     for sol in res.solutions:
-        g = _ground(types, env, sol, hints)
+        g = _ground(types, env, sol)
         if g is None:
             continue
         nxt: dict[str, Term] = {}

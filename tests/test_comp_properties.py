@@ -130,6 +130,10 @@ def _twin_examples(test):
 @SETTINGS
 @given(goals())
 @_twin_examples
+# A ``comp`` over ``{}`` holds only over relations: the complement's
+# ``npair`` branch must not list a non-pair into ``R``.
+@example(("ncomp({}, R, {}) & comp(R, {}, {})", ATOMS[:2]))
+@example(("comp(R, {}, {}) & ncomp(R, {}, {})", ATOMS[:2]))
 def test_comp_dom_ran_answers_are_sound(goal):
     text, atoms = goal
     f = parse_formula(text)

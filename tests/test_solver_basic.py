@@ -225,6 +225,23 @@ def test_an_empty_comp_is_decided_without_branching(run):
     unsat(run, "comp({[a, {x, y}]}, {[{y, x}, c] / S}, {})")
 
 
+def test_a_comp_over_an_empty_argument_holds_over_relations(run):
+    # ``{}`` or an interval as one argument makes the composition empty,
+    # but the other argument must still be a relation.
+    for text in ["comp({a}, {}, T)", "comp({}, {[a, b], c}, T)",
+                 "comp(int(1, N), {a}, T)", "comp(S, int(1, N), T) & a in S"]:
+        unsat(run, text)
+    for text, answer in [("comp(R, {}, T)", "T = {}, dom(R,_N1)"),
+                         ("comp({[a, b] / S}, {}, T)", "T = {}, dom(S,_N1)"),
+                         ("comp({X}, {}, T)", "T = {}, X = [_N1,_N2]"),
+                         ("comp({[a, b]}, {}, T)", "T = {}"),
+                         ("comp(int(1, N), S, T)", "T = {}, N < 1, dom(S,_N1)"),
+                         ("comp(cp(A, B), int(1, N), T)", "T = {}, N < 1")]:
+        assert cli._answer_line(sat(run, text).solutions[0]) == answer, text
+    refuted(run, "comp(int(1, N), S, T) & N = 1", {"N": INTS, "S": RELS, "T": RELS})
+    refuted(run, "comp({}, S, T) & [a, a] in T", {"S": RELS, "T": RELS})
+
+
 def test_inverse(run):
     sat(run, "inv({[1,2],[3,4]}, {[2,1],[4,3]})")
     sat(run, "inv({[1,2]}, X)")

@@ -335,7 +335,7 @@ LISTED = mkset([Pair(Atom("a"), Atom("b"))])
 
 def _drain(store: Store) -> list:
     """Pop every item of ``store``, in order."""
-    return [item for _, item in iter(store.pop, None)]
+    return list(iter(store.pop, None))
 
 
 def _order(store: Store) -> list:
@@ -374,7 +374,7 @@ def test_a_queued_comp_whose_middle_a_bind_lists_moves_ahead_of_older_filters():
     assert _order(store) == [older, gen, comp]
     store.apply_bind({"S": LISTED})
     assert _order(store) == [comp, woken, older, gen]
-    assert store.pop()[1] == comp
+    assert store.pop() == comp
 
 
 def test_a_comp_whose_middle_stays_a_variable_keeps_its_place():
@@ -414,7 +414,7 @@ def test_a_clone_cannot_move_or_drop_another_branchs_items():
     b.apply_bind({"S": LISTED})
     assert _order(b) == [comp, gen, other]
     assert _order(a) == [gen, comp, other]
-    assert a.pop()[1] == gen  # leaves ``b``'s queue alone
+    assert a.pop() == gen  # leaves ``b``'s queue alone
     b.apply_bind({"U": LISTED})
     assert _drain(b) == [other, comp, gen]
     a.apply_bind({"U": LISTED})
@@ -427,8 +427,8 @@ def test_a_disj_over_a_listed_set_pops_ahead_of_an_older_un():
     for it in (un, disj):
         store.enqueue(it)
     store.apply_bind({"B": LISTED})
-    assert store.pop()[1] == disj
-    assert store.pop()[1] == un
+    assert store.pop() == disj
+    assert store.pop() == un
 
 
 def test_a_disj_or_subset_over_variables_keeps_its_fifo_place():
@@ -437,7 +437,7 @@ def test_a_disj_or_subset_over_variables_keeps_its_fifo_place():
     subset = C("subset", Var("A"), LISTED)
     for it in (un, disj, subset):
         store.enqueue(it)
-    assert [store.pop()[1] for _ in range(3)] == [un, disj, subset]
+    assert [store.pop() for _ in range(3)] == [un, disj, subset]
 
 
 def test_a_bind_settled_subset_pops_ahead_of_older_settled_ones_and_the_woken():
@@ -463,7 +463,7 @@ def test_each_bind_leaves_only_generators_at_the_generator_level(cases, monkeypa
         apply_bind(store, delta)
         binds.append(1)
         for level, q in enumerate(store.queues):
-            for _, item in q:
+            for item in q:
                 if level == GEN:
                     assert _prio(item, store.subst) == GEN, item
                 else:
