@@ -12,7 +12,11 @@ does not divide its constant, and pivots only on a variable with coefficient
 ±1, so it never divides; an equation without one becomes two rows.
 Fourier-Motzkin combines rows with positive integer multipliers and
 tightens the result.  Every derived row holds at every integer point of the
-store, and a bounded search over integer values finishes the job.
+store.  A bounded search over integer values finishes the job: each node
+projects its rows onto the variable it branches on, by one elimination of
+all the others, and reads that variable's range from the projection.  An
+empty projection (a constant row above 0, or a lower bound above the upper
+one) fails the node, so no separate feasibility pass runs first.
 
 ``consistent()`` answers True when the search found an integer point (which
 ``model()`` returns), False when the store has no integer point, and None
@@ -201,7 +205,7 @@ class ArithStore:
     def _search(self, budget: int):
         """(verdict, equality pivots, integer model of the remaining
         variables): the Gaussian step, then the bounded integer search,
-        which runs Fourier-Motzkin at every node."""
+        which projects by Fourier-Motzkin at every node."""
         if self.failed:
             return False, [], {}
         pivots, rows = _gauss(self.eqs, self.ineqs)
@@ -278,27 +282,9 @@ def _eliminate(rows: list[LinExpr], v: str) -> list[LinExpr]:
     return _drop_redundant(out)
 
 
-def _fm_feasible(rows: list[LinExpr]) -> bool:
-    """Fourier-Motzkin elimination over tight rows.  False is exact: the
-    store has no integer point.  True may still have none."""
-    while True:
-        for e in rows:
-            if e.is_const() and e.const > 0:
-                return False
-        varset: set[str] = set()
-        for e in rows:
-            varset |= e.free()
-        if not varset:
-            return True
-        rows = _eliminate(rows, sorted(varset)[0])
-        if len(rows) > 2000:
-            # Projection blow-up guard; fall back to "feasible" and let the
-            # integer search give the definite word.
-            return True
-
-
-def _var_bounds(rows: list[LinExpr], v: str) -> tuple[Optional[int], Optional[int]]:
-    """Integer bounds for v after eliminating the rest."""
+def _var_bounds(rows: list[LinExpr], v: str) -> Optional[tuple[Optional[int], Optional[int]]]:
+    """Integer bounds for v after eliminating the rest, or None when the
+    projection is empty: a constant row above 0, or ``lo > hi``."""
     others: set[str] = set()
     for e in rows:
         others |= e.free()
@@ -309,7 +295,10 @@ def _var_bounds(rows: list[LinExpr], v: str) -> tuple[Optional[int], Optional[in
     hi: Optional[int] = None
     for e in rows:
         c = e.coeffs.get(v, 0)
-        if c > 0:    # v =< floor(-const / c)
+        if not c:    # a constant row, since every other variable is gone
+            if e.const > 0:
+                return None
+        elif c > 0:  # v =< floor(-const / c)
             bound = -e.const // c
             if hi is None or bound < hi:
                 hi = bound
@@ -317,6 +306,8 @@ def _var_bounds(rows: list[LinExpr], v: str) -> tuple[Optional[int], Optional[in
             bound = -(e.const // c)
             if lo is None or bound > lo:
                 lo = bound
+    if lo is not None and hi is not None and lo > hi:
+        return None
     return lo, hi
 
 
@@ -336,10 +327,11 @@ def _int_feasible(rows: list[LinExpr], budget: int) -> tuple[Optional[bool], dic
             varset |= e.free()
         if not varset:
             return True, acc
-        if not _fm_feasible(rows):
-            return False, acc
         v = sorted(varset)[0]
-        lo, hi = _var_bounds(rows, v)
+        bounds = _var_bounds(rows, v)
+        if bounds is None:
+            return False, acc
+        lo, hi = bounds
         capped = False
         if lo is None and hi is None:
             candidates = list(range(0, 33)) + list(range(-1, -33, -1))
@@ -351,8 +343,6 @@ def _int_feasible(rows: list[LinExpr], budget: int) -> tuple[Optional[bool], dic
             candidates = list(range(lo, lo + 64))
             capped = True
         else:
-            if lo > hi:
-                return False, acc
             if hi - lo > 256:
                 hi = lo + 256  # cap the scan; failure past it -> unknown
                 capped = True

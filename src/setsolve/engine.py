@@ -219,12 +219,6 @@ class Store:
         if item.q is not None:
             self._show(item.q.domain, SET)
         for a, bits in zip(item.args, SHOWS.get(item.kind, ())):
-            if type(a) is Var:  # ``_show`` inline, for the commonest argument
-                a = self.subst.get(a.name, a)
-                if type(a) is Var:
-                    if bits:
-                        self.facts[a.name] = self.facts.get(a.name, 0) | bits
-                    continue
             self._show(a, bits)
         f = FUNCTION_OF.get(item.kind)
         if f is not None:
@@ -543,11 +537,12 @@ def ground_complete(sol: Solution,
     if not need:
         return dict(sol.bindings) if _residual_ok(sol.residual, {}) else None
 
-    model = store.arith.model()
+    # A certified model assigns every variable of the arithmetic store.
+    arith_vars = store.arith.vars()
+    model = store.arith.model() if need & arith_vars else None
     set_sorted, int_sorted = store._scan_sorts()
 
     a1, a2 = Atom("_e1"), Atom("_e2")
-    arith_vars = store.arith.vars()
     pools: list[tuple[str, list[Term]]] = []
     for i, v in enumerate(sorted(need)):
         if v in hints:
@@ -555,8 +550,7 @@ def ground_complete(sol: Solution,
         elif v in arith_vars:
             if model is None:
                 return None  # arithmetic residue with no certified model
-            pools.append((v, [Int(model[v])] if v in model
-                          else [Int(0), Int(1), Int(-1), Int(2)]))
+            pools.append((v, [Int(model[v])]))
         elif v in int_sorted:
             pools.append((v, [Int(0), Int(1), Int(-1), Int(2)]))
         elif v in set_sorted:

@@ -34,7 +34,10 @@ replaces the generic guess of two fresh pairs ``[n1, n2]`` and
 ``r = {[h, n] / r1}`` with ``{h / m} = {h / t}`` for the domain ``m`` of
 ``r1``, as for any relation, and also posts ``h nin m``: a function has
 one pair over ``h``, so ``r1`` can be chosen as ``r`` without that pair,
-whose domain lacks ``h``, and no answer is lost.
+whose domain lacks ``h``, and no answer is lost.  A ground listed domain
+takes the same rule, with no path of its own: the ``nin`` kills at once the
+alternative of ``{h / m} = {h / t}`` that lists ``h`` in ``m`` again, so
+each element is peeled once.
 
 A variable input has at most one output per functional kind on a branch
 (``un``, ``comp``, ``dom``, ``ran``, ``inv`` and ``id``; see
@@ -485,21 +488,6 @@ def _rule_dom(store, r, d):
             return [[C("eq", r, EMPTY)]]
         if isinstance(d, ExtSet):
             g = store.gen
-            elems, tail = set_parts(d)
-            if (isinstance(tail, EmptySet)
-                    and all(is_ground(e) for e in elems)
-                    and store.facts.get(r.name, 0) & FUN):
-                # A function over a listed ground domain has exactly one
-                # pair per element: peel deterministically instead of
-                # re-deciding element multiplicity per step.
-                h = elems[0]
-                rest = [e for e in elems[1:] if e != h]
-                n, r1 = g.fresh(), g.fresh()
-                return [[
-                    C("eq", r, ExtSet(Pair(h, n), r1)),
-                    C("comp", mkset([Pair(h, h)]), r1, EMPTY),
-                    C("dom", r1, mkset(rest)),
-                ]]
             n, r1, m = g.fresh(), g.fresh(), g.fresh()
             branch = [
                 C("eq", r, ExtSet(Pair(d.head, n), r1)),

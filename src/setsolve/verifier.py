@@ -227,7 +227,13 @@ def _type_env(carriers: tuple[Carrier, ...]) -> TypeEnv:
 
 def typecheck_machine(m: Machine) -> list[str]:
     """Check every formula of the machine in one shared context, where the
-    parameters of an event are scoped to that event."""
+    parameters of an event are scoped to that event.
+
+    An invariant may name only state variables and carriers.  Any other
+    free name is the value of a function application that the parser could
+    not fold away (``f(a) in s``, ``f(g(a)) = t``).  Negating the goal
+    would then let the search pick that value freely, and an INV obligation
+    would give ``f(a)`` and ``f_(a)`` one name, so it is an error."""
     env = _type_env(m.carriers)
     env.vars.update(_types(m, set(m.var_names())))
     ck = Checker(env)
@@ -238,7 +244,11 @@ def typecheck_machine(m: Machine) -> list[str]:
         for p in ev.params:
             ck.scope.pop(p, None)
     ck.finish()
-    return [str(e) for e in ck.errors]
+    state = set(m.var_names()) | {c.name for c in m.carriers}
+    return [str(e) for e in ck.errors] + [
+        f"{inv.label}: unsupported function application: an invariant may "
+        "apply a function only as f(x) = t or inside a quantifier"
+        for inv in m.invariants if formula_vars(inv.formula) - state]
 
 
 # --- discharge -----------------------------------------------------------------

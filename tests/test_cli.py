@@ -389,6 +389,73 @@ def test_prove_does_not_count_an_ill_sorted_death_as_a_proof(capsys, goal):
     assert capsys.readouterr().out == "Unknown (ill_sorted).\n"
 
 
+_LIFT = """\
+machine t
+context
+  pos = {a, b}
+end
+variables
+  f : stype([pos, bool])
+  g : stype([pos, pos])
+end
+invariants
+  inv1: pfun(f) & dom(f, pos)
+  inv2: %s
+end
+init
+  act1: f := cp(pos, {true})
+  act2: g := cp(pos, {a})
+end
+event flip
+  then
+    act1: f(a) := false
+  end
+"""
+
+
+@pytest.mark.parametrize("cmd", ["typecheck", "verify"])
+@pytest.mark.parametrize("invariant", ["f(a) in {true, false}", "f(g(a)) = true"])
+def test_an_invariant_whose_application_stays_unfolded_is_an_error(tmp_path, capsys,
+                                                                  cmd, invariant):
+    # The value of f(a) (of g(a) when nested) would stay a free name, which
+    # the negated goal could pick at will: inv2 holds for every such f, yet
+    # both of its POs came out Disproved.
+    path = tmp_path / "t.smch"
+    path.write_text(_LIFT % invariant)
+    assert cli.main([cmd, str(path)]) == cli.USAGE
+    out = capsys.readouterr()
+    assert "inv2: unsupported function application" in out.out + out.err
+
+
+@pytest.mark.parametrize("invariant, code, out", [
+    # The application is a quantifier local.
+    ("foreach(x in {a}, f(x) in {true, false})", cli.OK,
+     "t/INIT/inv1      Proved\n"
+     "t/INIT/inv2      Proved\n"
+     "t/flip/inv1/INV  Proved  [inv2]\n"
+     "t/flip/inv2/INV  Proved\n"
+     "4 POs: 4 proved, 0 disproved, 0 unknown (INIT 2, WD 0, INV 2)\n"),
+    # The fold turns the equality into applyTo(f, a, true); flip breaks it.
+    ("f(a) = true", cli.REFUTED,
+     "t/INIT/inv1      Proved\n"
+     "t/INIT/inv2      Proved\n"
+     "t/flip/inv1/INV  Proved  [inv2]\n"
+     "t/flip/inv2/INV  Disproved\n"
+     "    f = {[a,true],[b,true]}\n"
+     "    f_ = {[a,false],[b,true]}\n"
+     "    pos = {a,b}\n"
+     "4 POs: 3 proved, 1 disproved, 0 unknown (INIT 2, WD 0, INV 2)\n"),
+], ids=["foreach", "folded"])
+def test_an_invariant_may_apply_a_function_folded_or_in_a_quantifier(tmp_path, capsys,
+                                                                      invariant, code, out):
+    path = tmp_path / "t.smch"
+    path.write_text(_LIFT % invariant)
+    assert cli.main(["typecheck", str(path)]) == cli.OK
+    capsys.readouterr()
+    assert cli.main(["verify", str(path)]) == code
+    assert capsys.readouterr().out == out
+
+
 @pytest.mark.parametrize("invariant", ["f = {[a, 0] / n}", "f neq {[a, 0] / n}"])
 def test_verify_rejects_an_ill_sorted_invariant_as_a_type_error(machine_file,
                                                                capsys, invariant):

@@ -327,10 +327,13 @@ def test_domain(run):
 
 
 def test_pfun_follows_a_bind_to_another_variable(run):
-    # pfun(F) is shown of F; after F = G the listed domain of G is peeled
-    # one pair per element, so there is exactly one answer.
+    # pfun(F) is shown of F; after F = G, dom peels one pair of G per
+    # element of its domain and posts h nin m for the rest's domain m, so
+    # there is exactly one answer.  21 steps: each of {a / m} = {a, b} and
+    # {b / m'} = {b} also tries m (m') listing its head again, which dies
+    # on that nin at once.
     res = sat(run, "pfun(F) & F = G & dom(G, {a, b})", max_solutions=100)
-    assert res.complete and len(res.solutions) == 1 and res.steps == 19
+    assert res.complete and len(res.solutions) == 1 and res.steps == 21
     # Without pfun, dom takes the general path: one answer per multiplicity.
     assert len(run("F = G & dom(G, {a, b})", max_solutions=2).solutions) == 2
 
