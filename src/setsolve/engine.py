@@ -534,8 +534,6 @@ def ground_complete(sol: Solution,
         need |= formula_vars(c)
         for a in c.args:
             store._show(a, 0)
-    if not need:
-        return dict(sol.bindings) if _residual_ok(sol.residual, {}) else None
 
     # A certified model assigns every variable of the arithmetic store.
     arith_vars = store.arith.vars()

@@ -361,26 +361,11 @@ def _subst_quant(s: dict[str, Term], f: Constraint, gen: VarGen,
     bound = set(binder_names(q.binder)) | set(q.locals)
     inner = {k: v for k, v in s.items() if k not in bound}
     domain = subst_term(s, q.domain)
-    if not inner:
-        if domain is q.domain:
-            return f
-        return Constraint(f.kind, (), q=QPayload(q.binder, domain, q.locals, q.body, q.funcs))
     # Rename bound names that would capture variables of the incoming terms.
-    incoming: set[str] = set()
-    for v in inner.values():
-        incoming |= term_vars(v)
-    renames: dict[str, Term] = {}
-    for name in sorted(bound):
-        if name in incoming:
-            renames[name] = gen.fresh()
-    binder = subst_term(renames, q.binder) if renames else q.binder
-    locals_ = tuple(renames[n].name if n in renames else n for n in q.locals)
-    body = q.body
-    funcs = q.funcs
-    if renames:
-        body = subst_formula(renames, body, gen)
-        if funcs is not None:
-            funcs = subst_formula(renames, funcs, gen)
+    incoming = set().union(*map(term_vars, inner.values()))
+    renames = {name: gen.fresh() for name in sorted(bound) if name in incoming}
+    body = subst_formula(renames, q.body, gen)
+    funcs = None if q.funcs is None else subst_formula(renames, q.funcs, gen)
     try:
         body = subst_formula(inner, body, gen, cuts)
         if funcs is not None:
@@ -392,6 +377,8 @@ def _subst_quant(s: dict[str, Term], f: Constraint, gen: VarGen,
         return Constraint("eq", (domain, EMPTY))
     if not renames and domain is q.domain and body is q.body and funcs is q.funcs:
         return f
+    binder = subst_term(renames, q.binder)
+    locals_ = tuple(renames[n].name if n in renames else n for n in q.locals)
     return Constraint(f.kind, (), q=QPayload(binder, domain, locals_, body, funcs))
 
 

@@ -36,9 +36,9 @@ resolution and application lifting), ``sub_term`` (nested applications and
 parenthesised terms), ``mark``/``reset`` (which also undo lifted
 applications), ``call`` (constraints only, with integer expressions in
 the integer positions of their signatures, and no ``dec``, ``foplus`` or
-predicate calls) and ``quantifier`` (declared binders; lifted applications
-become locals).  Block structure, scoping, folding, well-definedness sites
-and actions are its own.
+predicate calls), ``binder`` (declared names) and ``quantified`` (lifted
+applications become locals).  Block structure, scoping, folding,
+well-definedness sites and actions are its own.
 
 Guards and invariants use the constraint language, extended with function
 application ``f(x)``.  Applications are not terms of the core language, so
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .formulas import (
-    And, C, Constraint, Formula, Implies, KINDS, QPayload, TrueF, conj, disj,
+    And, C, Constraint, Formula, Implies, KINDS, TrueF, binder_names, conj, disj,
 )
 from .parser import ParseError, Parser
 from .terms import Atom, Pair, Term, Var, mkset
@@ -518,35 +518,29 @@ class _MParser(Parser):
             return self.constraint(t, args, k)
         return self.infix_constraint()
 
-    def quantifier(self) -> Formula:
-        kw = self.next()
-        self.expect("(")
-        names: list[str] = []
-        if self.at("["):
+    def binder(self) -> Term:
+        """A declared name, or a pair of two, that shadows no name in scope."""
+        pair = self.at("[")
+        if pair:
             self.next()
-            k1 = self.name_tok("a binder")
+            ks = [self.name_tok("a binder")]
             self.expect(",")
-            k2 = self.name_tok("a binder")
+            ks.append(self.name_tok("a binder"))
             self.expect("]")
-            for k in (k1, k2):
-                nm = self.declare(k, "binder")
-                if self.in_scope(nm) or nm in names:
-                    raise self.err(f"binder {nm!r} shadows another name", k)
-                names.append(nm)
-            binder: Term = Pair(Var(names[0]), Var(names[1]))
         else:
-            k = self.name_tok("a binder")
+            ks = [self.name_tok("a binder")]
+        names: list[str] = []
+        for k in ks:
             nm = self.declare(k, "binder")
-            if self.in_scope(nm):
+            if self.in_scope(nm) or nm in names:
                 raise self.err(f"binder {nm!r} shadows another name", k)
             names.append(nm)
-            binder = Var(nm)
-        self.expect("in")
-        dom = self.aexpr()
-        if not isinstance(dom, Term):
-            raise self.err("a quantifier domain must be a set-valued term")
-        self.expect(",")
-        self.scopes.append(set(names))
+        return Pair(Var(names[0]), Var(names[1])) if pair else Var(names[0])
+
+    def quantified(self, binder: Term, dom: Term):
+        """The body, with the binder in scope; the applications lifted in it
+        become the locals and the let-part."""
+        self.scopes.append(set(binder_names(binder)))
         self.frames.append([])
         self.binders.append((binder, dom))
         try:
@@ -555,18 +549,10 @@ class _MParser(Parser):
             frame = self.frames.pop()
             self.scopes.pop()
             self.binders.pop()
-        self.expect(")")
-        locals_: list[str] = []
-        funcs_parts: list[Formula] = []
-        for (c, chain) in frame:
-            out = c.args[2]
-            assert isinstance(out, Var)
-            locals_.append(out.name)
-            funcs_parts.append(c)
+        for c, chain in frame:
             self.occs.append(WDOcc(c, chain, TrueF(), self.site))
-        funcs = conj(funcs_parts) if funcs_parts else None
-        return Constraint(kw, (), q=QPayload(binder, dom, tuple(locals_),
-                                             body, funcs))
+        lifted = [c for c, _ in frame]
+        return tuple(c.args[2].name for c in lifted), body, conj(lifted) if lifted else None
 
     def word(self, t: str) -> Term:
         """The name in scope, or an atom; a name in scope before ``(`` is

@@ -27,7 +27,9 @@ punctuation, word classifier, error class) and overrides these hooks:
 * ``mark``/``reset`` save and restore the state a backtrack must undo;
 * ``call`` reads a formula that starts with a word (constraint or predicate
   call), or failing that an infix constraint;
-* ``quantifier`` reads ``foreach``/``exists``.
+* ``binder`` reads a quantifier's binder, and ``quantified`` what follows
+  its domain: the locals, the body and the let-part.  ``quantifier`` reads
+  the rest of ``foreach``/``exists`` once for every grammar.
 """
 from __future__ import annotations
 
@@ -476,40 +478,42 @@ class Parser:
         return self.constraint(kind, [a, b], k)
 
     def quantifier(self) -> Formula:
+        """``kw(binder in domain, ...)``: the hooks ``binder`` and
+        ``quantified`` read the parts a grammar varies."""
         kw = self.next()
         self.expect("(")
-        if self.at("["):
-            binder: Term = self.pair()
-            if not (isinstance(binder, Pair) and isinstance(binder.first, Var)
-                    and isinstance(binder.second, Var)):
-                raise self.err("quantifier pattern must be a pair of variables")
-        else:
-            t = self.toks[self.i]
-            if not self.is_var(t):
-                raise self.err("quantifier needs a variable")
-            self.i += 1
-            binder = Var(t)
+        binder = self.binder()
         self.expect("in")
-        dom = self.term()
+        dom = self.sub_term()
         self.expect(",")
-        locals_: tuple[str, ...] = ()
-        funcs: Optional[Formula] = None
-        if self.at("["):
-            self.next()
-            names = [] if self.at("]") else self.comma_list(self._local_name)
-            self.expect("]")
-            self.expect(",")
-            locals_ = tuple(names)
-            body = self.formula()
-            self.expect(",")
-            funcs = self.formula()
-            if isinstance(funcs, TrueF):
-                funcs = None
-            self.expect(")")
-        else:
-            body = self.formula()
-            self.expect(")")
+        locals_, body, funcs = self.quantified(binder, dom)
+        self.expect(")")
         return Constraint(kw, (), q=QPayload(binder, dom, locals_, body, funcs))
+
+    def binder(self) -> Term:
+        """A variable, or a pair of two."""
+        if self.at("["):
+            binder = self.pair()
+            if not (isinstance(binder.first, Var) and isinstance(binder.second, Var)):
+                raise self.err("quantifier pattern must be a pair of variables")
+            return binder
+        if not self.is_var(self.peek()):
+            raise self.err("quantifier needs a variable")
+        return Var(self.next())
+
+    def quantified(self, binder: Term, dom: Term):
+        """The locals, the body and the let-part after the domain: a body,
+        or ``[locals], body, let-part``, where a let-part ``true`` is none."""
+        if not self.at("["):
+            return (), self.formula(), None
+        self.next()
+        names = [] if self.at("]") else self.comma_list(self._local_name)
+        self.expect("]")
+        self.expect(",")
+        body = self.formula()
+        self.expect(",")
+        funcs = self.formula()
+        return tuple(names), body, None if isinstance(funcs, TrueF) else funcs
 
     # --- statements ---------------------------------------------------------
 

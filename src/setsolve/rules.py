@@ -15,6 +15,12 @@ case-split discipline: membership drives elements into variable sets,
 negative constraints introduce fresh witnesses, and union-style constraints
 peel one listed element per step so every chain of descendants shrinks.
 
+A quantifier over a listed domain instantiates its body at the head and
+goes on over the tail; ``foreach`` over a variable, product or interval
+parks until it is listed.  ``exists`` over one takes a fresh member ``w``:
+it emits ``w in d`` and the body's instance at ``w``, so membership, below,
+lists ``w`` as it lists any element.
+
 Membership lists an element once: ``x in S`` over a variable ``S`` binds
 ``S = {x / N}`` for a fresh ``N`` (the bind ``_rule_eq`` would make) and
 posts ``x nin N``, since ``x in S`` holds exactly when ``S`` is ``x`` added
@@ -217,8 +223,6 @@ def _rule_eq(c: Constraint, store):
     x, t = (a, b) if type(a) is Var else (b, a)
     if type(x) is Var and x.name not in term_vars(t):
         return [[Bind(((x.name, t),))]]
-    if a == b:
-        return [[]]
     # Every other equation is decided by ``unify``: products and intervals
     # included, so no equation comes back to this rule.
     out = []
@@ -431,8 +435,6 @@ def _make_pair(store, t: Term, again):
 
 
 def _rule_pfun(store, f):
-    if isinstance(f, EmptySet):
-        return [[]]
     if isinstance(f, Var):
         return None
     if isinstance(f, ExtSet):
@@ -841,21 +843,12 @@ def _rule_quant(c: Constraint, store):
         except IllSorted as e:  # the head leaves the body ill-sorted
             store.sort_cuts.append(str(e))
             return [[rest]]
-    if isinstance(d, Var):
-        if foreach:
-            return None
-        w, d2 = gen.fresh(), gen.fresh()
-        return [[C("eq", d, ExtSet(w, d2))] + instantiate(w)]
-    if isinstance(d, CP):
-        if foreach:
-            return None
-        n1, n2 = gen.fresh(), gen.fresh()
-        return [[C("in", n1, d.left), C("in", n2, d.right)] + instantiate(Pair(n1, n2))]
-    # d is an interval.
+    # d is a variable, a product or an interval: ``foreach`` waits for it to
+    # be listed, and ``exists`` takes a fresh member, which ``_rule_in`` lists.
     if foreach:
         return None
-    n = gen.fresh()
-    return [[C("le", d.lo, n), C("le", n, d.hi)] + instantiate(n)]
+    w = gen.fresh()
+    return [[C("in", w, d)] + instantiate(w)]
 
 
 _RULES = {

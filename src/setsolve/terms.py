@@ -202,8 +202,6 @@ def subst_term(s: Subst, t: Term) -> Term:
 
 def compose(s: dict[str, Term], delta: Mapping[str, Term]) -> dict[str, Term]:
     """Compose substitutions so the result stays idempotent."""
-    if not delta:
-        return s
     out = {k: subst_term(delta, v) for k, v in s.items()}
     for k, v in delta.items():
         if k not in out:

@@ -13,6 +13,9 @@ four-way decomposition on ``{t/A} = {s/B}``: match heads and tails, absorb
 the head on either side, or swap both heads through a fresh common tail.
 When ``t`` and ``s`` are the same term, the swap binds ``A`` and ``B`` to
 one term, an instance of the ``A = B`` branch, so only three are left.
+Two sets over one open tail would swap into the same shape without end:
+``{E1/X} = {E2/X}`` becomes ``subset(E1, {E2/X}) & subset(E2, {E1/X})``,
+which is exact and terminates, since each ``Ei`` is closed.
 The occurs check is relaxed in set-tail position: ``X = {t/X}`` denotes
 "X contains t" and rebinds X with a fresh open tail; any other cyclic
 equation fails.
@@ -125,6 +128,10 @@ def _set_eq_branches(a: Term, b: Term, gen: VarGen):
             return [([], [C("lt", b.hi, b.lo)])]
 
     if isinstance(a, ExtSet) and isinstance(b, ExtSet):
+        elems_a, tail = set_parts(a)
+        elems_b, tail_b = set_parts(b)
+        if isinstance(tail, Var) and tail == tail_b:
+            return [([], [C("subset", mkset(elems_a), b), C("subset", mkset(elems_b), a)])]
         t, rest_a = a.head, a.tail
         s, rest_b = b.head, b.tail
         out = [

@@ -649,3 +649,71 @@ def test_a_carriers_line_without_a_value_names_the_file_line(machine_file, tmp_p
     code, argv = _animate(machine_file("n >= 0"), tmp_path, "", carriers="\ns\n")
     assert code == cli.USAGE
     assert capsys.readouterr().err == f"{argv[-1]}:2: expected 'name = set'\n"
+
+
+@pytest.mark.parametrize("program, code, out, err", [
+    # The negated call unfolds to a negated call of itself.
+    ("p(X) :- X = 1 or p(X).\n?- p(1).\n", cli.USAGE, "",
+     "recursive predicate p/1 cannot be expanded\n"),
+    # The body of a negated quantifier is negated with the program.
+    ("p(X) :- X in {1,2}.\n?- foreach(Y in {1}, p(Y)).\n", cli.OK, "Theorem.\n", ""),
+])
+def test_prove_negates_a_call_through_its_clause(tmp_path, capsys, program, code, out,
+                                                 err):
+    path = tmp_path / "calls.slog"
+    path.write_text(program)
+    assert cli.main(["prove", "--timeout", "5", str(path)]) == code
+    got = capsys.readouterr()
+    assert (got.out, got.err) == (out, err)
+
+
+@pytest.mark.parametrize("cmd, goal, out", [
+    ("solve", "{a/X} = {b/X}", "X = {a,b/_N2}, b nin _N2, a nin _N2\n"),
+    ("solve", "{a, b/X} = {b, a/X}", "Sat.\n"),
+    ("prove", "{a/X} = {b/X} implies a in X & b in X", "Theorem.\n"),
+])
+def test_two_listed_sets_over_one_open_tail_unify(capsys, cmd, goal, out):
+    assert cli.main([cmd, "--timeout", "5", "-e", goal]) == cli.OK
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("goal, out", [
+    ("un(A, B, A)", "subset(B,A)\n"),
+    ("un(A, B, B)", "subset(A,B)\n"),
+    ("un(A, A, C)", "A = C\n"),
+    ("disj(A, A)", "A = {}\n"),
+    ("subset(A, A)", "Sat.\n"),
+    # An existential over a variable domain lists its witness once.
+    ("exists(X in D, X = 1)", "D = {1/_N2}, 1 nin _N2\n"),
+    # A listed element of a relation that is a variable becomes a pair.
+    ("ran({X}, T)", "T = {_N2}, X = [_N1,_N2]\n"),
+    ("inv({X}, T)", "T = {[_N2,_N1]}, X = [_N1,_N2]\n"),
+    ("comp(R, {X}, T)", "X = [_N1,_N2], comp(R,{[_N1,_N2]},T)\n"),
+    ("comp(R, S, {X})", "R = {[_N1,_N3]/_N8}, S = {[_N3,_N2]/_N9}, X = [_N1,_N2], "),
+])
+def test_solve_answers_a_constraint_over_a_shared_or_listed_argument(capsys, goal, out):
+    assert cli.main(["solve", "--timeout", "5", "-e", goal]) == cli.OK
+    assert capsys.readouterr().out.startswith(out)
+
+
+@pytest.mark.parametrize("goal", [
+    "neg(dom(R, int(X, Y)))",
+    "neg(comp(R, S, int(X, Y)))",
+    "neg(subset(int(X, Y), B))",
+])
+def test_prove_grounds_a_counterexample_over_an_open_interval(capsys, goal):
+    # These answers ground only with more than one integer candidate per
+    # variable; with one, each is Unknown (ungroundable).
+    assert cli.main(["prove", "--timeout", "5", "-e", goal]) == cli.REFUTED
+    assert capsys.readouterr().out.startswith("Counterexample.\n")
+
+
+def test_the_json_report_of_an_unknown_po_says_why(tmp_path, capsys):
+    report = tmp_path / "gears.json"
+    assert cli.main(["verify", "--budget", "3", "--json", str(report), GEARS]) == cli.UNKNOWN
+    schema = json.loads(
+        (resources.files("setsolve") / "data" / "report.schema.json").read_text())
+    doc = json.loads(report.read_text())
+    jsonschema.validate(doc, schema)
+    row = next(r for r in doc["pos"] if r["status"] == "Unknown")
+    assert (row["note"], row["cause"]) == ("search budget exhausted", "budget")

@@ -182,6 +182,11 @@ def test_machine_error_is_a_parse_error_with_a_line():
     (_HEAD + "invariants\n  inv1: n = = 0\nend\n" + _INIT + "# $\nevent e\n $",
      "18:2: unexpected character '$'"),
     (_HEAD + 'invariants\n  inv1: n = "a\\', "10:13: unterminated string"),
+    # A quantifier domain is read as any nested term is.
+    (_HEAD + "invariants\n  inv1: foreach(x in n + 1, x in s)\nend\n" + _INIT,
+     "10:27: expected a term, found an integer expression"),
+    (_HEAD + "invariants\n  inv1: foreach([x, n] in f, x in s)\nend\n" + _INIT,
+     "10:21: binder 'n' shadows another name"),
 ])
 def test_error_positions(text, message):
     with pytest.raises(MachineError) as ei:
