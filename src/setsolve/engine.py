@@ -41,9 +41,11 @@ constraints that it touches, a bind re-reads the level of each entry at
 ``GEN``.  An entry it lowers moves to the front of its new level, in
 queue order and ahead of the constraints the same bind woke.
 
-A rewrite never returns a branch that holds a constraint false on sight
-(see ``rules``), so no branch is cloned or queued only to fail at its first
-filter.
+A rewrite never returns a branch that holds a constraint false on sight,
+nor queues a constraint true on sight, and it returns one empty branch
+when one of its branches holds outright (see ``rules``).  So no branch is
+cloned or queued only to fail at its first filter, no constraint is popped
+only to hold, and no sibling of a branch that holds is cloned.
 
 A quiescent store is an answer: the substitution plus the parked residue.
 Unsatisfiability is only reported when every branch failed within budget;

@@ -9,8 +9,9 @@ already applied) to one of:
 
 Each branch is a list of emissions: constraints, whole sub-formulas (from
 quantifier bodies), or ``Bind`` substitution deltas produced by unification.
-An ``or`` gives one branch per alternative, which is its one emission.
-Ground constraints short-circuit through the evaluator.  Rules follow a
+An ``or`` gives one branch per alternative that it does not decide on
+sight (below), which is its one emission.  Ground constraints
+short-circuit through the evaluator.  Rules follow a
 case-split discipline: membership drives elements into variable sets,
 negative constraints introduce fresh witnesses, and union-style constraints
 peel one listed element per step so every chain of descendants shrinks.
@@ -40,10 +41,11 @@ replaces the generic guess of two fresh pairs ``[n1, n2]`` and
 ``r = {[h, n] / r1}`` with ``{h / m} = {h / t}`` for the domain ``m`` of
 ``r1``, as for any relation, and also posts ``h nin m``: a function has
 one pair over ``h``, so ``r1`` can be chosen as ``r`` without that pair,
-whose domain lacks ``h``, and no answer is lost.  A ground listed domain
-takes the same rule, with no path of its own: the ``nin`` kills at once the
-alternative of ``{h / m} = {h / t}`` that lists ``h`` in ``m`` again, so
-each element is peeled once.
+whose domain lacks ``h``, and no answer is lost.  So the alternative of
+``{h / m} = {h / t}`` that lists ``h`` in ``m`` again dies at once, and
+each element is peeled once.  When ``t`` is a ground listed set without
+``h``, that leaves ``m = t``, which the rule emits instead, so no clone is
+made only to die.
 
 A variable input has at most one output per functional kind on a branch
 (``un``, ``comp``, ``dom``, ``ran``, ``inv`` and ``id``; see
@@ -53,8 +55,9 @@ over a variable ``r`` instead of the constraint, and ``y2 neq y1`` for a
 against each other; only a rule that binds an input meets a second
 constraint over it, which then holds a listed or fresh input.
 
-``rewrite`` drops each branch that holds ``false`` or a constraint false on
-sight, and returns ``[]`` when none is left: ``t neq t``, ``x nin {x / _}``,
+``rewrite`` decides on sight what syntax alone decides, in both directions.
+It drops each branch that holds ``false`` or a constraint false on sight,
+and returns ``[]`` when none is left: ``t neq t``, ``x nin {x / _}``,
 ``x in {}`` and ``npair`` of a pair, exactly the forms whose own rule fails
 from syntax alone.
 ``false`` is an ``or`` alternative as written, or one that substitution
@@ -63,7 +66,21 @@ false under every substitution, so the branch has no solution, and
 dropping it before it is cloned and queued loses none.  That holds as well
 for a branch that also binds a variable to an ill-sorted term: it would die
 with a recorded cut, but it has no solution whatever the sorts, so its
-loss needs no cut to flag it.  The other branches are explored as before.
+loss needs no cut to flag it.  It also drops from each branch every
+emission true on sight: ``t neq u`` for two distinct atoms, integers or
+strings (``ATOMIC``), ``x nin {}``, ``x in {x / _}``, and ``comp`` of
+``{}`` and a listed relation into ``{}``.  Each holds under
+every substitution, so queuing it only costs a pop.  A branch left empty
+then holds outright, and so does the rewritten constraint: ``rewrite``
+returns ``[[]]``, since every other branch has only answers that the
+empty one subsumes.  (``solve`` with many answers lists fewer of them.)
+An ``or`` decides each ground constraint alternative when it is rewritten,
+by the sort check and the evaluator that ``rewrite`` applies to a popped
+ground constraint; the evaluator decides a ground equation as ``unify``
+would.  A true alternative makes the ``or`` hold, a false one is dropped,
+and an ill-sorted one is dropped with a recorded cut, as
+``subst_formula`` cuts one.  Any other ground constraint is evaluated
+when it pops.
 
 Sorts follow one rule, read from ``formulas.SIG``: an atom, integer, string
 or pair in a set position or a quantifier domain, or a leaf other than an
@@ -95,10 +112,11 @@ An empty composition ``comp(r, s, {})`` ("no pair of ``r`` chains into
 ``s``") splits per listed pair without branching, because ``comp``
 distributes over union in each argument: a listed ``r`` or ``s`` of two or
 more pairs becomes one ``comp`` per listed pair, and ``comp({[x, y]},
-{[u, v] / s'}, {})`` becomes ``y neq u & comp({[x, y]}, s', {})``.  That
-fails when ``y`` and ``u`` are the same term, and drops the ``neq`` when
-both are atoms, integers or strings, which then differ.  Other terms that
-differ may still be equal (``{x, y}`` and ``{y, x}``), so they keep it.
+{[u, v] / s'}, {})`` becomes ``y neq u & comp({[x, y]}, s', {})``.  On
+sight (above), that fails when ``y`` and ``u`` are the same term, and
+drops the ``neq`` when both are atoms, integers or strings, which then
+differ.  Other terms that differ may still be equal (``{x, y}`` and
+``{y, x}``), so they keep it.
 The split terminates, because every ``comp`` it emits has a strictly
 shorter listed argument.
 
@@ -158,21 +176,17 @@ def _bind(delta: dict[str, Term]) -> Bind:
 def rewrite(c: Constraint, store):
     k = c.kind
     if k == "or":
-        return _live([[p] for p in c.parts])
+        return _rule_or(c, store)
     if k in ("foreach", "exists"):
         return _live(_rule_quant(c, store))
     if k == "eq":
         return _rule_eq(c, store)  # eq relates terms of any sort
-    args = c.args
-    for i in SET_POS[k]:
-        if type(args[i]) in NON_SETS:
-            raise IllSorted(f"not a set: {args[i]!r}")
-    for i in INT_POS[k]:
-        arith.check_int(args[i])
+    _check_sorts(c)
     if k in ("is", "le", "lt"):
         return _rule_arith(c, store)
 
     # Expand ground products/intervals in argument position.
+    args = c.args
     if any(type(a) in (CP, Interval) for a in args):
         args = list(args)
         changed = False
@@ -184,10 +198,48 @@ def rewrite(c: Constraint, store):
         if changed:
             return _live([[C(k, *args)]])
 
-    if all(is_ground(a) for a in args):
+    if _ground(c):
         return [[]] if groundeval.eval_constraint(c) else []
 
     return _live(_RULES[k](store, *args))
+
+
+def _check_sorts(c: Constraint) -> None:
+    """Raise ``IllSorted`` for a non-set at a set position of ``c`` or a
+    non-integer at an integer one."""
+    args = c.args
+    for i in SET_POS[c.kind]:
+        if type(args[i]) in NON_SETS:
+            raise IllSorted(f"not a set: {args[i]!r}")
+    for i in INT_POS[c.kind]:
+        arith.check_int(args[i])
+
+
+def _ground(c: Constraint) -> bool:
+    """Whether every argument of ``c`` is ground."""
+    if c.kind in ("is", "le", "lt"):
+        return all(map(arith.expr_is_ground, c.args))
+    return all(map(is_ground, c.args))
+
+
+def _rule_or(c: Or, store):
+    """One branch per alternative, but a ground constraint alternative is
+    decided on the spot, by the sort check and the evaluator that
+    ``rewrite`` applies to a popped one: it makes the ``or`` hold when
+    true, and is dropped when false or ill-sorted (a recorded cut).  The
+    evaluator decides a ground equation as ``unify`` would."""
+    out = []
+    for p in c.parts:
+        if type(p) is Constraint and p.q is None and _ground(p):
+            try:
+                _check_sorts(p)
+                if groundeval.eval_constraint(p):
+                    return [[]]
+            except IllSorted as e:
+                store.sort_cuts.append(str(e))
+        else:
+            out.append([p])
+    return _live(out)
 
 
 def _false_on_sight(e) -> bool:
@@ -206,12 +258,51 @@ def _false_on_sight(e) -> bool:
     return k == "in" and type(e.args[1]) is EmptySet
 
 
+def _true_on_sight(e) -> bool:
+    """``t neq u`` for two distinct constants, ``x nin {}``,
+    ``x in {x / _}``, or ``comp`` of ``{}`` and a listed relation into
+    ``{}``."""
+    if type(e) is not Constraint:
+        return False
+    k = e.kind
+    if k == "neq":
+        a, b = e.args
+        return type(a) in ATOMIC and type(b) in ATOMIC and a != b
+    if k == "nin":
+        return type(e.args[1]) is EmptySet
+    if k == "in":
+        s = e.args[1]
+        return type(s) is ExtSet and s.head == e.args[0]
+    if k == "comp":
+        r, s, t = e.args
+        return type(t) is EmptySet and (
+            (type(r) is EmptySet and _listed_relation(s))
+            or (type(s) is EmptySet and _listed_relation(r)))
+    return False
+
+
+def _listed_relation(t: Term) -> bool:
+    """Whether ``t`` lists only pairs and ends in ``{}``."""
+    elems, tail = set_parts(t)
+    return type(tail) is EmptySet and all(type(e) is Pair for e in elems)
+
+
 def _live(out):
     """The branches of ``out`` that hold neither ``false`` nor a constraint
-    false on sight."""
+    false on sight, without their emissions true on sight; ``[[]]`` when
+    that leaves a branch empty, since the rewritten constraint then holds."""
     if not out:
         return out
-    return [b for b in out if not any(map(_false_on_sight, b))]
+    live = []
+    for b in out:
+        if any(map(_false_on_sight, b)):
+            continue
+        if any(map(_true_on_sight, b)):
+            b = [e for e in b if not _true_on_sight(e)]
+            if not b:
+                return [[]]
+        live.append(b)
+    return live
 
 
 # --- equality / disequality ---------------------------------------------
@@ -491,16 +582,16 @@ def _rule_dom(store, r, d):
         if isinstance(d, ExtSet):
             g = store.gen
             n, r1, m = g.fresh(), g.fresh(), g.fresh()
-            branch = [
-                C("eq", r, ExtSet(Pair(d.head, n), r1)),
-                C("dom", r1, m),
-                C("eq", ExtSet(d.head, m), d),
-            ]
-            if store.facts.get(r.name, 0) & FUN:
-                # A function has one pair over ``d.head``: take ``r1`` as
-                # the rest, whose domain lacks it.
-                branch.append(C("nin", d.head, m))
-            return [branch]
+            branch = [C("eq", r, ExtSet(Pair(d.head, n), r1)), C("dom", r1, m)]
+            if not store.facts.get(r.name, 0) & FUN:
+                return [branch + [C("eq", ExtSet(d.head, m), d)]]
+            # A function has one pair over ``d.head``: take ``r1`` as the
+            # rest, whose domain lacks it.  A ground ``d`` that lists it
+            # once shows that domain.
+            if is_ground(d) and groundeval.term_value(d.head) not in \
+                    groundeval.term_value(d.tail):
+                return [branch + [C("eq", m, d.tail)]]
+            return [branch + [C("eq", ExtSet(d.head, m), d), C("nin", d.head, m)]]
     return None
 
 
@@ -690,12 +781,7 @@ def _comp_single(store, p: Pair, s, t):
             return _make_pair(store, q, C("comp", mkset([p]), s, t))
         u, v = q.first, q.second
         if isinstance(t, EmptySet):
-            if y == u:
-                return []
-            rest = C("comp", mkset([p]), s.tail, t)
-            if isinstance(y, ATOMIC) and isinstance(u, ATOMIC):
-                return [[rest]]
-            return [[C("neq", y, u), rest]]
+            return [[C("neq", y, u), C("comp", mkset([p]), s.tail, t)]]
         t1 = store.gen.fresh()
         return [
             [C("eq", y, u), C("comp", mkset([p]), s.tail, t1),
@@ -783,7 +869,7 @@ def _rule_foplus(store, f, x, y, out):
 def _rule_arith(c: Constraint, store):
     k = c.kind
     a, b = c.args
-    if arith.expr_is_ground(a) and arith.expr_is_ground(b):
+    if _ground(c):
         return [[]] if groundeval.eval_constraint(c) else []
     if k == "is" and isinstance(a, Var) and arith.expr_is_ground(b):
         return [[C("eq", a, Int(arith.eval_ground(b)))]]
@@ -821,10 +907,10 @@ def _rule_quant(c: Constraint, store):
             s = {q.binder.name: elem}
         else:
             names = binder_names(q.binder)
-            n1, n2 = gen.fresh(), gen.fresh()
             if isinstance(elem, Pair):
                 s = {names[0]: elem.first, names[1]: elem.second}
             else:
+                n1, n2 = gen.fresh(), gen.fresh()
                 pre.append(C("eq", elem, Pair(n1, n2)))
                 s = {names[0]: n1, names[1]: n2}
         ren = {l: gen.fresh() for l in q.locals}

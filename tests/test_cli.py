@@ -96,10 +96,10 @@ def test_a_bind_of_a_variable_shown_a_set_to_an_atom_cuts_at_the_bind(capsys):
 
 
 def test_trace_shows_an_or_step_like_any_other(capsys):
-    assert cli.main(["solve", "-e", "X = a & (X = b or X = a)", "--trace"]) == cli.OK
+    assert cli.main(["solve", "-e", "X = a & (Y = b or Y = X)", "--trace"]) == cli.OK
     events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert events[1] == {
-        "step": 2, "kind": "or", "constraint": "a = b or a = a", "result": 2}
+        "step": 2, "kind": "or", "constraint": "Y = b or Y = a", "result": 2}
     assert all(list(e) == ["step", "kind", "constraint", "result"] for e in events)
 
 

@@ -2,6 +2,7 @@
 import pytest
 from conftest import certify, certify_unsat
 from oracle import subsets
+from setsolve import cli
 from setsolve.engine import ground_complete, solve
 from setsolve.formulas import C, Constraint, Neg, QPayload
 from setsolve.parser import parse_formula
@@ -38,6 +39,9 @@ def test_pair_binders(run):
     assert run("foreach([X,Y] in {[1,2],[2,3]}, X < Y)").solutions
     assert run("foreach([X,Y] in {[2,1]}, X < Y)").unsat
     assert run("exists([X,Y] in {[1,2],[5,4]}, Y < X)").solutions
+    # A listed pair binds both names: no fresh names are drawn for it.
+    sol = run("exists([X, Y] in {[1, 2]}, X in V)").solutions[0]
+    assert cli._answer_line(sol) == "V = {1/_N1}, 1 nin _N1"
 
 
 def test_quantifier_over_interval(run):

@@ -136,6 +136,18 @@ lists each element once is now pinned on a goal whose two ``un`` share
 their inputs only after ``M = Q`` binds; it took 149 steps before and 153
 now, since four ``un`` that its splits emit over the same inputs become
 equations, which bind where the ``un`` would have parked.
+
+A rewrite also drops each emission true on sight, such as ``t neq u`` for
+two distinct constants, ``x nin {}`` or ``x in {x / _}``, and holds
+outright when that leaves a branch empty; an ``or`` decides its ground
+alternatives when it is rewritten (see ``rules``).  That moved counts on
+purpose.  Each INIT obligation that refutes a negated goal over ground
+initial values now fails at the ``or`` of its ground alternatives, instead
+of cloning a store per alternative and evaluating each one when it pops:
+``gears_intermediate/INIT/inv1`` went from 12 steps to 4, ``gears/INIT/inv1``
+from 7 to 3 and ``doors/INIT/inv1`` from 17 to 5.  In ``SET_GOAL_STEPS``
+the first goal went from 9 to 8: ``subset({1 / N}, {1, 2, 3})`` no longer
+queues ``1 in {1, 2, 3}``.  ``TRUE_ON_SIGHT`` pins one goal per form.
 """
 import pytest
 from setsolve import verifier
@@ -153,14 +165,14 @@ EXAMPLE_STEPS = [2, 1, 35, 12, 3]
 # the negated goal of an INV or WD obligation, then one for the pinned query
 # if needed.
 PO_STEPS = {
-    "gears_intermediate/INIT/inv1": [12],
+    "gears_intermediate/INIT/inv1": [4],
     "gears_intermediate/INIT/inv2": [25],
-    "gears/INIT/inv1": [7],
+    "gears/INIT/inv1": [3],
     "gears/make_GearExtended/inv1/INV": [92],
     "gears/make_GearExtended/grd1/wd1/WD": [28],
     "gears/start_GearRetract/inv1/INV": [92],
     "gears/start_GearRetract/grd1/wd1/WD": [28],
-    "doors/INIT/inv1": [17],
+    "doors/INIT/inv1": [5],
     "doors/INIT/inv2": [5],
     "doors/start_GearExtend/inv1/INV": [92],
     "doors/start_GearExtend/inv2/INV": [3],
@@ -180,7 +192,7 @@ def test_example_query_steps(cases):
 
 SET_GOAL_STEPS = {
     "un(H, K, T) & subset(H, {1, 2, 3}) & 1 in T & disj(K, {3}) & disj(H, K)"
-    " & 1 in H & 1 in K": 9,
+    " & 1 in H & 1 in K": 8,
     "un(F, R, W) & subset(F, {1, 2, 3}) & 3 in W & disj(R, {1, 2})"
     " & subset(F, R) & 3 in F & 3 nin R": 10,
     "un(A, B, C) & disj(A, B) & 1 in A & 1 in B": 5,
@@ -193,6 +205,40 @@ def test_a_settled_disj_or_subset_fails_before_the_un_splits(goal, steps):
     res = solve(parse_formula(goal))
     assert res.unsat
     assert res.steps == steps
+
+
+# Steps, clones and answers at ``max_solutions=10`` of goals that an
+# emission true on sight, or a ground ``or`` alternative, decides.  Before,
+# each true emission was queued and popped, and each ``or`` alternative
+# cloned: 3/1/2, 3/1/2, 10/3/2, 7/2/3, 3/0/1 and 4/1/1.
+TRUE_ON_SIGHT = {
+    # ``a neq b``: two distinct constants.
+    "a neq b or X = c": (1, 0, 1),
+    "[a, X] neq [b, Y]": (1, 0, 1),
+    # ``x nin {}``.
+    "X in {1, 2} & (X nin {} or X = 3)": (6, 1, 2),
+    # ``x in {x / _}``.
+    "X = 1 & (X in {1 / S} or Y = 2)": (2, 0, 1),
+    # ``b neq c``, then ``comp`` of ``{}`` and a listed relation into ``{}``.
+    "comp({[X, b]}, {[c, d]}, {})": (1, 0, 1),
+    # A ground alternative that is false is dropped.
+    "X = 1 & (X in {2} or Y = 3)": (3, 0, 1),
+}
+
+
+@pytest.mark.parametrize("goal, counts", TRUE_ON_SIGHT.items())
+def test_a_constraint_true_on_sight_is_not_queued(goal, counts):
+    res = solve(parse_formula(goal), max_solutions=10)
+    assert res.complete and res.ill_sorted is None
+    assert (res.steps, res.clones, len(res.solutions)) == counts
+
+
+def test_an_ill_sorted_ground_or_alternative_is_cut_and_recorded():
+    # ``1 in a`` is cut when the ``or`` is rewritten, not cloned to fail:
+    # 3 steps and no clone, where it took 4 and 1.
+    res = solve(parse_formula("X = a & (1 in X or Z = 1)"), max_solutions=10)
+    assert (res.steps, res.clones, len(res.solutions)) == (3, 0, 1)
+    assert res.ill_sorted == "not a set: Atom(name='a')"
 
 
 def test_a_declaration_takes_no_step():
